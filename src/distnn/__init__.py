@@ -9,11 +9,9 @@ closed-form references for verification.
 
 from .empirical import (
     EmpiricalDistribution,
-    QuantileGrid,
     StepQuantile,
     barycenter,
     from_samples,
-    general_barycenter,
     step_barycenter,
     summaries,
     w2_equal_n,

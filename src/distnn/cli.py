@@ -4,8 +4,10 @@ Every output file embeds the fully resolved configuration including the
 seed, and timestamps are never written, so re-running a command with the
 recorded configuration reproduces its output byte for byte.
 
-Exit codes: 0 success, 1 parse error or bad target, 2 no neighbors found
-(unless --fallback-nearest is set).
+Output is strict JSON: a non-finite number is written as null.
+
+Exit codes: 0 success, 1 parse error, bad target or other invalid input, 2
+no neighbors found (unless --fallback-nearest is set).
 """
 
 from __future__ import annotations
@@ -41,9 +43,21 @@ EXIT_BAD_INPUT = 1
 EXIT_NO_NEIGHBORS = 2
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=1, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -120,18 +134,20 @@ def _cmd_impute(args) -> int:
     }
 
     def impute_cell(cell, eta):
+        """(result payload, None) on success, (None, NoNeighborsError) otherwise."""
         try:
-            return impute(panel.matrix, cell[0], cell[1], eta,
-                          args.var_alpha, args.min_overlap), None
+            result = impute(panel.matrix, cell[0], cell[1], eta,
+                            args.var_alpha, args.min_overlap)
+            return _result_payload(panel, result), None
         except NoNeighborsError as exc:
-            if args.fallback_nearest:
-                try:
-                    return impute(panel.matrix, cell[0], cell[1], math.inf,
-                                  args.var_alpha, args.min_overlap,
-                                  max_neighbors=1), None
-                except NoNeighborsError as exc2:
-                    return None, exc2
+            if not args.fallback_nearest:
+                return None, exc
+        try:
+            result = impute(panel.matrix, cell[0], cell[1], math.inf,
+                            args.var_alpha, args.min_overlap, max_neighbors=1)
+        except NoNeighborsError as exc:
             return None, exc
+        return {**_result_payload(panel, result), "fallback": True}, None
 
     if args.all_missing:
         results, failures = [], []
@@ -145,7 +161,7 @@ def _cmd_impute(args) -> int:
                 continue
             result, failure = impute_cell(cell, eta)
             if result is not None:
-                results.append(_result_payload(panel, result))
+                results.append(result)
             else:
                 failures.append({"row": panel.row_keys[cell[0]],
                                  "col": panel.col_keys[cell[1]],
@@ -165,8 +181,7 @@ def _cmd_impute(args) -> int:
                                   "message": str(failure)})
         print(f"error: {failure}", file=sys.stderr)
         return EXIT_NO_NEIGHBORS
-    _write_json(args.output, {"config": config,
-                              "result": _result_payload(panel, result)})
+    _write_json(args.output, {"config": config, "result": result})
     return EXIT_OK
 
 

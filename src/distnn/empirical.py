@@ -27,7 +27,6 @@ from .errors import (
 
 __all__ = [
     "EmpiricalDistribution",
-    "QuantileGrid",
     "StepQuantile",
     "from_samples",
     "w2_equal_n",
@@ -35,7 +34,6 @@ __all__ = [
     "w2sq",
     "barycenter",
     "step_barycenter",
-    "general_barycenter",
     "summaries",
 ]
 
@@ -140,26 +138,6 @@ def from_samples(raw) -> EmpiricalDistribution:
     out = np.sort(arr, kind="stable")
     out.setflags(write=False)
     return EmpiricalDistribution(out)
-
-
-@dataclass(frozen=True, eq=False)
-class QuantileGrid:
-    """A quantile function sampled on a strictly increasing grid in (0, 1)."""
-
-    levels: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        levels = _check_levels(self.levels)
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != levels.shape:
-            raise SizeMismatchError("levels and values must have equal length")
-        if np.any(np.diff(values) < 0.0):
-            raise OutOfDomainError("quantile values must be non-decreasing")
-        levels.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +254,7 @@ def barycenter(ds) -> EmpiricalDistribution:
     if any(d.n != n for d in ds):
         raise SizeMismatchError(
             "equal-size barycenter requires uniform sample counts; "
-            "use step_barycenter or general_barycenter for ragged collections"
+            "use step_barycenter for ragged collections"
         )
     stacked = np.vstack([d.samples for d in ds])
     return _presorted(stacked.mean(axis=0))
@@ -300,18 +278,6 @@ def step_barycenter(ds) -> StepQuantile:
     for d in ds:
         acc += d.step_values()[np.searchsorted(d.step_edges(), mids, side="left")]
     return StepQuantile(edges, acc / len(ds))
-
-
-def general_barycenter(ds, levels) -> QuantileGrid:
-    """Barycenter quantile function sampled on a grid: the mean of member quantiles."""
-    ds = list(ds)
-    if not ds:
-        raise EmptyCollectionError("barycenter of an empty collection")
-    levels = _check_levels(levels)
-    values = np.zeros_like(levels)
-    for d in ds:
-        values += np.asarray(d.quantile(levels), dtype=float)
-    return QuantileGrid(levels, values / len(ds))
 
 
 def summaries(d, var_alpha: float = 0.05) -> dict:

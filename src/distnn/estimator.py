@@ -9,6 +9,7 @@ Wasserstein barycenter of the neighbors' column-j entries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,22 +82,60 @@ def row_distance(m: DistributionalMatrix, i: int, u: int, exclude: int, min_over
     return total / cols.shape[0]
 
 
-def _distance_profile(m, i, j, min_overlap):
-    """Distances rho(i, u) and overlap counts for every row u != i."""
-    n_rows = m.n_rows
-    dists = np.full(n_rows, math.inf)
-    overlaps = np.zeros(n_rows, dtype=np.int64)
-    for u in range(n_rows):
-        if u == i:
+def _w2sq_table(m: DistributionalMatrix, i: int) -> np.ndarray:
+    """W2^2 between row i's entry and every other row's entry, per column.
+
+    NaN marks pairs where either entry is missing; row i itself is NaN
+    throughout. Columns whose observed entries share one sample count are
+    computed in a single vectorized pass; other columns use per-pair w2sq.
+    """
+    n_rows, n_cols = m.n_rows, m.n_cols
+    table = np.full((n_rows, n_cols), np.nan)
+    for c in range(n_cols):
+        if not m.mask[i, c]:
             continue
-        cols = shared_columns(m, i, u, j)
-        overlaps[u] = cols.shape[0]
-        if cols.shape[0] >= max(1, min_overlap):
-            total = 0.0
-            for v in cols:
-                total += w2sq(m.entry(i, v), m.entry(u, v))
-            dists[u] = total / cols.shape[0]
-    return dists, overlaps
+        target = m.entry(i, c)
+        rows = [u for u in range(n_rows) if u != i and m.mask[u, c]]
+        if not rows:
+            continue
+        sizes = {m.entry(u, c).n for u in rows}
+        if sizes == {target.n}:
+            stacked = np.vstack([m.entry(u, c).samples for u in rows])
+            table[rows, c] = np.mean(
+                (stacked - target.samples[None, :]) ** 2, axis=1
+            )
+        else:
+            for u in rows:
+                table[u, c] = w2sq(m.entry(u, c), target)
+    return table
+
+
+def _leave_out_distances(table: np.ndarray, exclude: int, min_overlap: int):
+    """Distances rho(i, u) and overlap counts for every row u, from row i's table.
+
+    Column ``exclude`` is left out. The kept columns are summed in column
+    order, as :func:`row_distance` does, so both give the same value.
+    """
+    kept = ~np.isnan(table)
+    kept[:, exclude] = False
+    counts = np.sum(kept, axis=1)
+    # cumsum adds left to right, unlike the pairwise np.sum
+    sums = np.cumsum(np.where(kept, table, 0.0), axis=1)[:, -1]
+    dists = np.full(table.shape[0], math.inf)
+    ok = counts >= min_overlap
+    dists[ok] = sums[ok] / counts[ok]
+    return dists, counts
+
+
+def _ranked_rows(m: DistributionalMatrix, dists: np.ndarray, i: int, col: int) -> np.ndarray:
+    """Rows u != i observed in ``col`` at finite distance, nearest first.
+
+    Ties keep row-index order, so any distance cut-off keeps a prefix.
+    """
+    eligible = m.mask[:, col].copy()
+    eligible[i] = False
+    rows = np.nonzero(eligible & np.isfinite(dists))[0]
+    return rows[np.argsort(dists[rows], kind="stable")]
 
 
 def find_neighbors(
@@ -110,19 +149,23 @@ def find_neighbors(
     """Rows u != i observed in column j with finite rho(i, u) <= eta.
 
     ``max_neighbors`` optionally keeps only the closest rows (ties broken by
-    row index); useful for capping the neighborhood to a fixed size.
+    row index); useful for capping the neighborhood to a fixed size. Raises
+    OutOfDomainError unless eta is a number >= 0 (math.inf allowed, NaN
+    not), min_overlap >= 1 and max_neighbors is None or >= 1.
     """
-    if eta < 0.0:
-        raise OutOfDomainError("eta must be non-negative")
+    if not (isinstance(eta, numbers.Real) and eta >= 0.0):
+        raise OutOfDomainError(f"eta must be a non-negative number, got {eta!r}")
+    if min_overlap < 1:
+        raise OutOfDomainError("min_overlap must be at least 1")
+    if max_neighbors is not None and max_neighbors < 1:
+        raise OutOfDomainError("max_neighbors must be None or at least 1")
     m._check_index(i, j)
-    dists, overlaps = _distance_profile(m, i, j, min_overlap)
-    eligible = m.mask[:, j].copy()
-    eligible[i] = False
-    accept = eligible & np.isfinite(dists) & (dists <= eta)
-    rows = np.nonzero(accept)[0]
-    if max_neighbors is not None and rows.shape[0] > max_neighbors:
-        order = np.argsort(dists[rows], kind="stable")[:max_neighbors]
-        rows = np.sort(rows[order])
+    dists, overlaps = _leave_out_distances(_w2sq_table(m, i), j, min_overlap)
+    ranked = _ranked_rows(m, dists, i, j)
+    k = int(np.searchsorted(dists[ranked], eta, side="right"))
+    if max_neighbors is not None:
+        k = min(k, max_neighbors)
+    rows = np.sort(ranked[:k])
     return NeighborSet(
         target_row=i,
         target_col=j,

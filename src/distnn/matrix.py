@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import EmpiricalDistribution, from_samples
-from .errors import IndexOutOfRangeError, OutOfDomainError
+from .errors import EmptyInputError, IndexOutOfRangeError, OutOfDomainError, SizeMismatchError
 
 __all__ = ["DistributionalMatrix", "MaskSpec", "apply_mcar", "shared_columns"]
 
@@ -29,7 +29,7 @@ class DistributionalMatrix:
             if n_cols is None:
                 n_cols = len(row)
             elif len(row) != n_cols:
-                raise ValueError("all rows must have the same number of columns")
+                raise SizeMismatchError("all rows must have the same number of columns")
             converted = []
             for cell in row:
                 if cell is None:
@@ -40,7 +40,7 @@ class DistributionalMatrix:
                     converted.append(from_samples(cell))
             rows.append(tuple(converted))
         if not rows or n_cols == 0:
-            raise ValueError("matrix must have at least one row and one column")
+            raise EmptyInputError("matrix must have at least one row and one column")
         self._entries = tuple(rows)
         mask = np.array(
             [[cell is not None for cell in row] for row in self._entries], dtype=bool

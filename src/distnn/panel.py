@@ -128,6 +128,9 @@ def write_matrix_json(panel: Panel, path) -> None:
 
 
 def read_matrix_json(path) -> Panel:
+    """Parse the JSON matrix format; raises PanelParseError on malformed
+    input, such as a repeated axis key, an entry off the axes or given twice,
+    or a non-numeric sample."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -136,11 +139,20 @@ def read_matrix_json(path) -> Panel:
     try:
         row_keys = list(payload["rows"])
         col_keys = list(payload["cols"])
-        groups = {
-            (rec["row"], rec["col"]): [float(v) for v in rec["samples"]]
-            for rec in payload["entries"]
-        }
-    except (KeyError, TypeError) as exc:
+        rows, cols = set(row_keys), set(col_keys)
+        if len(rows) < len(row_keys) or len(cols) < len(col_keys):
+            raise PanelParseError("a key appears more than once in rows or cols")
+        groups = {}
+        for rec in payload["entries"]:
+            key = (rec["row"], rec["col"])
+            if key[0] not in rows or key[1] not in cols:
+                raise PanelParseError(f"entry {key!r} is not on the rows/cols axes")
+            if key in groups:
+                raise PanelParseError(f"entry {key!r} appears more than once")
+            groups[key] = [float(v) for v in rec["samples"]]
+    except PanelParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise PanelParseError(f"malformed matrix JSON: {exc}") from None
     return _matrix_from_groups(groups, row_keys, col_keys)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .empirical import from_samples, step_barycenter, w2sq
 from .errors import AllTrialsFailedError, NoObservedCellsError, OutOfDomainError
+from .estimator import _leave_out_distances, _ranked_rows, _w2sq_table
 from .matrix import DistributionalMatrix
 
 __all__ = ["TuneConfig", "TuneTrial", "TuneReport", "tune_eta"]
@@ -47,6 +48,8 @@ class TuneConfig:
             raise ValueError("eta_min and eta_max must be given together")
         if self.eta_min is not None and not (0.0 < self.eta_min < self.eta_max):
             raise OutOfDomainError("need 0 < eta_min < eta_max")
+        if self.min_overlap < 1:
+            raise OutOfDomainError("min_overlap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -69,47 +72,6 @@ class TuneReport:
             (t for t in self.trials if t.n_valid_cells >= 1),
             key=lambda t: (t.mean_loss, t.eta),
         )
-
-
-def _w2sq_table(m: DistributionalMatrix, i: int) -> np.ndarray:
-    """W2^2 between row i's entry and every other row's entry, per column.
-
-    NaN marks pairs where either entry is missing; row i itself is NaN
-    throughout. Columns whose observed entries share one sample count are
-    computed in a single vectorized pass.
-    """
-    n_rows, n_cols = m.n_rows, m.n_cols
-    table = np.full((n_rows, n_cols), np.nan)
-    for c in range(n_cols):
-        if not m.mask[i, c]:
-            continue
-        target = m.entry(i, c)
-        rows = [u for u in range(n_rows) if u != i and m.mask[u, c]]
-        if not rows:
-            continue
-        sizes = {m.entry(u, c).n for u in rows}
-        if sizes == {target.n}:
-            stacked = np.vstack([m.entry(u, c).samples for u in rows])
-            table[rows, c] = np.mean(
-                (stacked - target.samples[None, :]) ** 2, axis=1
-            )
-        else:
-            for u in rows:
-                table[u, c] = w2sq(m.entry(u, c), target)
-    return table
-
-
-def _loo_distances(table, sums, counts, v, min_overlap):
-    """Row distances with column v excluded, from the full-table statistics."""
-    with np.errstate(invalid="ignore"):
-        w_v = np.nan_to_num(table[:, v], nan=0.0)
-        used = ~np.isnan(table[:, v])
-        eff_counts = counts - used.astype(np.int64)
-        eff_sums = sums - w_v
-    dists = np.full(table.shape[0], math.inf)
-    ok = eff_counts >= max(1, min_overlap)
-    dists[ok] = eff_sums[ok] / eff_counts[ok]
-    return dists
 
 
 def _candidate_etas(cfg: TuneConfig, finite_dists: np.ndarray) -> np.ndarray:
@@ -167,28 +129,18 @@ def tune_eta(m: DistributionalMatrix, i: int, j: int, cfg: TuneConfig | None = N
         raise NoObservedCellsError(f"row {i} has no observed entries besides column {j}")
 
     table = _w2sq_table(m, i)
-    counts = np.sum(~np.isnan(table), axis=1).astype(np.int64)
-    sums = np.nansum(table, axis=1)
-
-    target_dists = _loo_distances(table, sums, counts, j, cfg.min_overlap)
-    observed_j = m.mask[:, j].copy()
-    observed_j[i] = False
-    finite = target_dists[observed_j & np.isfinite(target_dists)]
-    candidates = _candidate_etas(cfg, np.asarray(finite))
+    target_dists, _ = _leave_out_distances(table, j, cfg.min_overlap)
+    finite = target_dists[_ranked_rows(m, target_dists, i, j)]
+    candidates = _candidate_etas(cfg, finite)
 
     n_cells = len(held_cols)
     losses = np.full((candidates.shape[0], n_cells), np.nan)
     for cell_idx, v in enumerate(held_cols):
-        dists = _loo_distances(table, sums, counts, v, cfg.min_overlap)
-        eligible = m.mask[:, v].copy()
-        eligible[i] = False
-        rows = np.nonzero(eligible & np.isfinite(dists))[0]
-        if rows.size == 0:
+        dists, _ = _leave_out_distances(table, v, cfg.min_overlap)
+        sorted_rows = _ranked_rows(m, dists, i, v)
+        if sorted_rows.size == 0:
             continue
-        order = np.argsort(dists[rows], kind="stable")
-        sorted_rows = rows[order]
-        sorted_dists = dists[sorted_rows]
-        ks = np.searchsorted(sorted_dists, candidates, side="right")
+        ks = np.searchsorted(dists[sorted_rows], candidates, side="right")
         needed = sorted(set(int(k) for k in ks if k > 0))
         if not needed:
             continue

@@ -7,6 +7,13 @@ import pytest
 
 from distnn.cli import main
 
+
+def strict_json(path):
+    """Parse a file as strict JSON: NaN and Infinity are rejected."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
 DUPLICATE_ROW_CSV = """row,col,value
 r1,c1,0
 r1,c1,2
@@ -90,6 +97,31 @@ class TestImputeCommand:
         payload = json.loads(out.read_text())
         assert len(payload["result"]["neighbors"]["rows"]) == 1
 
+    def test_fallback_result_is_strict_json(self, duplicate_csv, tmp_path):
+        out = tmp_path / "o.json"
+        code = main(["impute", "--input", str(duplicate_csv),
+                     "--row", "r3", "--col", "c3", "--eta", "1e-6",
+                     "--fallback-nearest", "--output", str(out)])
+        assert code == 0
+        result = strict_json(out)["result"]
+        assert result["eta"] is None and result["fallback"] is True
+
+    def test_result_without_fallback_has_no_fallback_key(self, duplicate_csv, tmp_path):
+        out = tmp_path / "o.json"
+        main(["impute", "--input", str(duplicate_csv), "--row", "r3",
+              "--col", "c3", "--eta", "1e9", "--fallback-nearest",
+              "--output", str(out)])
+        result = strict_json(out)["result"]
+        assert result["eta"] == 1e9 and "fallback" not in result
+
+    def test_empty_matrix_json_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"rows": [], "cols": [], "entries": []}', encoding="utf-8")
+        code = main(["impute", "--input", str(path), "--all-missing",
+                     "--eta", "1", "--output", str(tmp_path / "o.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_tuned_eta_path(self, duplicate_csv, tmp_path):
         out = tmp_path / "o.json"
         code = main(["impute", "--input", str(duplicate_csv),
@@ -122,6 +154,19 @@ class TestTuneCommand:
         assert min(losses) == min(
             t["mean_loss"] for t in payload["trials"] if t["n_valid_cells"]
         )
+
+
+    def test_non_finite_loss_is_null(self, duplicate_csv, tmp_path):
+        # r3's held-out cells have neighbors only at eta >= 1e4, so the
+        # smaller candidates score an infinite loss
+        out = tmp_path / "tune.json"
+        code = main(["tune", "--input", str(duplicate_csv),
+                     "--row", "r3", "--col", "c3", "--budget", "8",
+                     "--eta-min", "1e-3", "--eta-max", "1e5",
+                     "--output", str(out)])
+        assert code == 0
+        losses = [t["mean_loss"] for t in strict_json(out)["trials"]]
+        assert losses[0] is None and losses[-1] is not None
 
 
 class TestBandsCommand:

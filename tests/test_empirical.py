@@ -20,7 +20,6 @@ from distnn import (
     barycenter,
     brute_force_w2_sq,
     from_samples,
-    general_barycenter,
     step_barycenter,
     summaries,
     w2_equal_n,
@@ -243,35 +242,6 @@ class TestStepBarycenter:
         objective = sum(w2sq(center, d) for d in ds)
         for cand in ds:
             assert objective <= sum(w2sq(cand, d) for d in ds) + 1e-12
-
-
-class TestGeneralBarycenter:
-    def test_single_distribution(self):
-        g = general_barycenter([from_samples([0, 2])], [0.25, 0.75])
-        assert np.array_equal(g.values, [0, 2])
-
-    def test_mean_of_constants(self):
-        g = general_barycenter([from_samples([0]), from_samples([4])], [0.5])
-        assert g.values[0] == 2
-
-    def test_identical_inputs_reduce_to_quantile(self):
-        d = from_samples([0, 2])
-        levels = [0.2, 0.5, 0.8]
-        g = general_barycenter([d, d], levels)
-        assert np.array_equal(g.values, d.quantile(np.asarray(levels)))
-
-    def test_quantile_linearity(self):
-        rng = np.random.default_rng(7)
-        ds = [from_samples(rng.normal(size=int(rng.integers(1, 9)))) for _ in range(4)]
-        levels = rng.uniform(0.01, 0.99, 20)
-        levels.sort()
-        g = general_barycenter(ds, levels)
-        manual = np.mean([d.quantile(levels) for d in ds], axis=0)
-        assert np.allclose(g.values, manual, rtol=0, atol=0)
-
-    def test_empty_collection(self):
-        with pytest.raises(EmptyCollectionError):
-            general_barycenter([], [0.5])
 
 
 class TestSummaries:

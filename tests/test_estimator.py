@@ -9,7 +9,9 @@ from distnn import (
     DistributionalMatrix,
     EmpiricalDistribution,
     NoNeighborsError,
+    OutOfDomainError,
     StepQuantile,
+    bootstrap_band,
     find_neighbors,
     from_samples,
     impute,
@@ -107,6 +109,37 @@ class TestFindNeighbors:
     def test_negative_eta_rejected(self):
         with pytest.raises(Exception):
             find_neighbors(shifted_rows_matrix(), 0, 0, eta=-1.0)
+
+    @pytest.mark.parametrize("call", [find_neighbors, impute, bootstrap_band, impute_all])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"eta": math.nan},
+            {"eta": -1.0},
+            {"eta": "1.0"},
+            {"eta": None},
+            {"eta": 1.0, "min_overlap": 0},
+            {"eta": 1.0, "min_overlap": -3},
+            {"eta": 1.0, "max_neighbors": 0},
+            {"eta": 1.0, "max_neighbors": -1},
+        ],
+    )
+    def test_bad_arguments_are_out_of_domain(self, call, kwargs):
+        m = shifted_rows_matrix().mask_cell(0, 0)
+        args = {
+            find_neighbors: (m, 0, 0),
+            impute: (m, 0, 0),
+            bootstrap_band: (m, 0, 0),
+            impute_all: (m,),
+        }[call]
+        if call is bootstrap_band:
+            kwargs = {**kwargs, "alpha": 0.1, "levels": [0.5]}
+        with pytest.raises(OutOfDomainError):
+            call(*args, **kwargs)
+
+    def test_infinite_eta_accepts_every_finite_row(self):
+        ns = find_neighbors(shifted_rows_matrix(), 0, 0, eta=math.inf)
+        assert np.array_equal(ns.rows, [1, 2, 3])
 
 
 class TestImpute:

@@ -1,9 +1,16 @@
 """Panel file formats: CSV and JSON round trips, parse failures."""
 
+import json
+
 import numpy as np
 import pytest
 
-from distnn import DistributionalMatrix, PanelParseError
+from distnn import (
+    DistributionalMatrix,
+    EmptyInputError,
+    PanelParseError,
+    SizeMismatchError,
+)
 from distnn.panel import (
     Panel,
     load_panel,
@@ -118,3 +125,46 @@ class TestJsonRoundTrip:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(PanelParseError):
             read_matrix_json(path)
+
+
+class TestJsonErrors:
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [{"row": "r", "col": "nope", "samples": [1.0]}],
+            [{"row": "nope", "col": "c", "samples": [1.0]}],
+            [{"row": "r", "col": "c", "samples": [1, 2]},
+             {"row": "r", "col": "c", "samples": [9]}],
+            [{"row": "r", "col": "c", "samples": ["abc"]}],
+        ],
+        ids=["unknown-col", "unknown-row", "repeated-cell", "non-numeric"],
+    )
+    def test_bad_entry_is_parse_error(self, tmp_path, entries):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": ["r"], "cols": ["c"], "entries": entries}))
+        with pytest.raises(PanelParseError):
+            read_matrix_json(path)
+
+    def test_repeated_axis_key_is_parse_error(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": ["r", "r"], "cols": ["c"], "entries": []}))
+        with pytest.raises(PanelParseError):
+            read_matrix_json(path)
+
+    def test_empty_axes_are_typed(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": [], "cols": [], "entries": []}))
+        with pytest.raises(EmptyInputError):
+            read_matrix_json(path)
+
+
+class TestMatrixShapeErrors:
+    def test_empty_matrix(self):
+        with pytest.raises(EmptyInputError):
+            DistributionalMatrix([])
+        with pytest.raises(EmptyInputError):
+            DistributionalMatrix([[]])
+
+    def test_ragged_rows(self):
+        with pytest.raises(SizeMismatchError):
+            DistributionalMatrix([[[1.0], [2.0]], [[3.0]]])

@@ -1,20 +1,27 @@
 """Randomized invariant suites over the core operations.
 
-Seeded generators stand in for real data; each suite states the invariant
-it drives and fails on the first counterexample.
+Seeded generators and hypothesis strategies stand in for real data; each
+suite states the invariant it drives and fails on the first counterexample.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distnn import (
     DistributionalMatrix,
     find_neighbors,
     from_samples,
+    row_distance,
+    shared_columns,
     w2_equal_n,
     w2_general,
     w2sq,
 )
+from distnn.estimator import _leave_out_distances, _w2sq_table
 
 
 def random_distribution(rng, max_n=8, integer_grid=False):
@@ -157,3 +164,82 @@ class TestBarycenterCrossChecks:
             as_step = StepQuantile(d.step_edges(), d.samples)
             e = random_distribution(rng)
             assert w2sq(as_step, e) == pytest.approx(w2sq(d, e), rel=1e-12, abs=1e-18)
+
+
+@st.composite
+def masked_matrices(draw):
+    """Random masks over 2-6 rows and 1-5 columns; sample counts are equal
+    across the matrix or drawn per cell."""
+    n_rows = draw(st.integers(2, 6))
+    n_cols = draw(st.integers(1, 5))
+    ragged = draw(st.booleans())
+    n = draw(st.integers(1, 5))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    entries = []
+    for _ in range(n_rows):
+        row = []
+        for _ in range(n_cols):
+            size = draw(st.integers(1, 5)) if ragged else n
+            row.append(draw(st.lists(values, min_size=size, max_size=size))
+                       if draw(st.booleans()) else None)
+        entries.append(row)
+    return DistributionalMatrix(entries)
+
+
+def assert_close(got, expected):
+    if math.isinf(expected):
+        assert got == expected
+    else:
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+class TestDistanceEngine:
+    """The per-row table gives rho(i, u) of the per-pair reference."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(m=masked_matrices(), min_overlap=st.integers(1, 3))
+    def test_table_matches_per_pair_reference(self, m, min_overlap):
+        for i in range(m.n_rows):
+            table = _w2sq_table(m, i)
+            for j in range(m.n_cols):
+                dists, counts = _leave_out_distances(table, j, min_overlap)
+                for u in range(m.n_rows):
+                    if u == i:
+                        continue
+                    assert counts[u] == shared_columns(m, i, u, j).shape[0]
+                    assert_close(dists[u], row_distance(m, i, u, j, min_overlap))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(m=masked_matrices(), min_overlap=st.integers(1, 3))
+    def test_find_neighbors_reports_reference_distances(self, m, min_overlap):
+        for i in range(m.n_rows):
+            for j in range(m.n_cols):
+                ns = find_neighbors(m, i, j, math.inf, min_overlap)
+                expected = [
+                    u for u in range(m.n_rows)
+                    if u != i and m.mask[u, j]
+                    and math.isfinite(row_distance(m, i, u, j, min_overlap))
+                ]
+                assert ns.rows.tolist() == expected
+                for u, d, c in zip(ns.rows, ns.distances, ns.overlap_counts):
+                    assert c == shared_columns(m, i, u, j).shape[0]
+                    assert_close(d, row_distance(m, i, u, j, min_overlap))
+
+    def test_column_translated_far_away_is_left_out_exactly(self):
+        # Column 3 puts rows 1 and 2 1e4 away from row 0, a W2^2 of 1e8
+        # against 1e-6 and 4e-6 on the other columns. Leaving column 3 out
+        # must not subtract it from a total that holds it.
+        rng = np.random.default_rng(5)
+        base = [np.round(rng.normal(size=4), 3) for _ in range(4)]
+        rows = [base] + [
+            [cell + (0.001 * r if c < 3 else 1e4) for c, cell in enumerate(base)]
+            for r in (1, 2)
+        ]
+        m = DistributionalMatrix(rows)
+        dists, _ = _leave_out_distances(_w2sq_table(m, 0), 3, 1)
+        ns = find_neighbors(m, 0, 3, math.inf)
+        for u in (1, 2):
+            expected = row_distance(m, 0, u, 3)
+            assert expected == pytest.approx(1e-6 * u * u, rel=1e-6)
+            assert_close(dists[u], expected)
+            assert_close(ns.distances[u - 1], expected)

@@ -9,6 +9,7 @@ from distnn import (
     AllTrialsFailedError,
     DistributionalMatrix,
     NoObservedCellsError,
+    OutOfDomainError,
     TuneConfig,
     impute,
     tune_eta,
@@ -161,3 +162,5 @@ class TestTuneEta:
             TuneConfig(eta_min=1.0)
         with pytest.raises(Exception):
             TuneConfig(search="bayesian")
+        with pytest.raises(OutOfDomainError):
+            TuneConfig(min_overlap=0)
