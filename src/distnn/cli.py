@@ -17,14 +17,15 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .empirical import EmpiricalDistribution, StepQuantile
 from .errors import (
     AllTrialsFailedError,
     DistnnError,
+    IndexOutOfRangeError,
     NoNeighborsError,
     NoObservedCellsError,
-    PanelParseError,
 )
 from .estimator import impute
 from .experiments import (
@@ -97,12 +98,34 @@ def _result_payload(panel, result) -> dict:
     }
 
 
+# parsed arguments that are not configuration: the handler and the output
+# paths; row and col are echoed as one "target" pair
+_NOT_ECHOED = ("func", "output", "output_prefix", "row", "col")
+
+
+def _config(args, *drop, **extra) -> dict:
+    """The configuration an output file echoes: every parsed option except
+    ``drop``, the target cell when the command has one, and ``extra``."""
+    options = vars(args)
+    config = {k: v for k, v in options.items() if k not in _NOT_ECHOED + drop}
+    if "row" in options:
+        config["target"] = (None if options.get("all_missing")
+                            else [args.row, args.col])
+    return {**config, **extra}
+
+
+def _no_neighbors(args, config, exc) -> int:
+    _write_json(args.output, {"config": config, "error": "no_neighbors",
+                              "message": str(exc)})
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_NO_NEIGHBORS
+
+
 def _resolve_target(panel, args):
     cell = panel.cell_index(args.row, args.col)
     if cell is None:
-        print(f"error: target ({args.row}, {args.col}) not found in panel axes",
-              file=sys.stderr)
-        return None
+        raise IndexOutOfRangeError(
+            f"target ({args.row}, {args.col}) not found in panel axes")
     return cell
 
 
@@ -119,19 +142,7 @@ def _resolve_eta(panel, cell, args):
 
 def _cmd_impute(args) -> int:
     panel = load_panel(args.input)
-    config = {
-        "command": "impute",
-        "input": str(args.input),
-        "eta": args.eta,
-        "tune": bool(args.tune),
-        "budget": args.budget,
-        "var_alpha": args.var_alpha,
-        "min_overlap": args.min_overlap,
-        "fallback_nearest": bool(args.fallback_nearest),
-        "all_missing": bool(args.all_missing),
-        "target": None if args.all_missing else [args.row, args.col],
-        "seed": args.seed,
-    }
+    config = _config(args)
 
     def impute_cell(cell, eta):
         """(result payload, None) on success, (None, NoNeighborsError) otherwise."""
@@ -153,13 +164,9 @@ def _cmd_impute(args) -> int:
         results, failures = [], []
         for cell in panel.matrix.missing_cells():
             try:
-                eta = _resolve_eta(panel, cell, args)
+                result, failure = impute_cell(cell, _resolve_eta(panel, cell, args))
             except (NoObservedCellsError, AllTrialsFailedError) as exc:
-                failures.append({"row": panel.row_keys[cell[0]],
-                                 "col": panel.col_keys[cell[1]],
-                                 "error": str(exc)})
-                continue
-            result, failure = impute_cell(cell, eta)
+                result, failure = None, exc
             if result is not None:
                 results.append(result)
             else:
@@ -171,16 +178,10 @@ def _cmd_impute(args) -> int:
         return EXIT_OK
 
     cell = _resolve_target(panel, args)
-    if cell is None:
-        return EXIT_BAD_INPUT
     eta = _resolve_eta(panel, cell, args)
     result, failure = impute_cell(cell, eta)
     if result is None:
-        _write_json(args.output, {"config": config,
-                                  "error": "no_neighbors",
-                                  "message": str(failure)})
-        print(f"error: {failure}", file=sys.stderr)
-        return EXIT_NO_NEIGHBORS
+        return _no_neighbors(args, config, failure)
     _write_json(args.output, {"config": config, "result": result})
     return EXIT_OK
 
@@ -188,8 +189,6 @@ def _cmd_impute(args) -> int:
 def _cmd_tune(args) -> int:
     panel = load_panel(args.input)
     cell = _resolve_target(panel, args)
-    if cell is None:
-        return EXIT_BAD_INPUT
     cfg = TuneConfig(
         budget=args.budget,
         search=args.search,
@@ -199,41 +198,20 @@ def _cmd_tune(args) -> int:
         min_overlap=args.min_overlap,
     )
     report = tune_eta(panel.matrix, cell[0], cell[1], cfg)
-    payload = {
-        "config": {
-            "command": "tune", "input": str(args.input),
-            "target": [args.row, args.col], "budget": cfg.budget,
-            "search": cfg.search, "eta_min": cfg.eta_min,
-            "eta_max": cfg.eta_max, "min_overlap": cfg.min_overlap,
-            "seed": cfg.seed,
-        },
+    _write_json(args.output, {
+        "config": _config(args),
         "best_eta": report.best_eta,
-        "trials": [
-            {"eta": t.eta, "mean_loss": t.mean_loss,
-             "n_valid_cells": t.n_valid_cells,
-             "n_no_neighbor_cells": t.n_no_neighbor_cells}
-            for t in report.trials
-        ],
-    }
-    _write_json(args.output, payload)
+        "trials": [asdict(t) for t in report.trials],
+    })
     return EXIT_OK
 
 
 def _cmd_bands(args) -> int:
     panel = load_panel(args.input)
     cell = _resolve_target(panel, args)
-    if cell is None:
-        return EXIT_BAD_INPUT
     eta = _resolve_eta(panel, cell, args)
     levels = default_levels(args.levels)
-    config = {
-        "command": "bands", "input": str(args.input),
-        "target": [args.row, args.col], "eta": eta,
-        "alpha": args.alpha, "levels": args.levels,
-        "simultaneous": bool(args.simultaneous), "method": args.method,
-        "reps_samples": args.reps_samples,
-        "reps_neighbors": args.reps_neighbors, "seed": args.seed,
-    }
+    config = _config(args, "tune", "budget", eta=eta)
     try:
         if args.method == "bootstrap":
             band = bootstrap_band(
@@ -251,10 +229,7 @@ def _cmd_bands(args) -> int:
             band = asymptotic_band(result, sigma, n_j, args.alpha, levels,
                                    args.simultaneous)
     except NoNeighborsError as exc:
-        _write_json(args.output, {"config": config, "error": "no_neighbors",
-                                  "message": str(exc)})
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_NEIGHBORS
+        return _no_neighbors(args, config, exc)
     _write_json(args.output, {
         "config": config,
         "band": {
@@ -291,17 +266,10 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
     )
     result = run_scaling(spec)
-    config = {
-        "command": "simulate", "kind": args.kind, "base": args.base,
-        "sweep": args.sweep, "values": list(args.values),
-        "trials": args.trials, "rows": args.rows, "cols": args.cols,
-        "n": args.n, "eta": args.eta, "budget": args.budget,
-        "min_neighbors": args.min_neighbors, "seed": args.seed,
-    }
     rows = result.csv_rows()
     _write_csv(f"{args.output_prefix}.csv", rows, list(rows[0].keys()))
     _write_json(f"{args.output_prefix}.json",
-                {"config": config, "summary": result.summary()})
+                {"config": _config(args), "summary": result.summary()})
     print(f"fitted exponent: {result.fit.exponent:.4f}")
     return EXIT_OK
 
@@ -309,16 +277,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.subject == "uniform-barycenter":
         rows = verify_uniform_barycenter_error(trials=args.trials, seed=args.seed)
-        table = [
-            {"m": r.m, "n": r.n, "simulated_mean": r.simulated_mean,
-             "closed_form": r.closed_form, "z_score": r.z_score,
-             "trials": r.trials}
-            for r in rows
-        ]
+        table = [asdict(r) for r in rows]
         _write_csv(f"{args.output_prefix}.csv", table, list(table[0].keys()))
         _write_json(f"{args.output_prefix}.json", {
-            "config": {"command": "verify", "subject": args.subject,
-                       "trials": args.trials, "seed": args.seed},
+            "config": _config(args),
             "rows": table,
             "max_abs_z": max(abs(r.z_score) for r in rows),
         })
@@ -328,8 +290,7 @@ def _cmd_verify(args) -> int:
         return EXIT_OK
     result = verify_barycenter_rate(seed=args.seed)
     _write_json(f"{args.output_prefix}.json", {
-        "config": {"command": "verify", "subject": args.subject,
-                   "seed": args.seed},
+        "config": _config(args, "trials"),
         "summary": result.summary(),
     })
     for k, err in zip(result.k_list, result.k_errors):
@@ -443,12 +404,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PanelParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (NoObservedCellsError, AllTrialsFailedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except NoNeighborsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_NEIGHBORS

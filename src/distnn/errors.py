@@ -14,7 +14,8 @@ class NonFiniteSampleError(DistnnError, ValueError):
 
 
 class OutOfDomainError(DistnnError, ValueError):
-    """A probability-level or alpha argument fell outside (0, 1)."""
+    """An argument fell outside its domain, such as a level or alpha outside
+    (0, 1), a negative eta or a count below 1."""
 
 
 class SizeMismatchError(DistnnError, ValueError):

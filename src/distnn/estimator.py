@@ -98,15 +98,15 @@ def _w2sq_table(m: DistributionalMatrix, i: int) -> np.ndarray:
         rows = [u for u in range(n_rows) if u != i and m.mask[u, c]]
         if not rows:
             continue
-        sizes = {m.entry(u, c).n for u in rows}
-        if sizes == {target.n}:
-            stacked = np.vstack([m.entry(u, c).samples for u in rows])
+        entries = [m.entry(u, c) for u in rows]
+        if all(d.n == target.n for d in entries):
+            stacked = np.vstack([d.samples for d in entries])
             table[rows, c] = np.mean(
                 (stacked - target.samples[None, :]) ** 2, axis=1
             )
         else:
-            for u in rows:
-                table[u, c] = w2sq(m.entry(u, c), target)
+            for u, d in zip(rows, entries):
+                table[u, c] = w2sq(d, target)
     return table
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .empirical import _presorted, summaries as distribution_summaries
-from .errors import ExperimentAbortedError, NoNeighborsError
+from .errors import ExperimentAbortedError, NoNeighborsError, OutOfDomainError
 from .estimator import impute
 from .exact import uniform_barycenter_expected_w2_sq
 from .synthetic import DgpSpec, generate
@@ -62,7 +62,7 @@ def fit_power_law(x, y) -> PowerLawFit:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.size < 2:
-        raise ValueError("need two or more (x, y) pairs")
+        raise OutOfDomainError("need two or more (x, y) pairs")
     if (
         np.any(~np.isfinite(x))
         or np.any(~np.isfinite(y))
@@ -86,9 +86,9 @@ class ExperimentSpec:
     ``rows_per_neighbor * k`` rows, so the neighborhood width stays constant
     while the effective sample size grows. ``eta_policy`` is "tuned"
     (leave-one-out per trial, ``tune_budget`` candidates) or "fixed"
-    (requires ``eta``). When fewer than ``min_neighbors`` rows fall inside
-    the tuned threshold, the nearest ``min_neighbors`` rows are used
-    instead.
+    (requires ``eta``). When fewer than ``min_neighbors`` (at least 1) rows
+    fall inside the tuned threshold, the nearest ``min_neighbors`` rows are
+    used instead.
     """
 
     dgp: DgpSpec
@@ -109,19 +109,23 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.sweep not in ("n_samples", "n_rows", "n_times_neighbors"):
-            raise ValueError(f"unknown sweep variable: {self.sweep!r}")
+            raise OutOfDomainError(f"unknown sweep variable: {self.sweep!r}")
         if len(self.values) < 1 or any(
             b <= a for a, b in zip(self.values, self.values[1:])
         ):
-            raise ValueError("sweep values must be strictly increasing")
+            raise OutOfDomainError("sweep values must be strictly increasing")
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            raise OutOfDomainError("trials must be at least 1")
+        if min(self.n_rows, self.n_cols) < 1:
+            raise OutOfDomainError("n_rows and n_cols must be at least 1")
+        if self.min_neighbors < 1:
+            raise OutOfDomainError("min_neighbors must be at least 1")
         if self.eta_policy not in ("tuned", "fixed"):
-            raise ValueError(f"unknown eta policy: {self.eta_policy!r}")
+            raise OutOfDomainError(f"unknown eta policy: {self.eta_policy!r}")
         if self.eta_policy == "fixed" and self.eta is None:
-            raise ValueError("fixed eta policy requires an eta value")
+            raise OutOfDomainError("fixed eta policy requires an eta value")
         if self.target != "random" and len(self.target) != 2:
-            raise ValueError('target must be "random" or a (row, col) pair')
+            raise OutOfDomainError('target must be "random" or a (row, col) pair')
 
 
 @dataclass(frozen=True)
@@ -252,12 +256,23 @@ class ScalingResult:
         }
 
 
-def _check_failures(n_failed, trials, max_fraction, what):
-    if n_failed > max_fraction * trials:
+def _run_trials(spec: ExperimentSpec, value, seeds, what, var_alpha=0.05):
+    """Run one trial per seed; return the records of those that found
+    neighbors and the count of those that did not. Raises
+    ExperimentAbortedError when the failures exceed the spec's fraction."""
+    records = []
+    for seed_seq in seeds:
+        try:
+            records.append(_run_trial(spec, value, seed_seq, var_alpha))
+        except NoNeighborsError:
+            pass
+    n_failed = len(seeds) - len(records)
+    if n_failed > spec.max_failure_fraction * len(seeds):
         raise ExperimentAbortedError(
-            f"{what}: {n_failed}/{trials} trials failed, above the "
-            f"{max_fraction:.0%} abort threshold"
+            f"{what}: {n_failed}/{len(seeds)} trials failed, above the "
+            f"{spec.max_failure_fraction:.0%} abort threshold"
         )
+    return records, n_failed
 
 
 def run_scaling(spec: ExperimentSpec) -> ScalingResult:
@@ -267,27 +282,17 @@ def run_scaling(spec: ExperimentSpec) -> ScalingResult:
     children = root.spawn(len(spec.values) * spec.trials)
     mean_errors, std_errors, baselines, mean_k, fit_x, failed = [], [], [], [], [], []
     for vi, value in enumerate(spec.values):
-        errors, base, ks = [], [], []
-        n_failed = 0
-        for t in range(spec.trials):
-            try:
-                rec = _run_trial(spec, value, children[vi * spec.trials + t])
-            except NoNeighborsError:
-                n_failed += 1
-                continue
-            errors.append(rec.error)
-            base.append(rec.baseline_error)
-            ks.append(rec.n_neighbors)
-        _check_failures(n_failed, spec.trials, spec.max_failure_fraction,
-                        f"sweep value {value}")
-        errors = np.asarray(errors)
+        records, n_failed = _run_trials(
+            spec, value, children[vi * spec.trials:(vi + 1) * spec.trials],
+            f"sweep value {value}")
+        errors = np.asarray([rec.error for rec in records])
         mean_errors.append(errors.mean())
         std_errors.append(errors.std(ddof=1) / np.sqrt(errors.size) if errors.size > 1 else 0.0)
-        baselines.append(float(np.mean(base)))
-        mean_k.append(float(np.mean(ks)))
+        baselines.append(float(np.mean([rec.baseline_error for rec in records])))
+        mean_k.append(float(np.mean([rec.n_neighbors for rec in records])))
         if spec.sweep == "n_times_neighbors":
             n = int(np.max(spec.dgp.n_for_columns(spec.n_cols)))
-            fit_x.append(n * float(np.mean(ks)))
+            fit_x.append(n * mean_k[-1])
         else:
             fit_x.append(float(value))
         failed.append(n_failed)
@@ -325,20 +330,10 @@ class DenoisingResult:
 
 def run_denoising(spec: ExperimentSpec) -> DenoisingResult:
     """Mean estimator error versus the single-entry baseline at one setting."""
-    children = np.random.SeedSequence(spec.seed).spawn(spec.trials)
-    errors, base = [], []
-    n_failed = 0
-    for t in range(spec.trials):
-        try:
-            rec = _run_trial(spec, None, children[t])
-        except NoNeighborsError:
-            n_failed += 1
-            continue
-        errors.append(rec.error)
-        base.append(rec.baseline_error)
-    _check_failures(n_failed, spec.trials, spec.max_failure_fraction, "denoising")
-    errors = np.asarray(errors)
-    base = np.asarray(base)
+    records, n_failed = _run_trials(
+        spec, None, np.random.SeedSequence(spec.seed).spawn(spec.trials), "denoising")
+    errors = np.asarray([rec.error for rec in records])
+    base = np.asarray([rec.baseline_error for rec in records])
     return DenoisingResult(
         estimator_mean_error=float(errors.mean()),
         baseline_mean_error=float(base.mean()),
@@ -390,17 +385,13 @@ def run_quantity_eval(spec: ExperimentSpec, quantities=QUANTITIES, var_alpha: fl
     """Relative error of mean/median/std/VaR estimates, estimator vs a single
     fresh sample array; cells whose true value is below 1e-9 in magnitude are
     excluded and counted."""
-    children = np.random.SeedSequence(spec.seed).spawn(spec.trials)
+    records, n_failed = _run_trials(
+        spec, None, np.random.SeedSequence(spec.seed).spawn(spec.trials),
+        "quantity eval", var_alpha)
     est = {q: [] for q in quantities}
     base = {q: [] for q in quantities}
     excluded = {q: 0 for q in quantities}
-    n_failed = 0
-    for t in range(spec.trials):
-        try:
-            rec = _run_trial(spec, None, children[t], var_alpha=var_alpha)
-        except NoNeighborsError:
-            n_failed += 1
-            continue
+    for rec in records:
         for q in quantities:
             truth_val = rec.true_summaries[q]
             if abs(truth_val) < 1e-9:
@@ -408,7 +399,6 @@ def run_quantity_eval(spec: ExperimentSpec, quantities=QUANTITIES, var_alpha: fl
                 continue
             est[q].append(abs(rec.est_summaries[q] - truth_val) / abs(truth_val))
             base[q].append(abs(rec.base_summaries[q] - truth_val) / abs(truth_val))
-    _check_failures(n_failed, spec.trials, spec.max_failure_fraction, "quantity eval")
     return QuantityEvalResult(
         estimator_rel_errors={q: np.asarray(v) for q, v in est.items()},
         baseline_rel_errors={q: np.asarray(v) for q, v in base.items()},
@@ -474,7 +464,7 @@ def verify_uniform_barycenter_error(m_list=(1, 5, 20), n_list=(5, 20, 100), tria
     regime where the closed form is exact.
     """
     if trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful z-score")
+        raise OutOfDomainError("need at least 100 trials for a meaningful z-score")
     root = np.random.SeedSequence(seed)
     rows = []
     for m in m_list:
@@ -535,34 +525,26 @@ def verify_barycenter_rate(
     seeded random locations keep the closed-form target constant across k.
     """
     root = np.random.SeedSequence(seed)
-    k_errors, k_closed = [], []
-    for k in k_list:
+    settings = ([(k, n_fixed, trials_k) for k in k_list]
+                + [(k_fixed, int(n), trials_n) for n in n_list])
+    errors, closed = [], []
+    for k, n, trials in settings:
         rng = np.random.default_rng(root.spawn(1)[0])
         a = rng.uniform(-1.0, 1.0, k)
         b = a + 1.0
-        mean, _ = _simulate_uniform_barycenter(a, b, n_fixed, trials_k, rng)
-        k_errors.append(mean)
-        k_closed.append(uniform_barycenter_expected_w2_sq(list(zip(a, b)), n_fixed))
-    k_errors = np.asarray(k_errors)
-    ratios = k_errors[1:] / k_errors[:-1]
-
-    n_errors, n_closed = [], []
-    for n in n_list:
-        rng = np.random.default_rng(root.spawn(1)[0])
-        a = rng.uniform(-1.0, 1.0, k_fixed)
-        b = a + 1.0
-        mean, _ = _simulate_uniform_barycenter(a, b, int(n), trials_n, rng)
-        n_errors.append(mean)
-        n_closed.append(uniform_barycenter_expected_w2_sq(list(zip(a, b)), int(n)))
-    n_errors = np.asarray(n_errors)
-    slope = fit_power_law(np.asarray(n_list, dtype=float), n_errors)
+        mean, _ = _simulate_uniform_barycenter(a, b, n, trials, rng)
+        errors.append(mean)
+        closed.append(uniform_barycenter_expected_w2_sq(list(zip(a, b)), n))
+    n_k = len(k_list)
+    k_errors = np.asarray(errors[:n_k])
+    n_errors = np.asarray(errors[n_k:])
     return RateResult(
         k_list=tuple(int(k) for k in k_list),
         k_errors=k_errors,
-        k_closed=np.asarray(k_closed),
-        doubling_ratios=ratios,
+        k_closed=np.asarray(closed[:n_k]),
+        doubling_ratios=k_errors[1:] / k_errors[:-1],
         n_list=tuple(int(n) for n in n_list),
         n_errors=n_errors,
-        n_closed=np.asarray(n_closed),
-        slope_fit=slope,
+        n_closed=np.asarray(closed[n_k:]),
+        slope_fit=fit_power_law(np.asarray(n_list, dtype=float), n_errors),
     )

@@ -134,7 +134,7 @@ def asymptotic_band(
             result.neighbors.target_row, result.neighbors.target_col, result.neighbors.eta
         )
     if n_j < 1:
-        raise ValueError("n_j must be at least 1")
+        raise OutOfDomainError("n_j must be at least 1")
     alpha_eff = _per_level_alpha(alpha, levels.shape[0], simultaneous)
     z = float(stats.norm.ppf(1.0 - alpha_eff / 2.0))
     centers = np.asarray(result.estimate.quantile(levels), dtype=float)
@@ -178,8 +178,8 @@ def bootstrap_band(
     neighbor_samples = [m.entry(u, j).samples for u in result.neighbors.rows]
     k = len(neighbor_samples)
     n_reps = reps_neighbors * reps_samples
-    if n_reps < 1:
-        raise ValueError("need at least one bootstrap replicate")
+    if min(reps_neighbors, reps_samples) < 1:
+        raise OutOfDomainError("need at least one bootstrap replicate")
     seeds = np.random.SeedSequence(seed).spawn(n_reps)
     curves = np.empty((n_reps, levels.shape[0]))
     for r in range(n_reps):

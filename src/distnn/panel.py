@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import PanelParseError
@@ -48,6 +49,19 @@ def _matrix_from_groups(groups, row_keys, col_keys) -> Panel:
     )
 
 
+@contextmanager
+def _open_text(path, **kwargs):
+    """Open ``path`` as UTF-8 text; a file that cannot be opened or decoded
+    raises PanelParseError."""
+    try:
+        with open(path, encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise PanelParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise PanelParseError(f"file is not UTF-8 text: {exc.reason}") from None
+
+
 def read_panel_csv(path) -> Panel:
     """Parse a long-format CSV panel; raises PanelParseError with the
     offending line number on malformed input."""
@@ -56,39 +70,41 @@ def read_panel_csv(path) -> Panel:
     col_keys: list = []
     seen_rows: set = set()
     seen_cols: set = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelParseError("file is empty") from None
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise PanelParseError(
-                f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}", line=1
-            )
-        for line_no, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != 3:
+            header = next(reader, None)
+            if header is None:
+                raise PanelParseError("file is empty")
+            if [h.strip() for h in header] != CSV_HEADER:
                 raise PanelParseError(
-                    f"expected 3 fields, got {len(record)}", line=line_no
+                    f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}", line=1
                 )
-            row_key, col_key, raw_value = record
-            try:
-                value = float(raw_value)
-            except ValueError:
-                raise PanelParseError(
-                    f"value {raw_value!r} is not a number", line=line_no
-                ) from None
-            if not math.isfinite(value):
-                raise PanelParseError(f"value {raw_value!r} is not finite", line=line_no)
-            if row_key not in seen_rows:
-                seen_rows.add(row_key)
-                row_keys.append(row_key)
-            if col_key not in seen_cols:
-                seen_cols.add(col_key)
-                col_keys.append(col_key)
-            groups.setdefault((row_key, col_key), []).append(value)
+            for line_no, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != 3:
+                    raise PanelParseError(
+                        f"expected 3 fields, got {len(record)}", line=line_no
+                    )
+                row_key, col_key, raw_value = record
+                try:
+                    value = float(raw_value)
+                except ValueError:
+                    raise PanelParseError(
+                        f"value {raw_value!r} is not a number", line=line_no
+                    ) from None
+                if not math.isfinite(value):
+                    raise PanelParseError(f"value {raw_value!r} is not finite", line=line_no)
+                if row_key not in seen_rows:
+                    seen_rows.add(row_key)
+                    row_keys.append(row_key)
+                if col_key not in seen_cols:
+                    seen_cols.add(col_key)
+                    col_keys.append(col_key)
+                groups.setdefault((row_key, col_key), []).append(value)
+        except csv.Error as exc:
+            raise PanelParseError(str(exc), line=reader.line_num) from None
     if not groups:
         raise PanelParseError("no records found")
     return _matrix_from_groups(groups, row_keys, col_keys)
@@ -130,12 +146,12 @@ def write_matrix_json(panel: Panel, path) -> None:
 def read_matrix_json(path) -> Panel:
     """Parse the JSON matrix format; raises PanelParseError on malformed
     input, such as a repeated axis key, an entry off the axes or given twice,
-    or a non-numeric sample."""
-    try:
-        with open(path, encoding="utf-8") as fh:
+    or ``samples`` that is not an array of numbers."""
+    with _open_text(path) as fh:
+        try:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise PanelParseError(f"invalid JSON: {exc}") from None
+        except (ValueError, RecursionError) as exc:
+            raise PanelParseError(f"invalid JSON: {exc}") from None
     try:
         row_keys = list(payload["rows"])
         col_keys = list(payload["cols"])
@@ -149,10 +165,15 @@ def read_matrix_json(path) -> Panel:
                 raise PanelParseError(f"entry {key!r} is not on the rows/cols axes")
             if key in groups:
                 raise PanelParseError(f"entry {key!r} appears more than once")
-            groups[key] = [float(v) for v in rec["samples"]]
+            samples = rec["samples"]
+            if not isinstance(samples, list) or not all(
+                    type(v) in (int, float) for v in samples):
+                raise PanelParseError(
+                    f"entry {key!r}: samples must be an array of numbers")
+            groups[key] = [float(v) for v in samples]
     except PanelParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PanelParseError(f"malformed matrix JSON: {exc}") from None
     return _matrix_from_groups(groups, row_keys, col_keys)
 

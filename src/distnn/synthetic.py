@@ -91,7 +91,7 @@ def make_base(name: str, truncation: float = 4.0) -> BaseFamily:
         return _gaussian_base()
     if name == "truncated_gaussian":
         return _truncated_gaussian_base(truncation)
-    raise ValueError(f"unknown base family: {name!r}")
+    raise OutOfDomainError(f"unknown base family: {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +128,7 @@ class DgpSpec:
 
     def __post_init__(self):
         if self.kind not in ("homoscedastic", "heteroscedastic"):
-            raise ValueError(f"unknown kind: {self.kind!r}")
+            raise OutOfDomainError(f"unknown kind: {self.kind!r}")
         if self.scale_range[0] <= 0.0 or self.scale_range[1] < self.scale_range[0]:
             raise OutOfDomainError("scale_range must be positive and ordered")
         if self.location_range[1] < self.location_range[0]:
@@ -136,14 +136,14 @@ class DgpSpec:
         if self.sigma < 0.0:
             raise OutOfDomainError("sigma must be non-negative")
         if self.latent_dim < 1:
-            raise ValueError("latent_dim must be at least 1")
+            raise OutOfDomainError("latent_dim must be at least 1")
 
     def n_for_columns(self, n_cols: int) -> np.ndarray:
         ns = np.asarray(self.n_per_entry, dtype=np.int64)
         if ns.ndim == 0:
             ns = np.full(n_cols, int(ns), dtype=np.int64)
         if ns.shape[0] != n_cols or np.any(ns < 1):
-            raise ValueError("n_per_entry must be positive, scalar or one per column")
+            raise OutOfDomainError("n_per_entry must be positive, scalar or one per column")
         return ns
 
 

@@ -41,11 +41,11 @@ class TuneConfig:
 
     def __post_init__(self):
         if self.budget < 1:
-            raise ValueError("budget must be at least 1")
+            raise OutOfDomainError("budget must be at least 1")
         if self.search not in ("log_grid", "random_log_uniform"):
-            raise ValueError(f"unknown search strategy: {self.search!r}")
+            raise OutOfDomainError(f"unknown search strategy: {self.search!r}")
         if (self.eta_min is None) != (self.eta_max is None):
-            raise ValueError("eta_min and eta_max must be given together")
+            raise OutOfDomainError("eta_min and eta_max must be given together")
         if self.eta_min is not None and not (0.0 < self.eta_min < self.eta_max):
             raise OutOfDomainError("need 0 < eta_min < eta_max")
         if self.min_overlap < 1:

@@ -229,3 +229,72 @@ class TestVerifyCommand:
         payload = json.loads((tmp_path / "check.json").read_text())
         assert len(payload["rows"]) == 9
         assert "z=" in capsys.readouterr().out
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "tune --input {panel} --row r1 --col c1 --budget 0 --output {tmp}/o.json",
+            "impute --input {panel} --row r1 --col c3 --budget 0 --output {tmp}/o.json",
+            "tune --input {panel} --row r1 --col c1 --eta-min 1 --output {tmp}/o.json",
+            "bands --input {panel} --row r3 --col c3 --eta 1e9 --reps-samples 0 "
+            "--output {tmp}/o.json",
+            "bands --input {panel} --row r3 --col c3 --eta 1e9 --reps-samples -1 "
+            "--reps-neighbors -1 --output {tmp}/o.json",
+            "simulate --values 30 10 --output-prefix {tmp}/s",
+            "simulate --values 10 --trials 0 --output-prefix {tmp}/s",
+            "simulate --values 10 --n 0 --output-prefix {tmp}/s",
+            "simulate --values 10 --cols 0 --output-prefix {tmp}/s",
+            "simulate --values 10 --min-neighbors 0 --output-prefix {tmp}/s",
+            "verify uniform-barycenter --trials 5 --output-prefix {tmp}/v",
+            "impute --input {tmp}/missing.csv --row r --col c --eta 1 --output {tmp}/o.json",
+            "impute --input {tmp} --row r --col c --eta 1 --output {tmp}/o.json",
+        ],
+        ids=["tune-budget", "impute-budget", "eta-min-alone", "reps-zero",
+             "reps-negative", "values-decreasing", "trials-zero", "n-zero", "cols-zero",
+             "min-neighbors-zero", "verify-trials", "missing-input",
+             "directory-input"],
+    )
+    def test_exits_one_with_error_line(self, argv, duplicate_csv, tmp_path, capsys):
+        code = main(argv.format(panel=duplicate_csv, tmp=tmp_path).split())
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestConfigEcho:
+    """Each command echoes exactly its computing options; output paths and
+    the separate row/col arguments never appear."""
+
+    IMPUTE_KEYS = {"command", "input", "eta", "tune", "budget", "var_alpha",
+                   "min_overlap", "fallback_nearest", "all_missing", "target",
+                   "seed"}
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            ("impute --input {panel} --row r3 --col c3 --eta 1e9 --output {tmp}/o.json",
+             IMPUTE_KEYS),
+            ("impute --input {panel} --all-missing --eta 1e9 --output {tmp}/o.json",
+             IMPUTE_KEYS),
+            ("tune --input {panel} --row r1 --col c1 --budget 4 --output {tmp}/o.json",
+             {"command", "input", "target", "budget", "search", "eta_min",
+              "eta_max", "min_overlap", "seed"}),
+            ("bands --input {panel} --row r3 --col c3 --eta 1e9 --levels 5 "
+             "--output {tmp}/o.json",
+             {"command", "input", "target", "eta", "alpha", "levels",
+              "simultaneous", "method", "reps_samples", "reps_neighbors", "seed"}),
+            ("simulate --values 10 30 --trials 3 --rows 10 --cols 6 --budget 8 "
+             "--seed 1 --output-prefix {tmp}/o",
+             {"command", "kind", "base", "sweep", "values", "trials", "rows",
+              "cols", "n", "eta", "budget", "min_neighbors", "seed"}),
+            ("verify uniform-barycenter --trials 200 --output-prefix {tmp}/o",
+             {"command", "subject", "trials", "seed"}),
+        ],
+        ids=["impute", "impute-all-missing", "tune", "bands", "simulate",
+             "verify-uniform-barycenter"],
+    )
+    def test_config_keys(self, argv, keys, duplicate_csv, tmp_path):
+        assert main(argv.format(panel=duplicate_csv, tmp=tmp_path).split()) == 0
+        assert set(strict_json(tmp_path / "o.json")["config"]) == keys

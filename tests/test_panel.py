@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distnn import (
+    DistnnError,
     DistributionalMatrix,
     EmptyInputError,
     PanelParseError,
@@ -136,8 +139,14 @@ class TestJsonErrors:
             [{"row": "r", "col": "c", "samples": [1, 2]},
              {"row": "r", "col": "c", "samples": [9]}],
             [{"row": "r", "col": "c", "samples": ["abc"]}],
+            [{"row": "r", "col": "c", "samples": "12"}],
+            [{"row": "r", "col": "c", "samples": [True, False]}],
+            [{"row": "r", "col": "c", "samples": {"1": 2}}],
+            [{"row": "r", "col": "c", "samples": [10**400]}],
         ],
-        ids=["unknown-col", "unknown-row", "repeated-cell", "non-numeric"],
+        ids=["unknown-col", "unknown-row", "repeated-cell", "non-numeric",
+             "string-samples", "boolean-samples", "object-samples",
+             "int-beyond-float"],
     )
     def test_bad_entry_is_parse_error(self, tmp_path, entries):
         path = tmp_path / "m.json"
@@ -158,6 +167,35 @@ class TestJsonErrors:
             read_matrix_json(path)
 
 
+class TestUnreadableFiles:
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("p.csv", b"row,col,value\nr,c,\xff\n"),
+            ("m.json", b'{"rows": ["\xff"], "cols": [], "entries": []}'),
+            ("m.json", b"[" * 100_000 + b"]" * 100_000),
+        ],
+        ids=["csv-not-utf8", "json-not-utf8", "json-nested-too-deep"],
+    )
+    def test_undecodable_file(self, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(PanelParseError):
+            load_panel(path)
+
+    def test_csv_field_over_parser_limit_reports_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("row,col,value\nr,c," + "1" * 200_000 + "\n", encoding="utf-8")
+        with pytest.raises(PanelParseError) as err:
+            read_panel_csv(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("name", ["missing.csv", "missing.json", "."])
+    def test_missing_path_or_directory(self, tmp_path, name):
+        with pytest.raises(PanelParseError):
+            load_panel(tmp_path / name)
+
+
 class TestMatrixShapeErrors:
     def test_empty_matrix(self):
         with pytest.raises(EmptyInputError):
@@ -168,3 +206,106 @@ class TestMatrixShapeErrors:
     def test_ragged_rows(self):
         with pytest.raises(SizeMismatchError):
             DistributionalMatrix([[[1.0], [2.0]], [[3.0]]])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def assert_panel_or_typed_error(path):
+    """load_panel returns a Panel or raises a DistnnError; any other
+    exception escapes and fails the test."""
+    try:
+        assert isinstance(load_panel(path), Panel)
+    except DistnnError:
+        pass
+
+
+AXIS_KEYS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+MATRIX_DOCS = st.fixed_dictionaries({
+    "rows": AXIS_KEYS | JSON_VALUES,
+    "cols": AXIS_KEYS | JSON_VALUES,
+    "entries": st.lists(
+        st.fixed_dictionaries({
+            "row": st.sampled_from(["a", "b", "d"]) | JSON_VALUES,
+            "col": st.sampled_from(["a", "b", "d"]) | JSON_VALUES,
+            "samples": st.lists(st.integers() | st.floats(), max_size=3) | JSON_VALUES,
+        })
+        | JSON_VALUES,
+        max_size=4,
+    ),
+})
+CSV_KEYS = st.sampled_from(["r", "c", "", '"', '"a,b"']) | st.text(max_size=3)
+CSV_VALUES = st.sampled_from(["1", "-2.5", "1e3", "1e999", "nan", "\r"]) | st.text(max_size=3)
+CSV_TEXT = st.lists(
+    st.tuples(CSV_KEYS, CSV_KEYS, CSV_VALUES).map(",".join)
+    | st.lists(CSV_KEYS, max_size=4).map(",".join),
+    max_size=6,
+).map("\n".join)
+KEY_TEXT = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=4,
+)
+
+
+@st.composite
+def panels(draw):
+    """Panels of 1-4 rows and columns with distinct text keys and at least
+    one observed cell."""
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row_keys = draw(st.lists(KEY_TEXT, min_size=n_rows, max_size=n_rows, unique=True))
+    col_keys = draw(st.lists(KEY_TEXT, min_size=n_cols, max_size=n_cols, unique=True))
+    cell = st.none() | st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4)
+    entries = [[draw(cell) for _ in range(n_cols)] for _ in range(n_rows)]
+    entries[draw(st.integers(0, n_rows - 1))][draw(st.integers(0, n_cols - 1))] = [0.0]
+    return Panel(DistributionalMatrix(entries), tuple(row_keys), tuple(col_keys))
+
+
+def observed_cells(panel):
+    m = panel.matrix
+    return {(panel.row_keys[i], panel.col_keys[j]): m.entry(i, j).samples.tolist()
+            for i, j in m.observed_cells()}
+
+
+class TestReaderFuzz:
+    """Whatever bytes a panel file holds, the readers return a Panel or raise
+    a DistnnError."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.binary(max_size=200)
+           | CSV_TEXT.map(lambda t: ("row,col,value\n" + t).encode("utf-8")))
+    def test_csv_bytes(self, fuzz_dir, data):
+        path = fuzz_dir / "p.csv"
+        path.write_bytes(data)
+        assert_panel_or_typed_error(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.binary(max_size=200)
+           | MATRIX_DOCS.map(lambda doc: json.dumps(doc).encode("utf-8"))
+           | JSON_VALUES.map(lambda doc: json.dumps(doc).encode("utf-8")))
+    def test_json_bytes(self, fuzz_dir, data):
+        path = fuzz_dir / "m.json"
+        path.write_bytes(data)
+        assert_panel_or_typed_error(path)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(panel=panels())
+    def test_csv_round_trip(self, fuzz_dir, panel):
+        path = fuzz_dir / "round.csv"
+        write_panel_csv(panel, path)
+        assert observed_cells(read_panel_csv(path)) == observed_cells(panel)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(panel=panels())
+    def test_json_round_trip(self, fuzz_dir, panel):
+        path = fuzz_dir / "round.json"
+        write_matrix_json(panel, path)
+        assert_panels_equal(panel, read_matrix_json(path))
