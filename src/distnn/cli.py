@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 
 from .empirical import EmpiricalDistribution, StepQuantile
@@ -55,15 +56,26 @@ def _finite_or_null(obj):
     return obj
 
 
+@contextmanager
+def _open_output(path, **kwargs):
+    """Open ``path`` for writing as UTF-8 text; a file that cannot be written
+    raises DistnnError."""
+    try:
+        with open(path, "w", encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise DistnnError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         json.dump(_finite_or_null(payload), fh, indent=1, sort_keys=True,
                   allow_nan=False)
         fh.write("\n")
 
 
 def _write_csv(path, rows, fieldnames) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_output(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:

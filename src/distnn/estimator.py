@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,6 +139,60 @@ def _ranked_rows(m: DistributionalMatrix, dists: np.ndarray, i: int, col: int) -
     return rows[np.argsort(dists[rows], kind="stable")]
 
 
+class _Ranking(NamedTuple):
+    """Row i's distances with one column left out, and the rows they rank."""
+
+    dists: np.ndarray
+    overlaps: np.ndarray
+    rows: np.ndarray  # as _ranked_rows orders them
+    sorted_dists: np.ndarray  # dists[rows]
+
+
+class _RowState:
+    """Row i's W2^2 table and the leave-one-column-out work derived from it.
+
+    Nothing here depends on a target's threshold, so every cell of row i
+    shares it: the ranking of rows for each left-out column and, filled in
+    by tuning, the held-out losses of each column. Stored arrays are
+    read-only and each memo entry is written whole, so threads sharing a
+    matrix can at worst compute an entry twice, with the same value.
+    """
+
+    __slots__ = ("row", "table", "_ranked", "losses")
+
+    def __init__(self, m: DistributionalMatrix, i: int):
+        self.row = i
+        self.table = _w2sq_table(m, i)
+        self.table.setflags(write=False)
+        self._ranked = {}
+        self.losses = {}  # (held column, min_overlap) -> loss per prefix size
+
+    def ranked(self, m: DistributionalMatrix, col: int, min_overlap: int) -> _Ranking:
+        key = (col, min_overlap)
+        found = self._ranked.get(key)
+        if found is None:
+            dists, overlaps = _leave_out_distances(self.table, col, min_overlap)
+            rows = _ranked_rows(m, dists, self.row, col)
+            found = _Ranking(dists, overlaps, rows, dists[rows])
+            for arr in found:
+                arr.setflags(write=False)
+            self._ranked[key] = found
+        return found
+
+
+def _row_state(m: DistributionalMatrix, i: int) -> _RowState:
+    """Row i's state, kept on the matrix until another row's replaces it.
+
+    The slot holds one row: ``missing_cells()`` runs row by row, so one slot
+    serves every cell of a row in turn without holding tables of past rows.
+    """
+    state = m._row_state
+    if state is None or state.row != i:
+        state = _RowState(m, i)
+        m._row_state = state
+    return state
+
+
 def find_neighbors(
     m: DistributionalMatrix,
     i: int,
@@ -160,9 +215,8 @@ def find_neighbors(
     if max_neighbors is not None and max_neighbors < 1:
         raise OutOfDomainError("max_neighbors must be None or at least 1")
     m._check_index(i, j)
-    dists, overlaps = _leave_out_distances(_w2sq_table(m, i), j, min_overlap)
-    ranked = _ranked_rows(m, dists, i, j)
-    k = int(np.searchsorted(dists[ranked], eta, side="right"))
+    dists, overlaps, ranked, sorted_dists = _row_state(m, i).ranked(m, j, min_overlap)
+    k = int(np.searchsorted(sorted_dists, eta, side="right"))
     if max_neighbors is not None:
         k = min(k, max_neighbors)
     rows = np.sort(ranked[:k])

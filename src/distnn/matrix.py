@@ -21,6 +21,9 @@ class DistributionalMatrix:
     matrices that share entry objects.
     """
 
+    # the estimator's work for the row it last served (see estimator._row_state)
+    _row_state = None
+
     def __init__(self, entries):
         rows = []
         n_cols = None

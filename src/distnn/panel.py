@@ -80,9 +80,11 @@ def read_panel_csv(path) -> Panel:
                 raise PanelParseError(
                     f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}", line=1
                 )
-            for line_no, record in enumerate(reader, start=2):
+            for record in reader:
                 if not record:
                     continue
+                # the file line the record ends on: a quoted field may hold newlines
+                line_no = reader.line_num
                 if len(record) != 3:
                     raise PanelParseError(
                         f"expected 3 fields, got {len(record)}", line=line_no

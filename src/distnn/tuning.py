@@ -17,7 +17,7 @@ import numpy as np
 
 from .empirical import from_samples, step_barycenter, w2sq
 from .errors import AllTrialsFailedError, NoObservedCellsError, OutOfDomainError
-from .estimator import _leave_out_distances, _ranked_rows, _w2sq_table
+from .estimator import _row_state
 from .matrix import DistributionalMatrix
 
 __all__ = ["TuneConfig", "TuneTrial", "TuneReport", "tune_eta"]
@@ -97,19 +97,30 @@ def _candidate_etas(cfg: TuneConfig, finite_dists: np.ndarray) -> np.ndarray:
     return np.sort(draws)
 
 
-def _prefix_losses(entries, held_out, needed_ks):
-    """Validation loss of the barycenter of the first k entries, per needed k."""
-    losses = {}
-    sizes = {d.n for d in entries}
-    if sizes == {held_out.n}:
-        stacked = np.vstack([d.samples for d in entries])
-        cums = np.cumsum(stacked, axis=0)
-        for k in needed_ks:
-            bary = cums[k - 1] / k
-            losses[k] = float(np.mean((bary - held_out.samples) ** 2))
+def _prefix_losses(m: DistributionalMatrix, state, v: int, min_overlap: int, needed):
+    """Validation loss at row i's held-out column v of the barycenter of the k
+    nearest rows, indexed by k (NaN where not computed); covers ``needed``.
+
+    Kept in row i's state: only which k a target needs depends on its column.
+    With equal sample counts every k comes from one cumulative sum.
+    """
+    key = (v, min_overlap)
+    known = state.losses.get(key)
+    if known is not None and not np.isnan(known[needed]).any():
+        return known
+    rows = state.ranked(m, v, min_overlap).rows
+    entries = [m.entry(u, v) for u in rows]
+    held_out = m.entry(state.row, v)
+    losses = np.full(rows.size + 1, np.nan) if known is None else known.copy()
+    if all(d.n == held_out.n for d in entries):
+        cums = np.cumsum(np.vstack([d.samples for d in entries]), axis=0)
+        ks = np.arange(1, rows.size + 1)
+        losses[1:] = np.mean((cums / ks[:, None] - held_out.samples) ** 2, axis=1)
     else:
-        for k in needed_ks:
+        for k in np.unique(needed[np.isnan(losses[needed])]):
             losses[k] = w2sq(step_barycenter(entries[:k]), held_out)
+    losses.setflags(write=False)
+    state.losses[key] = losses
     return losses
 
 
@@ -128,27 +139,18 @@ def tune_eta(m: DistributionalMatrix, i: int, j: int, cfg: TuneConfig | None = N
     if not held_cols:
         raise NoObservedCellsError(f"row {i} has no observed entries besides column {j}")
 
-    table = _w2sq_table(m, i)
-    target_dists, _ = _leave_out_distances(table, j, cfg.min_overlap)
-    finite = target_dists[_ranked_rows(m, target_dists, i, j)]
-    candidates = _candidate_etas(cfg, finite)
+    state = _row_state(m, i)
+    candidates = _candidate_etas(cfg, state.ranked(m, j, cfg.min_overlap).sorted_dists)
 
     n_cells = len(held_cols)
     losses = np.full((candidates.shape[0], n_cells), np.nan)
     for cell_idx, v in enumerate(held_cols):
-        dists, _ = _leave_out_distances(table, v, cfg.min_overlap)
-        sorted_rows = _ranked_rows(m, dists, i, v)
-        if sorted_rows.size == 0:
-            continue
-        ks = np.searchsorted(dists[sorted_rows], candidates, side="right")
-        needed = sorted(set(int(k) for k in ks if k > 0))
-        if not needed:
-            continue
-        entries = [m.entry(u, v) for u in sorted_rows]
-        loss_by_k = _prefix_losses(entries, m.entry(i, v), needed)
-        for c_idx, k in enumerate(ks):
-            if k > 0:
-                losses[c_idx, cell_idx] = loss_by_k[int(k)]
+        sorted_dists = state.ranked(m, v, cfg.min_overlap).sorted_dists
+        ks = np.searchsorted(sorted_dists, candidates, side="right")
+        hit = ks > 0
+        if hit.any():
+            loss_by_k = _prefix_losses(m, state, v, cfg.min_overlap, ks[hit])
+            losses[hit, cell_idx] = loss_by_k[ks[hit]]
 
     trials = []
     for c_idx, eta in enumerate(candidates):

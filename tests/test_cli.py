@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from distnn import estimator
 from distnn.cli import main
 
 
@@ -250,17 +251,52 @@ class TestBadArguments:
             "verify uniform-barycenter --trials 5 --output-prefix {tmp}/v",
             "impute --input {tmp}/missing.csv --row r --col c --eta 1 --output {tmp}/o.json",
             "impute --input {tmp} --row r --col c --eta 1 --output {tmp}/o.json",
+            "impute --input {panel} --row r3 --col c3 --eta 1e9 "
+            "--output {tmp}/no-such-dir/o.json",
+            "simulate --values 10 20 --trials 2 --rows 8 --cols 3 --eta 1e9 "
+            "--output-prefix {tmp}/no-such-dir/s",
         ],
         ids=["tune-budget", "impute-budget", "eta-min-alone", "reps-zero",
              "reps-negative", "values-decreasing", "trials-zero", "n-zero", "cols-zero",
              "min-neighbors-zero", "verify-trials", "missing-input",
-             "directory-input"],
+             "directory-input", "unwritable-json", "unwritable-csv"],
     )
     def test_exits_one_with_error_line(self, argv, duplicate_csv, tmp_path, capsys):
         code = main(argv.format(panel=duplicate_csv, tmp=tmp_path).split())
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_unwritable_output_names_the_path(self, duplicate_csv, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "o.json"
+        code = main(["impute", "--input", str(duplicate_csv), "--row", "r3",
+                     "--col", "c3", "--eta", "1e9", "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+class TestPerRowReuse:
+    def test_one_table_build_per_row_with_a_missing_cell(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        missing = {0: (1, 3), 1: (0,), 2: (2, 3), 4: (1, 2)}
+        lines = ["row,col,value"]
+        for r in range(6):
+            for c in range(5):
+                if c not in missing.get(r, ()):
+                    lines += [f"r{r},c{c},{v!r}" for v in rng.normal(r, 1.0, 4).tolist()]
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        builds = []
+        build = estimator._w2sq_table
+        monkeypatch.setattr(estimator, "_w2sq_table",
+                            lambda m, i: builds.append(i) or build(m, i))
+        out = tmp_path / "o.json"
+        code = main(["impute", "--input", str(path), "--all-missing", "--tune",
+                     "--budget", "8", "--output", str(out)])
+        assert code == 0
+        payload = strict_json(out)
+        assert len(payload["results"]) + len(payload["failures"]) == 7
+        assert builds == sorted(missing)
 
 
 class TestConfigEcho:

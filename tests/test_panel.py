@@ -84,6 +84,15 @@ class TestCsvErrors:
             read_panel_csv(path)
         assert err.value.line == 3
 
+    def test_line_after_quoted_newline_is_the_file_line(self, tmp_path):
+        # record 2 spans file lines 2-3, so the bad value sits on line 4
+        path = tmp_path / "p.csv"
+        path.write_text('row,col,value\n"a\nb",c,1\nr,c,xyz\n', encoding="utf-8")
+        with pytest.raises(PanelParseError) as err:
+            read_panel_csv(path)
+        assert err.value.line == 4
+        assert str(err.value).startswith("line 4:")
+
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("row,col,value\nr,c\n", encoding="utf-8")

@@ -5,6 +5,8 @@ suite states the invariant it drives and fails on the first counterexample.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,14 +15,18 @@ from hypothesis import strategies as st
 
 from distnn import (
     DistributionalMatrix,
+    TuneConfig,
     find_neighbors,
     from_samples,
+    impute,
     row_distance,
     shared_columns,
+    tune_eta,
     w2_equal_n,
     w2_general,
     w2sq,
 )
+from distnn.errors import DistnnError
 from distnn.estimator import _leave_out_distances, _w2sq_table
 
 
@@ -167,13 +173,28 @@ class TestBarycenterCrossChecks:
 
 
 @st.composite
-def masked_matrices(draw):
-    """Random masks over 2-6 rows and 1-5 columns; sample counts are equal
-    across the matrix or drawn per cell."""
-    n_rows = draw(st.integers(2, 6))
-    n_cols = draw(st.integers(1, 5))
+def masked_matrices(draw, max_rows=6, max_cols=5, seeded_values=False):
+    """Random masks over 2-``max_rows`` rows and 1-``max_cols`` columns;
+    sample counts are equal across the matrix or drawn per cell.
+
+    ``seeded_values`` instead draws the mask (a cell observed with
+    probability 3/4), the per-cell sample counts and the samples from a
+    generator that hypothesis seeds: drawn floats shrink towards a few
+    repeated values, whose ties between row distances can hide which rows a
+    nearest-k prefix holds.
+    """
+    n_rows = draw(st.integers(2, max_rows))
+    n_cols = draw(st.integers(1, max_cols))
     ragged = draw(st.booleans())
     n = draw(st.integers(1, 5))
+    if seeded_values:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return DistributionalMatrix([
+            [rng.normal(rng.normal(0.0, 3.0), rng.uniform(0.5, 3.0),
+                        rng.integers(1, 6) if ragged else n)
+             if rng.random() < 0.75 else None for _ in range(n_cols)]
+            for _ in range(n_rows)
+        ])
     values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     entries = []
     for _ in range(n_rows):
@@ -243,3 +264,79 @@ class TestDistanceEngine:
             assert expected == pytest.approx(1e-6 * u * u, rel=1e-6)
             assert_close(dists[u], expected)
             assert_close(ns.distances[u - 1], expected)
+
+
+def _cell_outcome(m, i, j, min_overlap):
+    """Tuning report, neighbour set and estimate of cell (i, j), down to the
+    bits (repr of a float round-trips); an error as its type and message."""
+    try:
+        report = tune_eta(m, i, j, TuneConfig(budget=6, min_overlap=min_overlap))
+        eta, tuned = report.best_eta, repr(report)
+    except DistnnError as exc:
+        eta, tuned = math.inf, (type(exc).__name__, str(exc))
+    try:
+        result = impute(m, i, j, eta, min_overlap=min_overlap)
+    except DistnnError as exc:
+        return tuned, (type(exc).__name__, str(exc))
+    ns, est = result.neighbors, result.estimate
+    quantiles = est.samples if hasattr(est, "samples") else np.append(est.edges, est.values)
+    return tuned, (ns.target_row, ns.target_col, repr(ns.eta), ns.rows.tobytes(),
+                   ns.distances.tobytes(), ns.overlap_counts.tobytes(),
+                   quantiles.tobytes(), repr(result.summaries))
+
+
+def _cold_copy(m):
+    """The same matrix as a new object, which holds no work from earlier calls."""
+    return DistributionalMatrix(
+        [[m.entry(i, j) for j in range(m.n_cols)] for i in range(m.n_rows)]
+    )
+
+
+class TestPerRowReuse:
+    """Work kept from one cell of a row for the next changes no result."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(m=masked_matrices(max_rows=7, max_cols=6, seeded_values=True), data=st.data())
+    def test_every_cell_matches_a_cold_matrix(self, m, data):
+        cells = [(i, j, mo) for i in range(m.n_rows) for j in range(m.n_cols)
+                 for mo in (1, 2, 3)]
+        for i, j, mo in data.draw(st.permutations(cells)):
+            assert _cell_outcome(m, i, j, mo) == _cell_outcome(_cold_copy(m), i, j, mo)
+
+    def test_threads_sharing_a_matrix_match_a_cold_matrix(self):
+        rng = np.random.default_rng(11)
+        m = DistributionalMatrix([
+            [rng.normal(r % 3, 1.0, int(rng.integers(3, 6))) if rng.random() < 0.8 else None
+             for _ in range(5)]
+            for r in range(8)
+        ])
+        cells = [(i, j, mo) for i in range(m.n_rows) for j in range(m.n_cols)
+                 for mo in (1, 2)]
+        expected = {cell: _cell_outcome(_cold_copy(m), *cell) for cell in cells}
+        n_threads = 4
+        got, errors = {}, []
+
+        def work(start):
+            # threads in a pair walk the same cells at once and race to fill
+            # one row's work; the two pairs keep replacing each other's row
+            # in the matrix's one slot
+            try:
+                for cell in cells[start:] + cells[:start]:
+                    got.setdefault(cell, []).append(_cell_outcome(m, *cell))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k // 2 * len(cells) // 2,))
+                   for k in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert got == {cell: [out] * n_threads for cell, out in expected.items()}
