@@ -202,14 +202,38 @@ class StepQuantile:
         return f"StepQuantile(pieces={self.edges.shape[0]})"
 
 
-def _merged_step_eval(a, b):
-    """Widths and values of two step quantile functions on their merged grid."""
-    edges = np.union1d(a.step_edges(), b.step_edges())
+def _one_size(ds) -> bool:
+    """True when every member is empirical and all share one sample count."""
+    return all(isinstance(d, EmpiricalDistribution) for d in ds) and len({d.n for d in ds}) == 1
+
+
+def _merged_grid(ds):
+    """The members' step quantile functions on their merged breakpoint grid.
+
+    Returns ``(edges, widths, values)``: ``values[r, g]`` is member r's value
+    on the g-th piece (edges[g-1], edges[g]], whose width is ``widths[g]``.
+    When :func:`_one_size` holds, the grid is k/n, ``values`` stacks the
+    order statistics and ``widths`` is None: every piece is 1/n wide, and
+    :func:`_integral` takes the mean, the order-statistic formula.
+    """
+    if _one_size(ds):
+        return ds[0].step_edges(), None, np.array([d.samples for d in ds])
+    steps = [d.step_edges() for d in ds]
+    edges = np.unique(np.concatenate(steps))
     widths = np.diff(np.concatenate(([0.0], edges)))
     mids = edges - 0.5 * widths
-    va = a.step_values()[np.searchsorted(a.step_edges(), mids, side="left")]
-    vb = b.step_values()[np.searchsorted(b.step_edges(), mids, side="left")]
-    return widths, va, vb
+    values = np.array(
+        [d.step_values()[np.searchsorted(s, mids, side="left")] for d, s in zip(ds, steps)]
+    )
+    return edges, widths, values
+
+
+def _integral(widths, f) -> np.ndarray:
+    """Integral over (0, 1) of step functions given on a :func:`_merged_grid`
+    grid, one per row of ``f`` (last axis: the grid's pieces)."""
+    if widths is None:
+        return np.mean(f, axis=-1)
+    return np.sum(widths * f, axis=-1)
 
 
 def w2sq(a, b) -> float:
@@ -219,14 +243,8 @@ def w2sq(a, b) -> float:
     integration over the merged breakpoint grid, with an order-statistic fast
     path when both are empirical with equal n.
     """
-    if (
-        isinstance(a, EmpiricalDistribution)
-        and isinstance(b, EmpiricalDistribution)
-        and a.n == b.n
-    ):
-        return float(np.mean((a.samples - b.samples) ** 2))
-    widths, va, vb = _merged_step_eval(a, b)
-    return float(np.sum(widths * (va - vb) ** 2))
+    _, widths, (va, vb) = _merged_grid((a, b))
+    return float(_integral(widths, (va - vb) ** 2))
 
 
 def w2_equal_n(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
@@ -269,15 +287,9 @@ def step_barycenter(ds) -> StepQuantile:
     ds = list(ds)
     if not ds:
         raise EmptyCollectionError("barycenter of an empty collection")
-    edges = ds[0].step_edges()
-    for d in ds[1:]:
-        edges = np.union1d(edges, d.step_edges())
-    widths = np.diff(np.concatenate(([0.0], edges)))
-    mids = edges - 0.5 * widths
-    acc = np.zeros_like(edges)
-    for d in ds:
-        acc += d.step_values()[np.searchsorted(d.step_edges(), mids, side="left")]
-    return StepQuantile(edges, acc / len(ds))
+    edges, _, values = _merged_grid(ds)
+    # 0.0 + turns an all-zero -0.0 sum into +0.0, as summing from zero does
+    return StepQuantile(edges, (0.0 + np.cumsum(values, axis=0)[-1]) / len(ds))
 
 
 def summaries(d, var_alpha: float = 0.05) -> dict:

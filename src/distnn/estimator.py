@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .empirical import barycenter, step_barycenter, summaries, w2sq
+from .empirical import _one_size, barycenter, step_barycenter, summaries, w2sq
 from .errors import NoNeighborsError, OutOfDomainError
 from .matrix import DistributionalMatrix, shared_columns
 
@@ -100,7 +100,7 @@ def _w2sq_table(m: DistributionalMatrix, i: int) -> np.ndarray:
         if not rows:
             continue
         entries = [m.entry(u, c) for u in rows]
-        if all(d.n == target.n for d in entries):
+        if _one_size(entries + [target]):
             stacked = np.vstack([d.samples for d in entries])
             table[rows, c] = np.mean(
                 (stacked - target.samples[None, :]) ** 2, axis=1
@@ -165,7 +165,7 @@ class _RowState:
         self.table = _w2sq_table(m, i)
         self.table.setflags(write=False)
         self._ranked = {}
-        self.losses = {}  # (held column, min_overlap) -> loss per prefix size
+        self.losses = {}  # (held column, min_overlap) -> loss for every prefix size
 
     def ranked(self, m: DistributionalMatrix, col: int, min_overlap: int) -> _Ranking:
         key = (col, min_overlap)
@@ -231,10 +231,7 @@ def find_neighbors(
 
 
 def _barycenter_of(entries):
-    sizes = {d.n for d in entries}
-    if len(sizes) == 1:
-        return barycenter(entries)
-    return step_barycenter(entries)
+    return barycenter(entries) if _one_size(entries) else step_barycenter(entries)
 
 
 def impute(

@@ -9,7 +9,7 @@ from itertools import permutations
 import numpy as np
 
 from .empirical import EmpiricalDistribution
-from .errors import SizeMismatchError, TooLargeError
+from .errors import OutOfDomainError, SizeMismatchError, TooLargeError
 
 __all__ = [
     "UniformPair",
@@ -35,7 +35,7 @@ class UniformPair:
 
     def __post_init__(self):
         if not (self.a < self.b and self.c < self.d):
-            raise ValueError("intervals must have positive width")
+            raise OutOfDomainError("intervals must have positive width")
 
 
 def uniform_w2_sq(p: UniformPair) -> float:
@@ -52,7 +52,7 @@ def uniform_empirical_expected_w2_sq(a: float, b: float, n: int) -> float:
     (b-a)^2 / (6n).
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise OutOfDomainError("n must be at least 1")
     return (b - a) ** 2 / (6.0 * n)
 
 
@@ -61,7 +61,7 @@ def uniform_pair_empirical_expected_w2_sq(p: UniformPair, n: int) -> float:
     W2^2(U(a,b), U(c,d)) + (b-a)(d-c) / (3(n+1)).
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise OutOfDomainError("n must be at least 1")
     return uniform_w2_sq(p) + (p.b - p.a) * (p.d - p.c) / (3.0 * (n + 1))
 
 
@@ -78,9 +78,9 @@ def uniform_barycenter_expected_w2_sq(intervals, n: int) -> float:
     """
     intervals = list(intervals)
     if not intervals:
-        raise ValueError("need at least one interval")
+        raise OutOfDomainError("need at least one interval")
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise OutOfDomainError("n must be at least 1")
     m = len(intervals)
     a_bar = sum(a for a, _ in intervals) / m
     b_bar = sum(b for _, b in intervals) / m

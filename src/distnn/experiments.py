@@ -352,12 +352,6 @@ class QuantityEvalResult:
     n_excluded: dict
     n_failed: int
 
-    def quartiles(self, quantity: str, method: str = "estimator") -> tuple:
-        errs = (
-            self.estimator_rel_errors if method == "estimator" else self.baseline_rel_errors
-        )[quantity]
-        return tuple(np.quantile(errs, [0.25, 0.5, 0.75]))
-
     def csv_rows(self):
         rows = []
         for q in self.estimator_rel_errors:

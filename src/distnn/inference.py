@@ -61,11 +61,21 @@ class SigmaFunction:
     @classmethod
     def from_samples(cls, sample_arrays) -> "SigmaFunction":
         """Gaussian KDE with Silverman bandwidth on each neighbor's samples,
-        evaluated at the neighbor's empirical step quantile."""
+        evaluated at the neighbor's empirical step quantile.
+
+        Raises DegenerateDensityError when no KDE fits a neighbor's samples,
+        such as a single sample or samples that are all equal.
+        """
         fns = []
         for arr in sample_arrays:
             emp = _presorted(np.sort(np.asarray(arr, dtype=float)))
-            kde = stats.gaussian_kde(arr, bw_method="silverman")
+            try:
+                kde = stats.gaussian_kde(arr, bw_method="silverman")
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                raise DegenerateDensityError(
+                    f"cannot fit a KDE to a neighbor's {emp.n} samples: "
+                    "it needs two distinct values and a finite variance"
+                ) from exc
             fns.append(lambda t, e=emp, k=kde: k(np.atleast_1d(e.quantile(t))))
         return cls(mode="kde", density_at_quantile_fns=fns)
 

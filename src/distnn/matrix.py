@@ -121,7 +121,7 @@ def apply_mcar(full: DistributionalMatrix, spec: MaskSpec, protect=None) -> Dist
     unaffected by the protection. Deterministic for a fixed seed.
     """
     if not np.all(full.mask):
-        raise ValueError("apply_mcar expects a fully observed matrix")
+        raise OutOfDomainError("apply_mcar expects a fully observed matrix")
     rng = np.random.default_rng(spec.seed)
     keep = rng.random((full.n_rows, full.n_cols)) < spec.p
     if protect is not None:
@@ -142,7 +142,7 @@ def shared_columns(m: DistributionalMatrix, i: int, u: int, exclude: int) -> np.
     m._check_index(u, 0)
     m._check_index(0, exclude)
     if i == u:
-        raise ValueError("shared_columns requires two distinct rows")
+        raise OutOfDomainError("shared_columns requires two distinct rows")
     both = m.mask[i] & m.mask[u]
     both[exclude] = False
     return np.nonzero(both)[0]

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import from_samples, step_barycenter, w2sq
+from .empirical import _integral, _merged_grid, _presorted
+# perfbench/tracing.py wraps tuning.w2sq and tuning.step_barycenter by name
+from .empirical import step_barycenter, w2sq  # noqa: F401
 from .errors import AllTrialsFailedError, NoObservedCellsError, OutOfDomainError
 from .estimator import _row_state
 from .matrix import DistributionalMatrix
@@ -68,19 +70,25 @@ class TuneReport:
     trials: tuple
 
     def best_trial(self) -> TuneTrial:
-        return min(
-            (t for t in self.trials if t.n_valid_cells >= 1),
-            key=lambda t: (t.mean_loss, t.eta),
-        )
+        return _best(self.trials)
 
 
-def _candidate_etas(cfg: TuneConfig, finite_dists: np.ndarray) -> np.ndarray:
+def _best(trials) -> TuneTrial:
+    """The trial with the least mean loss among those with a valid cell;
+    ties go to the smaller eta."""
+    return min(
+        (t for t in trials if t.n_valid_cells >= 1),
+        key=lambda t: (t.mean_loss, t.eta),
+    )
+
+
+def _candidate_etas(cfg: TuneConfig, sorted_dists: np.ndarray) -> np.ndarray:
     if cfg.eta_min is not None:
         lo, hi = cfg.eta_min, cfg.eta_max
     else:
-        if finite_dists.size == 0:
+        if sorted_dists.size == 0:
             return np.array([0.0])
-        ref = from_samples(finite_dists)
+        ref = _presorted(sorted_dists)
         lo, hi = ref.quantile(0.01), ref.quantile(0.99)
         if hi <= 0.0:
             return np.array([0.0])
@@ -97,30 +105,24 @@ def _candidate_etas(cfg: TuneConfig, finite_dists: np.ndarray) -> np.ndarray:
     return np.sort(draws)
 
 
-def _prefix_losses(m: DistributionalMatrix, state, v: int, min_overlap: int, needed):
+def _prefix_losses(m: DistributionalMatrix, state, v: int, min_overlap: int) -> np.ndarray:
     """Validation loss at row i's held-out column v of the barycenter of the k
-    nearest rows, indexed by k (NaN where not computed); covers ``needed``.
+    nearest rows, indexed by k (NaN at k = 0: no neighbor).
 
-    Kept in row i's state: only which k a target needs depends on its column.
-    With equal sample counts every k comes from one cumulative sum.
+    The ranked rows and the held-out entry share one merged grid, so every
+    prefix barycenter is one row of a cumulative sum over it. Kept in row i's
+    state: no target column enters it.
     """
     key = (v, min_overlap)
-    known = state.losses.get(key)
-    if known is not None and not np.isnan(known[needed]).any():
-        return known
-    rows = state.ranked(m, v, min_overlap).rows
-    entries = [m.entry(u, v) for u in rows]
-    held_out = m.entry(state.row, v)
-    losses = np.full(rows.size + 1, np.nan) if known is None else known.copy()
-    if all(d.n == held_out.n for d in entries):
-        cums = np.cumsum(np.vstack([d.samples for d in entries]), axis=0)
+    losses = state.losses.get(key)
+    if losses is None:
+        rows = state.ranked(m, v, min_overlap).rows
+        _, widths, values = _merged_grid([m.entry(u, v) for u in rows] + [m.entry(state.row, v)])
         ks = np.arange(1, rows.size + 1)
-        losses[1:] = np.mean((cums / ks[:, None] - held_out.samples) ** 2, axis=1)
-    else:
-        for k in np.unique(needed[np.isnan(losses[needed])]):
-            losses[k] = w2sq(step_barycenter(entries[:k]), held_out)
-    losses.setflags(write=False)
-    state.losses[key] = losses
+        gaps = (np.cumsum(values[:-1], axis=0) / ks[:, None] - values[-1]) ** 2
+        losses = np.concatenate(([np.nan], _integral(widths, gaps)))
+        losses.setflags(write=False)
+        state.losses[key] = losses
     return losses
 
 
@@ -142,43 +144,24 @@ def tune_eta(m: DistributionalMatrix, i: int, j: int, cfg: TuneConfig | None = N
     state = _row_state(m, i)
     candidates = _candidate_etas(cfg, state.ranked(m, j, cfg.min_overlap).sorted_dists)
 
-    n_cells = len(held_cols)
-    losses = np.full((candidates.shape[0], n_cells), np.nan)
-    for cell_idx, v in enumerate(held_cols):
+    losses = np.empty((candidates.shape[0], len(held_cols)))
+    for c, v in enumerate(held_cols):
         sorted_dists = state.ranked(m, v, cfg.min_overlap).sorted_dists
         ks = np.searchsorted(sorted_dists, candidates, side="right")
-        hit = ks > 0
-        if hit.any():
-            loss_by_k = _prefix_losses(m, state, v, cfg.min_overlap, ks[hit])
-            losses[hit, cell_idx] = loss_by_k[ks[hit]]
+        losses[:, c] = _prefix_losses(m, state, v, cfg.min_overlap)[ks]
 
-    trials = []
-    for c_idx, eta in enumerate(candidates):
-        row = losses[c_idx]
-        valid = row[~np.isnan(row)]
-        n_fail = n_cells - valid.size
-        if valid.size == 0:
-            mean_loss = math.inf
-        elif n_fail == 0:
-            mean_loss = float(np.mean(valid))
-        else:
-            penalty = float(np.max(valid))
-            mean_loss = float((np.sum(valid) + n_fail * penalty) / n_cells)
-        trials.append(
-            TuneTrial(
-                eta=float(eta),
-                mean_loss=mean_loss,
-                n_valid_cells=int(valid.size),
-                n_no_neighbor_cells=int(n_fail),
-            )
-        )
-
-    if all(t.n_valid_cells == 0 for t in trials):
+    valid = ~np.isnan(losses)
+    n_valid = np.sum(valid, axis=1)
+    if not n_valid.any():
         raise AllTrialsFailedError(
             f"every candidate eta produced no neighbors for all held-out cells of row {i}"
         )
-    best = min(
-        (t for t in trials if t.n_valid_cells >= 1),
-        key=lambda t: (t.mean_loss, t.eta),
+    worst = np.max(losses, axis=1, where=valid, initial=-np.inf)
+    mean_loss = np.mean(np.where(valid, losses, worst[:, None]), axis=1)
+    mean_loss[n_valid == 0] = math.inf
+    trials = tuple(
+        TuneTrial(eta=float(eta), mean_loss=float(loss), n_valid_cells=int(k),
+                  n_no_neighbor_cells=len(held_cols) - int(k))
+        for eta, loss, k in zip(candidates, mean_loss, n_valid)
     )
-    return TuneReport(best_eta=best.eta, trials=tuple(trials))
+    return TuneReport(best_eta=_best(trials).eta, trials=trials)

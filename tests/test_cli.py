@@ -42,6 +42,22 @@ def duplicate_csv(tmp_path):
     return path
 
 
+# row b's entry in column x has no spread, so no KDE fits it
+FLAT_NEIGHBOR_CSV = "row,col,value\n" + "".join(
+    f"{r},{c},{v}\n"
+    for r, c, values in [("a", "x", "123"), ("a", "y", "123"), ("b", "x", "555"),
+                         ("b", "y", "124"), ("c", "y", "123")]
+    for v in values
+)
+
+
+@pytest.fixture
+def flat_csv(tmp_path):
+    path = tmp_path / "flat.csv"
+    path.write_text(FLAT_NEIGHBOR_CSV, encoding="utf-8")
+    return path
+
+
 class TestImputeCommand:
     def test_duplicate_row_fixture(self, duplicate_csv, tmp_path):
         out = tmp_path / "out.json"
@@ -255,14 +271,16 @@ class TestBadArguments:
             "--output {tmp}/no-such-dir/o.json",
             "simulate --values 10 20 --trials 2 --rows 8 --cols 3 --eta 1e9 "
             "--output-prefix {tmp}/no-such-dir/s",
+            "bands --input {flat} --row c --col x --eta 100 --method asymptotic-kde "
+            "--output {tmp}/o.json",
         ],
         ids=["tune-budget", "impute-budget", "eta-min-alone", "reps-zero",
              "reps-negative", "values-decreasing", "trials-zero", "n-zero", "cols-zero",
              "min-neighbors-zero", "verify-trials", "missing-input",
-             "directory-input", "unwritable-json", "unwritable-csv"],
+             "directory-input", "unwritable-json", "unwritable-csv", "kde-no-spread"],
     )
-    def test_exits_one_with_error_line(self, argv, duplicate_csv, tmp_path, capsys):
-        code = main(argv.format(panel=duplicate_csv, tmp=tmp_path).split())
+    def test_exits_one_with_error_line(self, argv, duplicate_csv, flat_csv, tmp_path, capsys):
+        code = main(argv.format(panel=duplicate_csv, flat=flat_csv, tmp=tmp_path).split())
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from distnn import (
+    OutOfDomainError,
     SizeMismatchError,
     TooLargeError,
     UniformPair,
@@ -30,8 +31,22 @@ class TestUniformW2:
         assert uniform_w2_sq(UniformPair(0, 2, 0, 1)) == pytest.approx(1 / 3, rel=1e-15)
 
     def test_invalid_interval(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfDomainError):
             UniformPair(1, 1, 0, 1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: uniform_empirical_expected_w2_sq(0, 1, 0),
+            lambda: uniform_pair_empirical_expected_w2_sq(UniformPair(0, 1, 0, 1), 0),
+            lambda: uniform_barycenter_expected_w2_sq([], 5),
+            lambda: uniform_barycenter_expected_w2_sq([(0, 1)], 0),
+        ],
+        ids=["empirical-n", "pair-n", "no-intervals", "barycenter-n"],
+    )
+    def test_invalid_count_is_out_of_domain(self, call):
+        with pytest.raises(OutOfDomainError):
+            call()
 
 
 class TestEmpiricalExpectations:

@@ -179,6 +179,20 @@ class TestKdeMode:
         assert band.method == "asymptotic_kde"
         assert np.all(band.upper >= band.lower)
 
+    @pytest.mark.parametrize("flat", [[5.0, 5.0, 5.0], [5.0]], ids=["equal", "single"])
+    def test_neighbor_without_spread_is_degenerate(self, flat):
+        m = DistributionalMatrix(
+            [
+                [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],
+                [flat, [1.0, 2.0, 4.0]],
+                [None, [1.0, 2.0, 3.0]],
+            ]
+        )
+        result = impute(m, 2, 0, eta=100.0)
+        assert result.neighbors.rows.tolist() == [0, 1]
+        with pytest.raises(DegenerateDensityError, match="KDE"):
+            SigmaFunction.from_result(m, result)
+
 
 class TestOracleCoverageSmoke:
     def test_pointwise_coverage_near_nominal(self):

@@ -7,6 +7,7 @@ from distnn import (
     DistributionalMatrix,
     IndexOutOfRangeError,
     MaskSpec,
+    OutOfDomainError,
     apply_mcar,
     from_samples,
     shared_columns,
@@ -77,7 +78,7 @@ class TestApplyMcar:
 
     def test_requires_fully_observed(self):
         m = DistributionalMatrix([[[1], None]])
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfDomainError):
             apply_mcar(m, MaskSpec(p=0.5))
 
     def test_retained_fraction_within_three_sigma(self):
@@ -136,5 +137,5 @@ class TestSharedColumns:
 
     def test_same_row_rejected(self):
         m = full_matrix(2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfDomainError):
             shared_columns(m, 1, 1, exclude=0)

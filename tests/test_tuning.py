@@ -82,9 +82,13 @@ class TestTuneEta:
             report.best_trial().mean_loss < t.mean_loss for t in cross
         )
 
-    def test_trial_log_matches_manual_evaluation(self):
+    @pytest.mark.parametrize("ragged", [False, True], ids=["equal", "ragged"])
+    def test_trial_log_matches_manual_evaluation(self, ragged):
         rng = np.random.default_rng(8)
-        rows = [[rng.normal(size=4) for _ in range(5)] for _ in range(6)]
+        rows = [
+            [rng.normal(size=rng.integers(3, 8) if ragged else 4) for _ in range(5)]
+            for _ in range(6)
+        ]
         m = DistributionalMatrix(rows).mask_cell(1, 2)
         report = tune_eta(m, 1, 2, TuneConfig(budget=12))
         for trial in report.trials:
