@@ -35,12 +35,10 @@ from .errors import (
     TooLargeError,
 )
 from .estimator import (
-    ImputationBatch,
     ImputationResult,
     NeighborSet,
     find_neighbors,
     impute,
-    impute_all,
     row_distance,
 )
 from .exact import (

@@ -7,7 +7,10 @@ recorded configuration reproduces its output byte for byte.
 Output is strict JSON: a non-finite number is written as null.
 
 Exit codes: 0 success, 1 parse error, bad target or other invalid input, 2
-no neighbors found (unless --fallback-nearest is set).
+no neighbors found (with --fallback-nearest: no row at a finite distance).
+
+``impute --fallback-nearest`` is the estimator's neighbour floor at one row,
+``impute(..., min_neighbors=1)``: the CLI keeps no fallback rule of its own.
 """
 
 from __future__ import annotations
@@ -35,7 +38,13 @@ from .experiments import (
     verify_uniform_barycenter_error,
     verify_barycenter_rate,
 )
-from .inference import asymptotic_band, bootstrap_band, default_levels, SigmaFunction
+from .inference import (
+    SigmaFunction,
+    _per_level_alpha,
+    asymptotic_band,
+    bootstrap_band,
+    default_levels,
+)
 from .panel import load_panel
 from .synthetic import DgpSpec
 from .tuning import TuneConfig, tune_eta
@@ -96,7 +105,7 @@ def _estimate_payload(estimate) -> dict:
 
 def _result_payload(panel, result) -> dict:
     ns = result.neighbors
-    return {
+    payload = {
         "row": panel.row_keys[ns.target_row],
         "col": panel.col_keys[ns.target_col],
         "eta": ns.eta,
@@ -108,6 +117,9 @@ def _result_payload(panel, result) -> dict:
         "estimate": _estimate_payload(result.estimate),
         "summaries": result.summaries,
     }
+    if ns.fallback:
+        payload["fallback"] = True
+    return payload
 
 
 # parsed arguments that are not configuration: the handler and the output
@@ -159,18 +171,11 @@ def _cmd_impute(args) -> int:
     def impute_cell(cell, eta):
         """(result payload, None) on success, (None, NoNeighborsError) otherwise."""
         try:
-            result = impute(panel.matrix, cell[0], cell[1], eta,
-                            args.var_alpha, args.min_overlap)
-            return _result_payload(panel, result), None
-        except NoNeighborsError as exc:
-            if not args.fallback_nearest:
-                return None, exc
-        try:
-            result = impute(panel.matrix, cell[0], cell[1], math.inf,
-                            args.var_alpha, args.min_overlap, max_neighbors=1)
+            result = impute(panel.matrix, cell[0], cell[1], eta, args.var_alpha,
+                            args.min_overlap, min_neighbors=int(args.fallback_nearest))
         except NoNeighborsError as exc:
             return None, exc
-        return {**_result_payload(panel, result), "fallback": True}, None
+        return _result_payload(panel, result), None
 
     if args.all_missing:
         results, failures = [], []
@@ -233,6 +238,8 @@ def _cmd_bands(args) -> int:
                 seed=args.seed, simultaneous=args.simultaneous,
             )
         else:
+            # a bad alpha fails before the neighbour search
+            _per_level_alpha(args.alpha, levels.shape[0], args.simultaneous)
             result = impute(panel.matrix, cell[0], cell[1], eta)
             sigma = SigmaFunction.from_result(panel.matrix, result)
             n_j = min(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,11 +22,9 @@ from .matrix import DistributionalMatrix, shared_columns
 __all__ = [
     "NeighborSet",
     "ImputationResult",
-    "ImputationBatch",
     "row_distance",
     "find_neighbors",
     "impute",
-    "impute_all",
 ]
 
 
@@ -35,7 +33,9 @@ class NeighborSet:
     """Rows accepted as neighbors of a target cell, with their distances.
 
     Members are listed in row-index order. Rows with no shared columns
-    (infinite distance) never appear.
+    (infinite distance) never appear. ``fallback`` is set when the
+    neighbour floor replaced the rows within eta by the nearest rows at any
+    distance; ``eta`` is then math.inf.
     """
 
     target_row: int
@@ -44,6 +44,7 @@ class NeighborSet:
     rows: np.ndarray
     distances: np.ndarray
     overlap_counts: np.ndarray
+    fallback: bool = False
 
     @property
     def size(self) -> int:
@@ -58,14 +59,6 @@ class ImputationResult:
     neighbors: NeighborSet
     summaries: dict
     var_alpha: float
-
-
-@dataclass(frozen=True)
-class ImputationBatch:
-    """Per-cell outcomes of a batch imputation; failures never abort the batch."""
-
-    results: dict = field(default_factory=dict)
-    failures: dict = field(default_factory=dict)
 
 
 def row_distance(m: DistributionalMatrix, i: int, u: int, exclude: int, min_overlap: int = 1) -> float:
@@ -200,13 +193,18 @@ def find_neighbors(
     eta: float,
     min_overlap: int = 1,
     max_neighbors: int | None = None,
+    min_neighbors: int = 0,
 ) -> NeighborSet:
     """Rows u != i observed in column j with finite rho(i, u) <= eta.
 
-    ``max_neighbors`` optionally keeps only the closest rows (ties broken by
-    row index); useful for capping the neighborhood to a fixed size. Raises
-    OutOfDomainError unless eta is a number >= 0 (math.inf allowed, NaN
-    not), min_overlap >= 1 and max_neighbors is None or >= 1.
+    When fewer than ``min_neighbors`` rows pass eta, the nearest
+    ``min_neighbors`` rows at any finite distance are kept instead (fewer
+    if fewer are ranked), and the set reports ``fallback`` with eta
+    math.inf. ``max_neighbors`` optionally keeps only the closest rows (ties
+    broken by row index); useful for capping the neighborhood to a fixed
+    size. Raises OutOfDomainError unless eta is a number >= 0 (math.inf
+    allowed, NaN not), min_overlap >= 1, max_neighbors is None or >= 1 and
+    min_neighbors >= 0.
     """
     if not (isinstance(eta, numbers.Real) and eta >= 0.0):
         raise OutOfDomainError(f"eta must be a non-negative number, got {eta!r}")
@@ -214,9 +212,14 @@ def find_neighbors(
         raise OutOfDomainError("min_overlap must be at least 1")
     if max_neighbors is not None and max_neighbors < 1:
         raise OutOfDomainError("max_neighbors must be None or at least 1")
+    if min_neighbors < 0:
+        raise OutOfDomainError("min_neighbors must be at least 0")
     m._check_index(i, j)
     dists, overlaps, ranked, sorted_dists = _row_state(m, i).ranked(m, j, min_overlap)
     k = int(np.searchsorted(sorted_dists, eta, side="right"))
+    fallback = k < min_neighbors
+    if fallback:
+        k, eta = min(min_neighbors, ranked.shape[0]), math.inf
     if max_neighbors is not None:
         k = min(k, max_neighbors)
     rows = np.sort(ranked[:k])
@@ -227,6 +230,7 @@ def find_neighbors(
         rows=rows,
         distances=dists[rows],
         overlap_counts=overlaps[rows],
+        fallback=fallback,
     )
 
 
@@ -242,16 +246,18 @@ def impute(
     var_alpha: float = 0.05,
     min_overlap: int = 1,
     max_neighbors: int | None = None,
+    min_neighbors: int = 0,
 ) -> ImputationResult:
     """Estimate the distribution at (i, j) as the neighbors' barycenter in column j.
 
-    Raises :class:`NoNeighborsError` when no row qualifies; callers may retry
-    with a larger eta. The target's own samples, when observed, never enter
-    the estimate.
+    ``min_neighbors`` is the neighbour floor of :func:`find_neighbors`.
+    Raises :class:`NoNeighborsError` when no row qualifies, at the
+    neighbour set's eta (math.inf when the floor fired). The target's own
+    samples, when observed, never enter the estimate.
     """
-    neighbors = find_neighbors(m, i, j, eta, min_overlap, max_neighbors)
+    neighbors = find_neighbors(m, i, j, eta, min_overlap, max_neighbors, min_neighbors)
     if neighbors.size == 0:
-        raise NoNeighborsError(i, j, eta)
+        raise NoNeighborsError(i, j, math.inf if neighbors.fallback else eta)
     entries = [m.entry(u, j) for u in neighbors.rows]
     estimate = _barycenter_of(entries)
     return ImputationResult(
@@ -260,32 +266,3 @@ def impute(
         summaries=summaries(estimate, var_alpha),
         var_alpha=var_alpha,
     )
-
-
-def impute_all(
-    m: DistributionalMatrix,
-    eta,
-    var_alpha: float = 0.05,
-    missing_only: bool = True,
-    min_overlap: int = 1,
-    max_neighbors: int | None = None,
-) -> ImputationBatch:
-    """Impute every target cell independently.
-
-    ``eta`` is either a scalar threshold or a mapping from (row, col) to a
-    per-target threshold. Cells without neighbors are recorded in
-    ``failures`` and never abort the batch.
-    """
-    targets = m.missing_cells() if missing_only else [
-        (i, j) for i in range(m.n_rows) for j in range(m.n_cols)
-    ]
-    batch = ImputationBatch()
-    for cell in targets:
-        cell_eta = eta[cell] if isinstance(eta, dict) else eta
-        try:
-            batch.results[cell] = impute(
-                m, cell[0], cell[1], cell_eta, var_alpha, min_overlap, max_neighbors
-            )
-        except NoNeighborsError as exc:
-            batch.failures[cell] = str(exc)
-    return batch

@@ -86,9 +86,10 @@ class ExperimentSpec:
     ``rows_per_neighbor * k`` rows, so the neighborhood width stays constant
     while the effective sample size grows. ``eta_policy`` is "tuned"
     (leave-one-out per trial, ``tune_budget`` candidates) or "fixed"
-    (requires ``eta``). When fewer than ``min_neighbors`` (at least 1) rows
-    fall inside the tuned threshold, the nearest ``min_neighbors`` rows are
-    used instead.
+    (requires ``eta``). ``min_neighbors`` (at least 1) is the estimator's
+    neighbour floor, ``impute(..., min_neighbors=)``: when fewer rows fall
+    inside the threshold, the nearest ``min_neighbors`` rows are used
+    instead.
     """
 
     dgp: DgpSpec
@@ -173,14 +174,7 @@ def _run_trial(spec: ExperimentSpec, value, seed_seq, var_alpha=0.05) -> _TrialR
         else:
             cfg = TuneConfig(budget=spec.tune_budget, seed=_trial_seed_ints(rng))
             eta = tune_eta(masked, i, j, cfg).best_eta
-        try:
-            result = impute(masked, i, j, eta, var_alpha)
-            if result.neighbors.size < spec.min_neighbors:
-                raise NoNeighborsError(i, j, eta)
-        except NoNeighborsError:
-            result = impute(
-                masked, i, j, math.inf, var_alpha, max_neighbors=spec.min_neighbors
-            )
+        result = impute(masked, i, j, eta, var_alpha, min_neighbors=spec.min_neighbors)
 
     error = truth.w2sq_error(i, j, result.estimate)
     n_j = int(truth.n_per_col[j])

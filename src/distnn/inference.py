@@ -184,12 +184,13 @@ def bootstrap_band(
     fixed seed, and independent of replicate evaluation order.
     """
     levels = _check_levels(levels)
+    if min(reps_neighbors, reps_samples) < 1:
+        raise OutOfDomainError("need at least one bootstrap replicate")
+    alpha_eff = _per_level_alpha(alpha, levels.shape[0], simultaneous)
     result = impute(m, i, j, eta, min_overlap=min_overlap, max_neighbors=max_neighbors)
     neighbor_samples = [m.entry(u, j).samples for u in result.neighbors.rows]
     k = len(neighbor_samples)
     n_reps = reps_neighbors * reps_samples
-    if min(reps_neighbors, reps_samples) < 1:
-        raise OutOfDomainError("need at least one bootstrap replicate")
     seeds = np.random.SeedSequence(seed).spawn(n_reps)
     curves = np.empty((n_reps, levels.shape[0]))
     for r in range(n_reps):
@@ -203,7 +204,6 @@ def bootstrap_band(
         curves[r] = acc / k
     curves.sort(axis=0)
 
-    alpha_eff = _per_level_alpha(alpha, levels.shape[0], simultaneous)
     lo_rank = _replicate_rank(alpha_eff / 2.0, n_reps)
     hi_rank = _replicate_rank(1.0 - alpha_eff / 2.0, n_reps)
     return ConfidenceBand(

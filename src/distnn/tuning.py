@@ -48,8 +48,8 @@ class TuneConfig:
             raise OutOfDomainError(f"unknown search strategy: {self.search!r}")
         if (self.eta_min is None) != (self.eta_max is None):
             raise OutOfDomainError("eta_min and eta_max must be given together")
-        if self.eta_min is not None and not (0.0 < self.eta_min < self.eta_max):
-            raise OutOfDomainError("need 0 < eta_min < eta_max")
+        if self.eta_min is not None and not (0.0 < self.eta_min < self.eta_max < math.inf):
+            raise OutOfDomainError("need 0 < eta_min < eta_max < inf")
         if self.min_overlap < 1:
             raise OutOfDomainError("min_overlap must be at least 1")
 

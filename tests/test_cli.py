@@ -273,11 +273,21 @@ class TestBadArguments:
             "--output-prefix {tmp}/no-such-dir/s",
             "bands --input {flat} --row c --col x --eta 100 --method asymptotic-kde "
             "--output {tmp}/o.json",
+            "tune --input {panel} --row r3 --col c3 --eta-min 1 --eta-max inf "
+            "--output {tmp}/o.json",
+            "bands --input {panel} --row r3 --col c3 --eta 1e-9 --reps-samples 0 "
+            "--output {tmp}/o.json",
+            "bands --input {panel} --row r3 --col c3 --eta 1e-9 --alpha 1.5 "
+            "--output {tmp}/o.json",
+            "bands --input {panel} --row r3 --col c3 --eta 1e-9 --alpha 1.5 "
+            "--method asymptotic-kde --output {tmp}/o.json",
         ],
         ids=["tune-budget", "impute-budget", "eta-min-alone", "reps-zero",
              "reps-negative", "values-decreasing", "trials-zero", "n-zero", "cols-zero",
              "min-neighbors-zero", "verify-trials", "missing-input",
-             "directory-input", "unwritable-json", "unwritable-csv", "kde-no-spread"],
+             "directory-input", "unwritable-json", "unwritable-csv", "kde-no-spread",
+             "eta-max-infinite", "reps-zero-no-neighbors", "alpha-no-neighbors",
+             "kde-alpha-no-neighbors"],
     )
     def test_exits_one_with_error_line(self, argv, duplicate_csv, flat_csv, tmp_path, capsys):
         code = main(argv.format(panel=duplicate_csv, flat=flat_csv, tmp=tmp_path).split())

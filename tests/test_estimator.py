@@ -15,7 +15,6 @@ from distnn import (
     find_neighbors,
     from_samples,
     impute,
-    impute_all,
     row_distance,
     w2sq,
 )
@@ -110,7 +109,7 @@ class TestFindNeighbors:
         with pytest.raises(Exception):
             find_neighbors(shifted_rows_matrix(), 0, 0, eta=-1.0)
 
-    @pytest.mark.parametrize("call", [find_neighbors, impute, bootstrap_band, impute_all])
+    @pytest.mark.parametrize("call", [find_neighbors, impute, bootstrap_band])
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -122,20 +121,17 @@ class TestFindNeighbors:
             {"eta": 1.0, "min_overlap": -3},
             {"eta": 1.0, "max_neighbors": 0},
             {"eta": 1.0, "max_neighbors": -1},
+            {"eta": 1.0, "min_neighbors": -1},
         ],
     )
     def test_bad_arguments_are_out_of_domain(self, call, kwargs):
         m = shifted_rows_matrix().mask_cell(0, 0)
-        args = {
-            find_neighbors: (m, 0, 0),
-            impute: (m, 0, 0),
-            bootstrap_band: (m, 0, 0),
-            impute_all: (m,),
-        }[call]
         if call is bootstrap_band:
+            if "min_neighbors" in kwargs:
+                pytest.skip("bootstrap_band has no neighbour floor")
             kwargs = {**kwargs, "alpha": 0.1, "levels": [0.5]}
         with pytest.raises(OutOfDomainError):
-            call(*args, **kwargs)
+            call(m, 0, 0, **kwargs)
 
     def test_infinite_eta_accepts_every_finite_row(self):
         ns = find_neighbors(shifted_rows_matrix(), 0, 0, eta=math.inf)
@@ -246,17 +242,62 @@ class TestImpute:
         assert np.array_equal(with_own.estimate.samples, without_own.estimate.samples)
 
 
-class TestImputeAll:
-    def test_fully_observed_missing_only_is_empty(self):
-        m = shifted_rows_matrix()
-        batch = impute_all(m, eta=1.0)
-        assert batch.results == {} and batch.failures == {}
 
-    def test_single_missing_matches_impute(self):
-        m = shifted_rows_matrix().mask_cell(2, 1)
-        batch = impute_all(m, eta=1e9)
-        direct = impute(m, 2, 1, eta=1e9)
-        assert np.array_equal(batch.results[(2, 1)].estimate.samples, direct.estimate.samples)
+class TestNeighborFloor:
+    """``min_neighbors``: the nearest rows at any distance when too few pass eta."""
+
+    def test_floor_takes_the_nearest_rows(self):
+        # distances to row 0 leaving column 0 out: rows 1, 2, 3 at 0, 1, 9
+        m = shifted_rows_matrix().mask_cell(0, 0)
+        floored = impute(m, 0, 0, eta=0.5, min_neighbors=2)
+        nearest = impute(m, 0, 0, eta=math.inf, max_neighbors=2)
+        assert np.array_equal(floored.neighbors.rows, [1, 2])
+        assert np.array_equal(floored.neighbors.rows, nearest.neighbors.rows)
+        assert np.array_equal(floored.neighbors.distances, nearest.neighbors.distances)
+        assert np.array_equal(floored.estimate.samples, nearest.estimate.samples)
+        assert floored.neighbors.fallback and floored.neighbors.eta == math.inf
+        assert not nearest.neighbors.fallback
+
+    def test_floor_is_capped_by_the_ranked_rows(self):
+        m = shifted_rows_matrix().mask_cell(0, 0)
+        ns = find_neighbors(m, 0, 0, eta=0.0, min_neighbors=10)
+        assert np.array_equal(ns.rows, [1, 2, 3])
+        assert ns.fallback and ns.eta == math.inf
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 1e9])
+    def test_met_floor_changes_nothing(self, eta):
+        m = shifted_rows_matrix().mask_cell(0, 0)
+        plain = impute(m, 0, 0, eta=eta)
+        floored = impute(m, 0, 0, eta=eta, min_neighbors=1)
+        assert not floored.neighbors.fallback and floored.neighbors.eta == eta
+        assert np.array_equal(floored.neighbors.rows, plain.neighbors.rows)
+        assert np.array_equal(floored.estimate.samples, plain.estimate.samples)
+        assert floored.summaries == plain.summaries
+
+    def test_no_ranked_row_fails_at_infinite_eta(self):
+        # no other row shares a column with row 0 besides the target column
+        m = DistributionalMatrix([[[0.0], None], [None, [1.0]], [[2.0], None]])
+        with pytest.raises(NoNeighborsError) as err:
+            impute(m, 0, 1, eta=1.0, min_neighbors=1)
+        assert err.value.eta == math.inf
+        with pytest.raises(NoNeighborsError) as err:
+            impute(m, 0, 1, eta=1.0)
+        assert err.value.eta == 1.0
+
+
+class TestEveryCell:
+    def test_every_cell_of_a_full_grid_is_imputed(self):
+        m = shifted_rows_matrix()
+        for i in range(m.n_rows):
+            for j in range(m.n_cols):
+                result = impute(m, i, j, eta=1e9)
+                assert result.neighbors.size == m.n_rows - 1
+
+    def test_equal_n_estimates_are_empirical(self):
+        m = shifted_rows_matrix()
+        for i in range(m.n_rows):
+            for j in range(m.n_cols):
+                assert isinstance(impute(m, i, j, eta=1e9).estimate, EmpiricalDistribution)
 
     def test_duplicate_row_instance(self):
         m = DistributionalMatrix(
@@ -266,26 +307,6 @@ class TestImputeAll:
                 [[9, 9], [9, 9], None],
             ]
         )
-        batch = impute_all(m, eta=0.0)
-        assert not batch.results
-        assert (2, 2) in batch.failures
-        batch2 = impute_all(m, eta=1e9)
-        assert np.array_equal(batch2.results[(2, 2)].estimate.samples, [5, 6])
-
-    def test_per_target_etas(self):
-        m = shifted_rows_matrix().mask_cell(0, 0).mask_cell(3, 1)
-        batch = impute_all(m, eta={(0, 0): 1e9, (3, 1): 0.0})
-        assert (0, 0) in batch.results
-        assert (3, 1) in batch.failures
-
-    def test_all_cells_mode(self):
-        m = shifted_rows_matrix()
-        batch = impute_all(m, eta=1e9, missing_only=False)
-        assert len(batch.results) == 12  # 4x3 grid, every cell has neighbors
-
-    def test_isolated_estimate_type(self):
-        m = shifted_rows_matrix()
-        batch = impute_all(m, eta=1e9, missing_only=False)
-        assert all(
-            isinstance(r.estimate, EmpiricalDistribution) for r in batch.results.values()
-        )
+        with pytest.raises(NoNeighborsError):
+            impute(m, 2, 2, eta=0.0)
+        assert np.array_equal(impute(m, 2, 2, eta=1e9).estimate.samples, [5, 6])

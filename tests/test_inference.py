@@ -7,6 +7,7 @@ from distnn import (
     DegenerateDensityError,
     DgpSpec,
     DistributionalMatrix,
+    OutOfDomainError,
     SigmaFunction,
     asymptotic_band,
     bootstrap_band,
@@ -15,6 +16,7 @@ from distnn import (
     impute,
     sigma_sq,
 )
+from distnn import inference
 
 
 def uniform_sigma(width):
@@ -158,6 +160,15 @@ class TestBootstrapBand:
         m, _ = simple_result()
         band = bootstrap_band(m, 0, 1, 1.0, 0.05, [0.5], seed=2)
         assert band.method == "bootstrap" and band.simultaneous
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"alpha": 1.5}, {"alpha": 0.0}, {"reps_samples": 0}, {"reps_neighbors": -1}]
+    )
+    def test_bad_arguments_fail_before_the_neighbour_search(self, kwargs, monkeypatch):
+        m, _ = simple_result()
+        monkeypatch.setattr(inference, "impute", lambda *a, **k: pytest.fail("searched"))
+        with pytest.raises(OutOfDomainError):
+            bootstrap_band(m, 0, 1, **{"eta": 1.0, "alpha": 0.05, "levels": [0.5], **kwargs})
 
 
 class TestKdeMode:

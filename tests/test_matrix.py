@@ -42,6 +42,11 @@ class TestConstruction:
         assert m.is_observed(0, 1) and not m2.is_observed(0, 1)
         assert m2.entry(1, 1) is m.entry(1, 1)
 
+    def test_missing_cells_in_row_major_order(self):
+        m = full_matrix(3, 4)
+        assert m.missing_cells() == []
+        assert m.mask_cell(2, 1).mask_cell(0, 3).missing_cells() == [(0, 3), (2, 1)]
+
     def test_index_errors(self):
         m = full_matrix(2, 2)
         with pytest.raises(IndexOutOfRangeError):

@@ -168,3 +168,6 @@ class TestTuneEta:
             TuneConfig(search="bayesian")
         with pytest.raises(OutOfDomainError):
             TuneConfig(min_overlap=0)
+        for lo, hi in [(1.0, math.inf), (math.inf, math.inf), (-math.inf, 1.0), (1.0, math.nan)]:
+            with pytest.raises(OutOfDomainError):
+                TuneConfig(eta_min=lo, eta_max=hi)
