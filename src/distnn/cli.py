@@ -40,6 +40,7 @@ from .experiments import (
 )
 from .inference import (
     SigmaFunction,
+    _check_reps,
     _per_level_alpha,
     asymptotic_band,
     bootstrap_band,
@@ -238,8 +239,9 @@ def _cmd_bands(args) -> int:
                 seed=args.seed, simultaneous=args.simultaneous,
             )
         else:
-            # a bad alpha fails before the neighbour search
+            # bad options fail before the neighbour search, as in bootstrap_band
             _per_level_alpha(args.alpha, levels.shape[0], args.simultaneous)
+            _check_reps(args.reps_samples, args.reps_neighbors)
             result = impute(panel.matrix, cell[0], cell[1], eta)
             sigma = SigmaFunction.from_result(panel.matrix, result)
             n_j = min(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .empirical import _check_levels, _presorted
+from .empirical import _check_levels, _order_index, _presorted
 from .errors import DegenerateDensityError, NoNeighborsError, OutOfDomainError
 from .estimator import ImputationResult, impute
 from .matrix import DistributionalMatrix
@@ -160,6 +160,11 @@ def asymptotic_band(
     )
 
 
+def _check_reps(reps_samples: int, reps_neighbors: int) -> None:
+    if min(reps_samples, reps_neighbors) < 1:
+        raise OutOfDomainError("need at least one bootstrap replicate")
+
+
 def bootstrap_band(
     m: DistributionalMatrix,
     i: int,
@@ -182,26 +187,51 @@ def bootstrap_band(
     quantile on the level grid. The band is the per-level empirical
     (alpha'/2, 1 - alpha'/2) envelope of the replicates; deterministic for a
     fixed seed, and independent of replicate evaluation order.
+
+    Replicate r draws from its own generator, spawned from ``seed``: first
+    the k chosen neighbor indices, then one resample of each chosen
+    neighbor in the order chosen. Neighbors are grouped by sample count
+    once, each group holding its sorted samples as one block and the
+    levels' order-statistic ranks; a replicate then gathers, sorts and reads
+    each group's resamples with one array operation each, and averages the
+    k quantile rows in the order chosen. A seed gives the same band as
+    evaluating each resample one at a time.
     """
     levels = _check_levels(levels)
-    if min(reps_neighbors, reps_samples) < 1:
-        raise OutOfDomainError("need at least one bootstrap replicate")
+    _check_reps(reps_samples, reps_neighbors)
     alpha_eff = _per_level_alpha(alpha, levels.shape[0], simultaneous)
     result = impute(m, i, j, eta, min_overlap=min_overlap, max_neighbors=max_neighbors)
     neighbor_samples = [m.entry(u, j).samples for u in result.neighbors.rows]
     k = len(neighbor_samples)
+    sizes = [s.shape[0] for s in neighbor_samples]
+    counts, group_of = np.unique(sizes, return_inverse=True)
+    offset = np.empty(k, dtype=np.int64)  # where a neighbor starts in its block
+    groups = []
+    for g, n in enumerate(counts.tolist()):
+        members = np.flatnonzero(group_of == g)
+        offset[members] = n * np.arange(members.size)
+        block = np.concatenate([neighbor_samples[u] for u in members])
+        groups.append((block, n, _order_index(levels, n) - 1))
     n_reps = reps_neighbors * reps_samples
     seeds = np.random.SeedSequence(seed).spawn(n_reps)
     curves = np.empty((n_reps, levels.shape[0]))
+    # row 0 stays zero so the running sum starts from 0.0, as a loop would
+    rows = np.zeros((k + 1, levels.shape[0]))
     for r in range(n_reps):
         rng = np.random.default_rng(seeds[r])
         chosen = rng.integers(0, k, size=k)
-        acc = np.zeros(levels.shape[0])
-        for u in chosen:
-            base = neighbor_samples[u]
-            resampled = np.sort(base[rng.integers(0, base.shape[0], size=base.shape[0])])
-            acc += _presorted(resampled).quantile(levels)
-        curves[r] = acc / k
+        # One call per chosen neighbor, in the order chosen, as the draws
+        # have always been made: the values then do not depend on how the
+        # generator splits its 64-bit outputs between calls.
+        draws = [rng.integers(0, sizes[u], size=sizes[u]) for u in chosen.tolist()]
+        chosen_group = group_of[chosen]
+        for g, (block, n, ranks) in enumerate(groups):
+            at = np.flatnonzero(chosen_group == g)
+            if at.size:
+                picks = np.concatenate([draws[t] for t in at.tolist()]).reshape(-1, n)
+                picks += offset[chosen[at]][:, None]
+                rows[1 + at] = np.sort(block[picks], axis=1)[:, ranks]
+        curves[r] = np.cumsum(rows, axis=0)[-1] / k
     curves.sort(axis=0)
 
     lo_rank = _replicate_rank(alpha_eff / 2.0, n_reps)

@@ -1,7 +1,12 @@
 """Asymptotic and bootstrap confidence bands."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distnn import (
     DegenerateDensityError,
@@ -12,6 +17,7 @@ from distnn import (
     asymptotic_band,
     bootstrap_band,
     default_levels,
+    from_samples,
     generate,
     impute,
     sigma_sq,
@@ -169,6 +175,95 @@ class TestBootstrapBand:
         monkeypatch.setattr(inference, "impute", lambda *a, **k: pytest.fail("searched"))
         with pytest.raises(OutOfDomainError):
             bootstrap_band(m, 0, 1, **{"eta": 1.0, "alpha": 0.05, "levels": [0.5], **kwargs})
+
+
+def reference_bootstrap(m, i, j, alpha, levels, reps_samples, reps_neighbors, seed):
+    """Band from the per-neighbour replicate loop: each chosen neighbour is
+    resampled, sorted and read at the levels on its own, and the quantile
+    rows are summed one at a time into a zero vector."""
+    levels = np.asarray(levels, dtype=float)
+    samples = [m.entry(u, j).samples for u in impute(m, i, j, math.inf).neighbors.rows]
+    k = len(samples)
+    n_reps = reps_samples * reps_neighbors
+    curves = np.empty((n_reps, levels.size))
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_reps)):
+        rng = np.random.default_rng(child)
+        acc = np.zeros(levels.size)
+        for u in rng.integers(0, k, size=k):
+            base = samples[u]
+            resampled = np.sort(base[rng.integers(0, base.shape[0], size=base.shape[0])])
+            acc += from_samples(resampled).quantile(levels)
+        curves[r] = acc / k
+    curves.sort(axis=0)
+    tail = alpha / levels.size / 2.0
+    lo = min(max(math.ceil(tail * n_reps), 1), n_reps)
+    hi = min(max(math.ceil((1.0 - tail) * n_reps), 1), n_reps)
+    return curves[lo - 1], curves[hi - 1]
+
+
+def neighbour_panel(neighbour_samples):
+    """Target row 0 misses column 1; every other row sits at distance 0 from
+    it, so all of them are neighbours, in row order."""
+    return DistributionalMatrix(
+        [[[0.0], None]] + [[[0.0], list(v)] for v in neighbour_samples]
+    )
+
+
+sample_values = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False), st.sampled_from([-0.0, 0.0, 1.0])
+)
+
+
+@st.composite
+def neighbour_sets(draw):
+    """Equal or ragged sample counts, at times with a single-sample
+    neighbour and a neighbour whose samples are all -0.0."""
+    k = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        counts = [draw(st.integers(1, 6))] * k
+    else:
+        counts = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    sets = [draw(st.lists(sample_values, min_size=n, max_size=n)) for n in counts]
+    if draw(st.booleans()):
+        sets[draw(st.integers(0, k - 1))] = [-0.0] * counts[0]
+    return sets
+
+
+class TestBootstrapMatchesPerNeighbourLoop:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        sets=neighbour_sets(),
+        seed=st.integers(0, 2**32 - 1),
+        reps=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        n_levels=st.integers(1, 12),
+        alpha=st.sampled_from([0.05, 0.5]),
+    )
+    def test_bands_are_byte_equal(self, sets, seed, reps, n_levels, alpha):
+        m = neighbour_panel(sets)
+        levels = default_levels(n_levels)
+        band = bootstrap_band(m, 0, 1, math.inf, alpha, levels, reps_samples=reps[0],
+                              reps_neighbors=reps[1], seed=seed)
+        lower, upper = reference_bootstrap(m, 0, 1, alpha, levels, *reps, seed)
+        assert band.lower.tobytes() == lower.tobytes()
+        assert band.upper.tobytes() == upper.tobytes()
+
+    def test_single_replicate_of_one_negative_zero_neighbour(self):
+        m = neighbour_panel([[-0.0, -0.0]])
+        band = bootstrap_band(m, 0, 1, math.inf, 0.05, [0.5], reps_samples=1,
+                              reps_neighbors=1, seed=0)
+        assert band.lower.tobytes() == np.array([0.0]).tobytes()  # 0.0 + -0.0
+
+
+def test_pinned_stream():
+    """A fixed seed keeps giving the same band on a ragged neighbour set."""
+    rng = np.random.default_rng(2026)
+    m = neighbour_panel(rng.normal(size=n).round(3) for n in (3, 7, 1, 5, 7))
+    band = bootstrap_band(m, 0, 1, math.inf, 0.1, default_levels(9), reps_samples=4,
+                          reps_neighbors=5, seed=11)
+    digest = hashlib.sha256(band.lower.tobytes() + band.upper.tobytes()).hexdigest()
+    assert digest == (
+        "0ac9f82e528c1aaed995da621db82f4b7a1aafd2ce025ff911546709151807a3"
+    )
 
 
 class TestKdeMode:
