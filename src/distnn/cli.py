@@ -270,8 +270,6 @@ def _cmd_simulate(args) -> int:
         kind=args.kind,
         base_family=args.base,
         n_per_entry=args.n,
-        location_range=(-5.0, 5.0),
-        scale_range=(1.0, 5.0),
     )
     spec = ExperimentSpec(
         dgp=dgp,

@@ -21,7 +21,7 @@ from .empirical import _presorted, summaries as distribution_summaries
 from .errors import ExperimentAbortedError, NoNeighborsError, OutOfDomainError
 from .estimator import impute
 from .exact import uniform_barycenter_expected_w2_sq
-from .synthetic import DgpSpec, generate
+from .synthetic import DgpSpec, _w2sq_steps_to_base, generate, make_base
 from .tuning import TuneConfig, tune_eta
 
 __all__ = [
@@ -313,14 +313,6 @@ class DenoisingResult:
     baseline_errors: np.ndarray
     n_failed: int
 
-    def summary(self) -> dict:
-        return {
-            "estimator_mean_error": self.estimator_mean_error,
-            "baseline_mean_error": self.baseline_mean_error,
-            "n_trials": int(self.estimator_errors.size),
-            "n_failed": self.n_failed,
-        }
-
 
 def run_denoising(spec: ExperimentSpec) -> DenoisingResult:
     """Mean estimator error versus the single-entry baseline at one setting."""
@@ -408,20 +400,6 @@ class MonteCarloRow:
     trials: int
 
 
-def _w2sq_sorted_rows_to_uniform(sorted_rows: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Exact squared W2 between each row (sorted n-sample array) and U(a, b)."""
-    n = sorted_rows.shape[1]
-    k = np.arange(1, n + 1, dtype=float)
-    s = b - a
-    c = sorted_rows - a
-    term = (
-        c * c / n
-        - c * s * (2.0 * k - 1.0)[None, :] / n**2
-        + s * s * (3.0 * k * k - 3.0 * k + 1.0)[None, :] / (3.0 * n**3)
-    )
-    return term.sum(axis=1)
-
-
 def _simulate_uniform_barycenter(a, b, n, trials, rng):
     """Mean and SE of W2^2(empirical barycenter, true barycenter) for uniform
     collections with intervals (a_i, b_i) and n samples each."""
@@ -429,6 +407,8 @@ def _simulate_uniform_barycenter(a, b, n, trials, rng):
     b = np.asarray(b, dtype=float)
     m = a.shape[0]
     a_bar, b_bar = float(a.mean()), float(b.mean())
+    uniform = make_base("uniform")
+    edges = np.arange(1, n + 1, dtype=float) / n
     errors = np.empty(trials)
     chunk = max(1, int(4_000_000 // max(1, m * n)))
     done = 0
@@ -438,7 +418,8 @@ def _simulate_uniform_barycenter(a, b, n, trials, rng):
         x = a[None, :, None] + (b - a)[None, :, None] * u
         x.sort(axis=2)
         bary = x.mean(axis=1)
-        errors[done : done + c] = _w2sq_sorted_rows_to_uniform(bary, a_bar, b_bar)
+        errors[done : done + c] = _w2sq_steps_to_base(
+            uniform, bary, edges, a_bar, b_bar - a_bar)
         done += c
     se = errors.std(ddof=1) / np.sqrt(trials) if trials > 1 else math.inf
     return float(errors.mean()), float(se)

@@ -7,7 +7,9 @@ row and column factors on [0,1]^d and the scale is constant, and a
 heteroscedastic one where each row carries a location and each column a
 scale, both affine images of uniform factors on [0,1]. Sampling is by
 inverse transform so the exact quantile and density of every cell stay
-available for oracle scoring and oracle variance functions.
+available for oracle scoring and oracle variance functions. Scoring against
+the truth integrates every piece of a step-quantile estimate in closed form
+from the base's partial moments, for all three bases.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import stats
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .empirical import _presorted
 from .errors import OutOfDomainError
@@ -32,9 +33,6 @@ __all__ = [
     "true_w2",
 ]
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
-
-
 @dataclass(frozen=True, eq=False)
 class BaseFamily:
     """Standardized base distribution with exact quantile and density."""
@@ -44,7 +42,8 @@ class BaseFamily:
     pdf: object
     m1: float  # E[Q0(U)]
     m2: float  # E[Q0(U)^2]
-    affine_quantile: bool  # True when Q0(t) = t (exact polynomial integrals)
+    # x -> (P1, P2) = (2∫^x y f0(y) dy, 3∫^x y² f0(y) dy), each up to a constant
+    partial_moments: object
 
     def pdf_at_ppf(self, t):
         return self.pdf(self.ppf(t))
@@ -57,7 +56,7 @@ def _uniform_base() -> BaseFamily:
         pdf=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         m1=0.5,
         m2=1.0 / 3.0,
-        affine_quantile=True,
+        partial_moments=lambda x: (x**2, x**3),
     )
 
 
@@ -68,19 +67,33 @@ def _gaussian_base() -> BaseFamily:
         pdf=stats.norm.pdf,
         m1=0.0,
         m2=1.0,
-        affine_quantile=False,
+        partial_moments=_gaussian_partial_moments,
     )
 
 
+def _gaussian_partial_moments(x):
+    """(-2φ(x), 3(Φ(x) - xφ(x))), with xφ(x) taken as 0 at ±inf."""
+    phi = stats.norm.pdf(x)
+    return -2.0 * phi, 3.0 * (ndtr(x) - np.where(np.isfinite(x), x, 0.0) * phi)
+
+
 def _truncated_gaussian_base(cut: float) -> BaseFamily:
+    if not cut > 0.0:
+        raise OutOfDomainError(f"truncation must be positive, got {cut!r}")
     frozen = stats.truncnorm(-cut, cut)
+    mass = ndtr(cut) - ndtr(-cut)
+
+    def partial_moments(x):
+        p1, p2 = _gaussian_partial_moments(x)
+        return p1 / mass, p2 / mass
+
     return BaseFamily(
         name="truncated_gaussian",
         ppf=frozen.ppf,
         pdf=frozen.pdf,
         m1=0.0,
         m2=float(frozen.var()),
-        affine_quantile=False,
+        partial_moments=partial_moments,
     )
 
 
@@ -203,58 +216,36 @@ class TrueDistributions:
     def w2sq_error(self, i: int, j: int, estimate) -> float:
         """Exact squared W2 between a step-quantile estimate and the truth.
 
-        For the uniform base each piece integrates in closed form; otherwise
-        Gauss-Legendre quadrature is applied piece by piece.
+        Every piece integrates in closed form from the base's partial
+        moments, for all three bases.
         """
-        edges = estimate.step_edges()
-        values = estimate.step_values()
-        left = np.concatenate(([0.0], edges[:-1]))
-        loc = self.loc[i, j]
-        s = self.scale[i, j]
-        shifted = values - loc
-        if self.base.affine_quantile:
-            width = edges - left
-            term = (
-                shifted**2 * width
-                - shifted * s * (edges**2 - left**2)
-                + s * s * (edges**3 - left**3) / 3.0
-            )
-            return float(np.sum(term))
-        # base quantiles may be log-singular at 0 and 1, so the two boundary
-        # pieces are integrated on geometrically refined subinterval meshes
-        if edges.shape[0] == 1:
-            return self._gl_refined(shifted[0], s, 0.5, True) + self._gl_refined(
-                shifted[0], s, 0.5, False
-            )
-        half = 0.5 * (edges - left)
-        mid = 0.5 * (edges + left)
-        nodes = mid[1:-1, None] + half[1:-1, None] * _GL_NODES[None, :]
-        diff = shifted[1:-1, None] - s * self.base.ppf(nodes)
-        total = float(np.sum(half[1:-1, None] * _GL_WEIGHTS[None, :] * diff**2))
-        total += self._gl_refined(shifted[0], s, float(edges[0]), toward_zero=True)
-        total += self._gl_refined(shifted[-1], s, float(left[-1]), toward_zero=False)
-        return total
-
-    def _gl_refined(self, shifted_value, s, cut, toward_zero, splits=40):
-        """Integral of (value - loc - s*Q0(t))^2 over the boundary piece
-        ((0, cut] or (cut, 1)) on a geometric mesh accumulating toward the
-        singular endpoint; the sliver nearest the endpoint is negligible."""
-        if toward_zero:
-            pts = cut * 0.5 ** np.arange(splits + 1)
-            lefts, rights = pts[1:], pts[:-1]
-        else:
-            pts = 1.0 - (1.0 - cut) * 0.5 ** np.arange(splits + 1)
-            lefts, rights = pts[:-1], pts[1:]
-        half = 0.5 * (rights - lefts)
-        mid = 0.5 * (rights + lefts)
-        nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        diff = shifted_value - s * self.base.ppf(nodes)
-        return float(np.sum(half[:, None] * _GL_WEIGHTS[None, :] * diff**2))
+        return float(_w2sq_steps_to_base(self.base, estimate.step_values(),
+                                         estimate.step_edges(),
+                                         self.loc[i, j], self.scale[i, j]))
 
     def sample(self, i: int, j: int, n: int, rng) -> np.ndarray:
         u = rng.random(n)
         np.maximum(u, 1e-300, out=u)
         return self.loc[i, j] + self.scale[i, j] * self.base.ppf(u)
+
+
+def _w2sq_steps_to_base(base: BaseFamily, values, edges, loc, s):
+    """Exact squared W2 between step quantiles and loc + s * Q0.
+
+    ``values`` holds one step function per row on the shared right ``edges``
+    (the last is 1). On a piece (l, e] with value v and c = v - loc,
+    ∫(c - s Q0(t))² dt = c²(e - l) - c s ΔP1 + s² ΔP2 / 3, with the partial
+    moments read at Q0(e) and Q0(l). Sums over the last axis.
+    """
+    points = np.concatenate(([0.0], edges))
+    p1, p2 = base.partial_moments(base.ppf(points))
+    shifted = values - loc
+    term = (
+        shifted**2 * (points[1:] - points[:-1])
+        - shifted * s * (p1[1:] - p1[:-1])
+        + s * s * (p2[1:] - p2[:-1]) / 3.0
+    )
+    return term.sum(axis=-1)
 
 
 def generate(spec: DgpSpec, n_rows: int, n_cols: int):

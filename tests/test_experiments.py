@@ -12,9 +12,8 @@ from distnn.experiments import (
     run_scaling,
     verify_uniform_barycenter_error,
     verify_barycenter_rate,
-    _w2sq_sorted_rows_to_uniform,
 )
-from distnn.synthetic import TrueDistributions, make_base
+from distnn.synthetic import TrueDistributions, _w2sq_steps_to_base, make_base
 from distnn.exact import uniform_barycenter_expected_w2_sq, uniform_empirical_expected_w2_sq
 
 
@@ -226,7 +225,9 @@ class TestBatchUniformScoring:
     def test_matches_truth_scorer(self):
         rng = np.random.default_rng(5)
         rows = np.sort(rng.uniform(0.5, 2.5, size=(6, 9)), axis=1)
-        batch = _w2sq_sorted_rows_to_uniform(rows, 0.5, 2.5)
+        # the Monte-Carlo verifier scores whole batches of rows at once
+        batch = _w2sq_steps_to_base(
+            make_base("uniform"), rows, np.arange(1, 10) / 9.0, 0.5, 2.0)
         spec = DgpSpec(base_family="uniform", n_per_entry=9)
         truth = TrueDistributions(
             make_base("uniform"),

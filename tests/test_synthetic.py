@@ -6,6 +6,7 @@ from scipy import integrate
 
 from distnn import DgpSpec, DistributionalMatrix, from_samples, generate, true_w2, w2sq
 from distnn.empirical import StepQuantile
+from distnn.errors import OutOfDomainError
 from distnn.exact import uniform_empirical_expected_w2_sq
 from distnn.synthetic import TrueDistributions, make_base
 
@@ -109,25 +110,29 @@ class TestTrueW2:
         assert true_w2(truth, (0, 0), (1, 0)) ** 2 == pytest.approx(expected, rel=1e-9)
 
 
+def piecewise_quad(truth, est, loc, s, **quad_kw):
+    """Reference W2² to loc + s * Q0 by adaptive quadrature on each piece."""
+    fam = truth.base
+    total = 0.0
+    left = 0.0
+    for edge, value in zip(est.step_edges(), est.step_values()):
+        total += integrate.quad(
+            lambda t, v=value: (v - (loc + s * fam.ppf(t))) ** 2, left, edge,
+            full_output=1, **quad_kw,
+        )[0]
+        left = edge
+    return total
+
+
 class TestW2sqError:
     @pytest.mark.parametrize("base", ["uniform", "gaussian", "truncated_gaussian"])
     def test_matches_piecewise_quadrature(self, base):
         truth = toy_truth([[0.3]], [[1.7]], base=base)
         rng = np.random.default_rng(5)
         est = from_samples(rng.normal(0.3, 1.0, size=24))
-        fam = truth.base
-
-        total = 0.0
-        edges = est.step_edges()
-        left = 0.0
-        for edge, value in zip(edges, est.samples):
-            part, _ = integrate.quad(
-                lambda t, v=value: (v - (0.3 + 1.7 * fam.ppf(t))) ** 2, left, edge
-            )
-            total += part
-            left = edge
         rel = 1e-12 if base == "uniform" else 1e-8
-        assert truth.w2sq_error(0, 0, est) == pytest.approx(total, rel=rel)
+        expected = piecewise_quad(truth, est, 0.3, 1.7)
+        assert truth.w2sq_error(0, 0, est) == pytest.approx(expected, rel=rel)
 
     def test_zero_for_matching_step_function(self):
         truth = toy_truth([[0.0]], [[1.0]])
@@ -146,6 +151,47 @@ class TestW2sqError:
         fine = from_samples((np.arange(1, n_fine + 1) - 0.5) / n_fine * 2.0)
         approx = w2sq(est, fine)
         assert analytic == pytest.approx(approx, abs=2e-6)
+
+    @pytest.mark.parametrize("base", ["gaussian", "truncated_gaussian"])
+    @pytest.mark.parametrize("edges", [(0.001, 0.6, 1.0), (0.5, 0.999, 1.0)])
+    def test_three_piece_step_is_exact(self, base, edges):
+        # both boundary pieces carry the singular tails of the base quantile
+        truth = toy_truth([[0.3]], [[1.7]], base=base)
+        est = StepQuantile(np.asarray(edges), np.array([-1.0, 0.4, 2.0]))
+        expected = piecewise_quad(truth, est, 0.3, 1.7, epsabs=0, epsrel=1e-13, limit=200)
+        assert truth.w2sq_error(0, 0, est) == pytest.approx(expected, rel=1e-12)
+
+    def test_large_gaussian_sample_is_finite(self):
+        truth = toy_truth([[0.3]], [[1.7]], base="gaussian")
+        rng = np.random.default_rng(5)
+        est = from_samples(rng.normal(0.3, 1.7, size=16_385))
+        got = truth.w2sq_error(0, 0, est)
+        assert np.isfinite(got)
+        assert got == pytest.approx(piecewise_quad(truth, est, 0.3, 1.7), rel=1e-8)
+
+    @pytest.mark.parametrize("base", ["uniform", "gaussian", "truncated_gaussian"])
+    @pytest.mark.parametrize("value", [0.0, 1.3])
+    def test_single_sample_scores_second_moment(self, base, value):
+        # ∫(c - s Q0)² = c² - 2 c s m1 + s² m2 with c = v - loc
+        truth = toy_truth([[0.3]], [[1.7]], base=base)
+        fam = truth.base
+        c = value - 0.3
+        expected = c * c - 2.0 * c * 1.7 * fam.m1 + 1.7**2 * fam.m2
+        got = truth.w2sq_error(0, 0, from_samples([value]))
+        assert got == pytest.approx(expected, rel=1e-12)
+
+
+class TestTruncation:
+    @pytest.mark.parametrize("cut", [0.0, -1.0, float("nan")])
+    def test_make_base_rejects_non_positive_cut(self, cut):
+        with pytest.raises(OutOfDomainError):
+            make_base("truncated_gaussian", cut)
+
+    @pytest.mark.parametrize("cut", [0.0, -2.0])
+    def test_generate_fails_with_typed_error(self, cut):
+        spec = DgpSpec(base_family="truncated_gaussian", truncation=cut, n_per_entry=5)
+        with pytest.raises(OutOfDomainError):
+            generate(spec, 3, 2)
 
 
 class TestLipschitzWitness:
