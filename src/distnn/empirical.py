@@ -125,10 +125,17 @@ def _check_alpha_complement(alpha):
 def from_samples(raw) -> EmpiricalDistribution:
     """Build an empirical distribution from raw samples in any order.
 
-    Raises EmptyInputError for empty input and NonFiniteSampleError if any
-    value is NaN or infinite.
+    Nested input is flattened. Raises OutOfDomainError unless every value is
+    real, EmptyInputError if there is none and NonFiniteSampleError for NaN
+    or infinite values.
     """
-    arr = np.asarray(raw, dtype=float)
+    try:
+        arr = np.asarray(raw)
+        if arr.dtype.kind == "c":
+            raise TypeError("complex samples")
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        raise OutOfDomainError("samples must be real numbers") from None
     if arr.ndim != 1:
         arr = arr.reshape(-1)
     if arr.size == 0:

@@ -80,27 +80,21 @@ def _w2sq_table(m: DistributionalMatrix, i: int) -> np.ndarray:
     """W2^2 between row i's entry and every other row's entry, per column.
 
     NaN marks pairs where either entry is missing; row i itself is NaN
-    throughout. Columns whose observed entries share one sample count are
-    computed in a single vectorized pass; other columns use per-pair w2sq.
+    throughout. A column stored as one equal-size block is computed in a
+    single vectorized pass; other columns use per-pair w2sq.
     """
-    n_rows, n_cols = m.n_rows, m.n_cols
-    table = np.full((n_rows, n_cols), np.nan)
-    for c in range(n_cols):
-        if not m.mask[i, c]:
-            continue
-        target = m.entry(i, c)
-        rows = [u for u in range(n_rows) if u != i and m.mask[u, c]]
-        if not rows:
-            continue
-        entries = [m.entry(u, c) for u in rows]
-        if _one_size(entries + [target]):
-            stacked = np.vstack([d.samples for d in entries])
-            table[rows, c] = np.mean(
-                (stacked - target.samples[None, :]) ** 2, axis=1
-            )
+    mask = m.mask
+    table = np.full(mask.shape, np.nan)
+    for c in np.flatnonzero(mask[i]).tolist():
+        rows = np.flatnonzero(mask[:, c])
+        rows = rows[rows != i]
+        block = m._equal_block(c)
+        if block is not None:
+            table[rows, c] = np.mean((block[rows] - block[i][None, :]) ** 2, axis=1)
         else:
-            for u, d in zip(rows, entries):
-                table[u, c] = w2sq(d, target)
+            target = m._cell(i, c)
+            for u in rows.tolist():
+                table[u, c] = w2sq(m._cell(u, c), target)
     return table
 
 
@@ -214,7 +208,7 @@ def find_neighbors(
         raise OutOfDomainError("max_neighbors must be None or at least 1")
     if min_neighbors < 0:
         raise OutOfDomainError("min_neighbors must be at least 0")
-    m._check_index(i, j)
+    i, j = m._check_index(i, j)
     dists, overlaps, ranked, sorted_dists = _row_state(m, i).ranked(m, j, min_overlap)
     k = int(np.searchsorted(sorted_dists, eta, side="right"))
     fallback = k < min_neighbors
@@ -258,7 +252,7 @@ def impute(
     neighbors = find_neighbors(m, i, j, eta, min_overlap, max_neighbors, min_neighbors)
     if neighbors.size == 0:
         raise NoNeighborsError(i, j, math.inf if neighbors.fallback else eta)
-    entries = [m.entry(u, j) for u in neighbors.rows]
+    entries = [m._cell(u, j) for u in neighbors.rows.tolist()]
     estimate = _barycenter_of(entries)
     return ImputationResult(
         estimate=estimate,

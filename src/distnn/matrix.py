@@ -1,7 +1,14 @@
-"""Distributional matrix container, observation mask, and MCAR masking."""
+"""Distributional matrix container, observation mask, and MCAR masking.
+
+Each column is one read-only block of sorted samples: rows x n when every
+cell stored in it holds n samples, else the cells' samples in row order
+with row offsets. Hiding a cell copies only the mask; its samples stay in
+the shared block, behind the mask.
+"""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,13 +19,31 @@ from .errors import EmptyInputError, IndexOutOfRangeError, OutOfDomainError, Siz
 __all__ = ["DistributionalMatrix", "MaskSpec", "apply_mcar", "shared_columns"]
 
 
+def _readonly(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def _column_block(cells):
+    """One column's block from its cells' sorted samples (None where missing)."""
+    present = [s for s in cells if s is not None]
+    if present and len({s.shape[0] for s in present}) == 1:
+        block = np.full((len(cells), present[0].shape[0]), np.nan)
+        block[[r for r, s in enumerate(cells) if s is not None]] = present
+        return _readonly(block)
+    sizes = [0 if s is None else s.shape[0] for s in cells]
+    return (_readonly(np.concatenate([np.empty(0)] + present)),
+            _readonly(np.cumsum([0] + sizes)))
+
+
 class DistributionalMatrix:
     """Dense grid of optional empirical distributions plus a boolean mask.
 
-    ``entries[i][j]`` is an :class:`EmpiricalDistribution` where observed and
-    None where missing; ``mask[i, j]`` is True exactly where an entry is
-    present. Immutable after construction; masking helpers return new
-    matrices that share entry objects.
+    ``entry(i, j)`` is a read-only :class:`EmpiricalDistribution` view of
+    the cell's samples where observed and None where missing; ``mask[i, j]``
+    is True exactly where an entry is present. Column j is stored as one
+    block (see the module docstring). Immutable after construction; masking
+    helpers return new matrices that share every block.
     """
 
     # the estimator's work for the row it last served (see estimator._row_state)
@@ -27,49 +52,63 @@ class DistributionalMatrix:
     def __init__(self, entries):
         rows = []
         n_cols = None
-        for i, row in enumerate(entries):
+        for row in entries:
             row = list(row)
             if n_cols is None:
                 n_cols = len(row)
             elif len(row) != n_cols:
                 raise SizeMismatchError("all rows must have the same number of columns")
-            converted = []
-            for cell in row:
-                if cell is None:
-                    converted.append(None)
-                elif isinstance(cell, EmpiricalDistribution):
-                    converted.append(cell)
-                else:
-                    converted.append(from_samples(cell))
-            rows.append(tuple(converted))
+            rows.append([
+                None if cell is None
+                else cell.samples if isinstance(cell, EmpiricalDistribution)
+                else from_samples(cell).samples
+                for cell in row
+            ])
         if not rows or n_cols == 0:
             raise EmptyInputError("matrix must have at least one row and one column")
-        self._entries = tuple(rows)
-        mask = np.array(
-            [[cell is not None for cell in row] for row in self._entries], dtype=bool
-        )
-        mask.setflags(write=False)
-        self._mask = mask
+        self._blocks = tuple(_column_block([row[j] for row in rows]) for j in range(n_cols))
+        self._mask = _readonly(np.array([[s is not None for s in row] for row in rows]))
+
+    @classmethod
+    def _of_blocks(cls, blocks, mask) -> "DistributionalMatrix":
+        """A matrix over the given column blocks, observed where ``mask`` is True."""
+        m = cls.__new__(cls)
+        m._blocks = tuple(blocks)
+        m._mask = _readonly(mask)
+        return m
 
     @property
     def n_rows(self) -> int:
-        return len(self._entries)
+        return self._mask.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return len(self._entries[0])
+        return self._mask.shape[1]
 
     @property
     def mask(self) -> np.ndarray:
         return self._mask
 
     def entry(self, i: int, j: int):
-        self._check_index(i, j)
-        return self._entries[i][j]
+        return self._cell(*self._check_index(i, j))
+
+    def _cell(self, i: int, j: int):
+        """``entry(i, j)`` without the bounds check."""
+        if not self._mask[i, j]:
+            return None
+        block = self._blocks[j]
+        if isinstance(block, tuple):
+            values, offsets = block
+            return EmpiricalDistribution(values[offsets[i]:offsets[i + 1]])
+        return EmpiricalDistribution(block[i])
+
+    def _equal_block(self, j: int):
+        """Column j's rows x n block, or None when its cells' sizes differ."""
+        block = self._blocks[j]
+        return None if isinstance(block, tuple) else block
 
     def is_observed(self, i: int, j: int) -> bool:
-        self._check_index(i, j)
-        return bool(self._mask[i, j])
+        return bool(self._mask[self._check_index(i, j)])
 
     def missing_cells(self):
         """Index pairs of unobserved cells, in row-major order."""
@@ -82,16 +121,21 @@ class DistributionalMatrix:
 
     def mask_cell(self, i: int, j: int) -> "DistributionalMatrix":
         """A copy of the matrix with cell (i, j) forced missing."""
-        self._check_index(i, j)
-        rows = [list(row) for row in self._entries]
-        rows[i][j] = None
-        return DistributionalMatrix(rows)
+        mask = self._mask.copy()
+        mask[self._check_index(i, j)] = False
+        return self._of_blocks(self._blocks, mask)
 
     def _check_index(self, i: int, j: int):
-        if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
+        """(i, j) as ints; IndexOutOfRangeError unless both index the matrix."""
+        try:
+            cell = operator.index(i), operator.index(j)
+        except TypeError:
+            cell = None
+        if cell is None or not (0 <= cell[0] < self.n_rows and 0 <= cell[1] < self.n_cols):
             raise IndexOutOfRangeError(
-                f"cell ({i}, {j}) outside {self.n_rows}x{self.n_cols} matrix"
+                f"cell ({i!r}, {j!r}) outside {self.n_rows}x{self.n_cols} matrix"
             )
+        return cell
 
     def __repr__(self):
         observed = int(self._mask.sum())
@@ -125,22 +169,13 @@ def apply_mcar(full: DistributionalMatrix, spec: MaskSpec, protect=None) -> Dist
     rng = np.random.default_rng(spec.seed)
     keep = rng.random((full.n_rows, full.n_cols)) < spec.p
     if protect is not None:
-        pi, pj = protect
-        full._check_index(pi, pj)
-        keep[pi, pj] = False
-    rows = []
-    for i in range(full.n_rows):
-        rows.append(
-            [full.entry(i, j) if keep[i, j] else None for j in range(full.n_cols)]
-        )
-    return DistributionalMatrix(rows)
+        keep[full._check_index(*protect)] = False
+    return full._of_blocks(full._blocks, keep)
 
 
 def shared_columns(m: DistributionalMatrix, i: int, u: int, exclude: int) -> np.ndarray:
     """Columns other than ``exclude`` observed in both rows i and u, sorted."""
-    m._check_index(i, 0)
-    m._check_index(u, 0)
-    m._check_index(0, exclude)
+    (i, exclude), (u, _) = m._check_index(i, exclude), m._check_index(u, 0)
     if i == u:
         raise OutOfDomainError("shared_columns requires two distinct rows")
     both = m.mask[i] & m.mask[u]

@@ -20,7 +20,6 @@ import numpy as np
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
-from .empirical import _presorted
 from .errors import OutOfDomainError
 from .matrix import DistributionalMatrix
 
@@ -281,11 +280,9 @@ def generate(spec: DgpSpec, n_rows: int, n_cols: int):
         np.maximum(u, 1e-300, out=u)
         block = loc[:, j : j + 1] + scale[:, j : j + 1] * base.ppf(u)
         block.sort(axis=1)
+        block.setflags(write=False)
         columns.append(block)
-    rows = []
-    for i in range(n_rows):
-        rows.append([_presorted(columns[j][i]) for j in range(n_cols)])
-    matrix = DistributionalMatrix(rows)
+    matrix = DistributionalMatrix._of_blocks(columns, np.ones((n_rows, n_cols), dtype=bool))
     truth = TrueDistributions(base, loc, scale, n_per_col, factors, spec)
     return matrix, truth
 

@@ -117,7 +117,12 @@ def _prefix_losses(m: DistributionalMatrix, state, v: int, min_overlap: int) -> 
     losses = state.losses.get(key)
     if losses is None:
         rows = state.ranked(m, v, min_overlap).rows
-        _, widths, values = _merged_grid([m.entry(u, v) for u in rows] + [m.entry(state.row, v)])
+        block = m._equal_block(v)
+        if block is not None:
+            widths, values = None, block[np.append(rows, state.row)]
+        else:
+            cells = [m._cell(u, v) for u in rows.tolist()] + [m._cell(state.row, v)]
+            _, widths, values = _merged_grid(cells)
         ks = np.arange(1, rows.size + 1)
         gaps = (np.cumsum(values[:-1], axis=0) / ks[:, None] - values[-1]) ** 2
         losses = np.concatenate(([np.nan], _integral(widths, gaps)))
@@ -136,7 +141,7 @@ def tune_eta(m: DistributionalMatrix, i: int, j: int, cfg: TuneConfig | None = N
     """
     if cfg is None:
         cfg = TuneConfig()
-    m._check_index(i, j)
+    i, j = m._check_index(i, j)
     held_cols = [v for v in range(m.n_cols) if v != j and m.mask[i, v]]
     if not held_cols:
         raise NoObservedCellsError(f"row {i} has no observed entries besides column {j}")

@@ -8,6 +8,7 @@ import pytest
 from distnn import (
     DistributionalMatrix,
     EmpiricalDistribution,
+    IndexOutOfRangeError,
     NoNeighborsError,
     OutOfDomainError,
     StepQuantile,
@@ -16,6 +17,8 @@ from distnn import (
     from_samples,
     impute,
     row_distance,
+    shared_columns,
+    tune_eta,
     w2sq,
 )
 
@@ -136,6 +139,23 @@ class TestFindNeighbors:
     def test_infinite_eta_accepts_every_finite_row(self):
         ns = find_neighbors(shifted_rows_matrix(), 0, 0, eta=math.inf)
         assert np.array_equal(ns.rows, [1, 2, 3])
+
+    def test_bool_and_numpy_indices_act_as_ints(self):
+        m = shifted_rows_matrix()
+        for i, j in [(True, False), (np.int64(1), np.uint8(0))]:
+            ns = find_neighbors(m, i, j, eta=math.inf)
+            assert (ns.target_row, ns.target_col) == (1, 0)
+            assert np.array_equal(ns.distances, find_neighbors(m, 1, 0, math.inf).distances)
+            assert tune_eta(m, i, j) == tune_eta(m, 1, 0)
+            assert np.array_equal(shared_columns(m, i, 0, j), shared_columns(m, 1, 0, 0))
+
+    @pytest.mark.parametrize("index", [1.5, "1", None])
+    def test_non_integer_indices_are_typed_errors(self, index):
+        m = shifted_rows_matrix()
+        for call in (lambda: find_neighbors(m, index, 0, 1.0), lambda: tune_eta(m, 0, index),
+                     lambda: shared_columns(m, index, 0, 1), lambda: row_distance(m, 0, index, 1)):
+            with pytest.raises(IndexOutOfRangeError):
+                call()
 
 
 class TestImpute:

@@ -40,7 +40,8 @@ class TestConstruction:
         m = full_matrix(2, 2)
         m2 = m.mask_cell(0, 1)
         assert m.is_observed(0, 1) and not m2.is_observed(0, 1)
-        assert m2.entry(1, 1) is m.entry(1, 1)
+        assert np.shares_memory(m2.entry(1, 1).samples, m.entry(1, 1).samples)
+        assert m2.entry(0, 1) is None
 
     def test_missing_cells_in_row_major_order(self):
         m = full_matrix(3, 4)
@@ -53,6 +54,45 @@ class TestConstruction:
             m.entry(2, 0)
         with pytest.raises(IndexOutOfRangeError):
             m.entry(0, -3)
+
+    @pytest.mark.parametrize("index", [1.5, "0", None, 1.0, (0,)])
+    def test_non_integer_index_is_typed_error(self, index):
+        m = full_matrix(2, 2)
+        for call in (m.entry, m.is_observed, m.mask_cell):
+            with pytest.raises(IndexOutOfRangeError):
+                call(index, 0)
+            with pytest.raises(IndexOutOfRangeError):
+                call(0, index)
+
+    def test_numpy_and_bool_indices_accepted(self):
+        m = full_matrix(2, 2)
+        for i, j in [(np.int64(1), np.int32(0)), (True, False), (np.uint8(0), 1)]:
+            assert np.array_equal(m.entry(i, j).samples, m.entry(int(i), int(j)).samples)
+            assert m.is_observed(i, j)
+            assert m.mask_cell(i, j).missing_cells() == [(int(i), int(j))]
+
+    def test_entries_are_read_only_views(self):
+        m = DistributionalMatrix([[[2, 1], [5]], [[4, 3], [7, 6]]])
+        for i, j in m.observed_cells():
+            with pytest.raises(ValueError):
+                m.entry(i, j).samples[0] = 0.0
+        assert np.array_equal(m.entry(1, 1).samples, [6, 7])
+        assert np.array_equal(m.mask_cell(0, 0).mask_cell(1, 1).entry(1, 0).samples, [3, 4])
+
+    @pytest.mark.parametrize("cell", [
+        "ab", {"a": 1}, [1 + 2j], np.array([1.0 + 0j]), [[1, 2], [3]], [10**400], object(),
+    ], ids=["string", "dict", "complex", "complex-array", "inhomogeneous", "overflow",
+            "object"])
+    def test_non_real_samples_are_typed_error(self, cell):
+        with pytest.raises(OutOfDomainError, match="samples must be real numbers"):
+            DistributionalMatrix([[cell]])
+        with pytest.raises(OutOfDomainError, match="samples must be real numbers"):
+            from_samples(cell)
+
+    def test_nested_cells_still_flattened(self):
+        m = DistributionalMatrix([[[[3, 1], [2, 0]], [2**70]]])
+        assert np.array_equal(m.entry(0, 0).samples, [0, 1, 2, 3])
+        assert m.entry(0, 1).samples.tolist() == [float(2**70)]
 
 
 class TestApplyMcar:

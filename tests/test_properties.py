@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from distnn import (
     DistributionalMatrix,
+    EmpiricalDistribution,
+    MaskSpec,
     TuneConfig,
+    apply_mcar,
     find_neighbors,
     from_samples,
     impute,
@@ -340,3 +343,81 @@ class TestPerRowReuse:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert got == {cell: [out] * n_threads for cell, out in expected.items()}
+
+
+@st.composite
+def full_matrices(draw, max_rows=7, max_cols=5):
+    """Fully observed matrices from a generator that hypothesis seeds; the
+    sample counts are one for the whole matrix, one per column (equal-size
+    blocks) or drawn per cell (ragged blocks)."""
+    n_rows, n_cols = draw(st.integers(2, max_rows)), draw(st.integers(1, max_cols))
+    sizes = draw(st.sampled_from(["matrix", "column", "cell"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = rng.integers(1, 6, size=(n_rows, n_cols))
+    if sizes == "matrix":
+        n[:] = n[0, 0]
+    elif sizes == "column":
+        n[:] = n[0]
+    return DistributionalMatrix([
+        [rng.normal(rng.normal(0.0, 3.0), rng.uniform(0.5, 3.0), n[r, c]) for c in range(n_cols)]
+        for r in range(n_rows)
+    ])
+
+
+def assert_same_as_cold(masked):
+    """Row tables, tuning logs and estimates of every cell equal those of a
+    rebuilt matrix that holds no samples in the hidden cells."""
+    cold = _cold_copy(masked)
+    assert np.array_equal(cold.mask, masked.mask)
+    for r in range(masked.n_rows):
+        assert _w2sq_table(masked, r).tobytes() == _w2sq_table(cold, r).tobytes()
+        for c in range(masked.n_cols):
+            assert _cell_outcome(masked, r, c, 1) == _cell_outcome(cold, r, c, 1)
+
+
+class TestHiddenCells:
+    """A cell hidden by mask_cell or apply_mcar keeps its samples in the
+    shared column block; no result may read them."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(m=full_matrices(), data=st.data())
+    def test_masked_matrices_match_a_cold_rebuild(self, m, data):
+        i = data.draw(st.integers(0, m.n_rows - 1))
+        j = data.draw(st.integers(0, m.n_cols - 1))
+        spec = MaskSpec(p=data.draw(st.sampled_from([0.5, 0.8, 1.0])),
+                        seed=data.draw(st.integers(0, 2**16)))
+        assert_same_as_cold(m.mask_cell(i, j))
+        assert_same_as_cold(apply_mcar(m, spec, protect=(i, j)))
+
+    def test_far_hidden_samples_do_not_leak(self):
+        rng = np.random.default_rng(21)
+        rows = [[rng.normal(r, 1.0, 4) for _ in range(3)] for r in range(6)]
+        rows[2][1] = 1e6 + rng.normal(size=4)
+        m = DistributionalMatrix(rows)
+        for masked in (m.mask_cell(2, 1), apply_mcar(m, MaskSpec(p=1.0), protect=(2, 1))):
+            assert masked.entry(2, 1) is None and masked.missing_cells() == [(2, 1)]
+            assert_same_as_cold(masked)
+            for r in range(6):
+                column = _w2sq_table(masked, r)[:, 1]
+                assert np.isnan(column[2]) and np.all(np.isnan(column) | (column < 1e3))
+                assert np.max(impute(masked, r, 1, math.inf).estimate.samples) < 1e3
+            report = tune_eta(masked, 0, 0, TuneConfig(budget=6))
+            assert all(t.mean_loss < 1e3 for t in report.trials)
+
+    def test_hidden_odd_sized_cell_keeps_equal_size_results(self):
+        # column 1 holds 3 samples per cell except the hidden cell's 5, so
+        # its stored block stays ragged while every visible cell has 3
+        rng = np.random.default_rng(22)
+        rows = [[rng.normal(r, 1.0, 3) for _ in range(3)] for r in range(5)]
+        rows[2][1] = rng.normal(2.0, 1.0, 5)
+        masked = DistributionalMatrix(rows).mask_cell(2, 1)
+        assert masked._equal_block(1) is None
+        assert _cold_copy(masked)._equal_block(1) is not None
+        assert_same_as_cold(masked)
+        result = impute(masked, 2, 1, math.inf)
+        assert isinstance(result.estimate, EmpiricalDistribution)
+        assert result.estimate.n == 3
+        for r in (0, 1, 3, 4):
+            ns = find_neighbors(masked, r, 0, math.inf)
+            assert ns.distances.tolist() == [
+                row_distance(masked, r, u, 0) for u in ns.rows.tolist()]
