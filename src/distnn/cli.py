@@ -6,8 +6,8 @@ recorded configuration reproduces its output byte for byte.
 
 Output is strict JSON: a non-finite number is written as null.
 
-Exit codes: 0 success, 1 parse error, bad target or other invalid input, 2
-no neighbors found (with --fallback-nearest: no row at a finite distance).
+Exit codes: 0 success, 1 usage, parse, target or other input error, 2 no
+neighbors found (with --fallback-nearest: no row at a finite distance).
 
 ``impute --fallback-nearest`` is the estimator's neighbour floor at one row,
 ``impute(..., min_neighbors=1)``: the CLI keeps no fallback rule of its own.
@@ -84,12 +84,11 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_csv(path, rows, fieldnames) -> None:
+def _write_csv(path, rows) -> None:
     with _open_output(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _estimate_payload(estimate) -> dict:
@@ -169,37 +168,31 @@ def _cmd_impute(args) -> int:
     panel = load_panel(args.input)
     config = _config(args)
 
-    def impute_cell(cell, eta):
-        """(result payload, None) on success, (None, NoNeighborsError) otherwise."""
-        try:
-            result = impute(panel.matrix, cell[0], cell[1], eta, args.var_alpha,
-                            args.min_overlap, min_neighbors=int(args.fallback_nearest))
-        except NoNeighborsError as exc:
-            return None, exc
-        return _result_payload(panel, result), None
+    def impute_cell(cell):
+        result = impute(panel.matrix, cell[0], cell[1], _resolve_eta(panel, cell, args),
+                        args.var_alpha, args.min_overlap,
+                        min_neighbors=int(args.fallback_nearest))
+        return _result_payload(panel, result)
 
     if args.all_missing:
         results, failures = [], []
         for cell in panel.matrix.missing_cells():
             try:
-                result, failure = impute_cell(cell, _resolve_eta(panel, cell, args))
-            except (NoObservedCellsError, AllTrialsFailedError) as exc:
-                result, failure = None, exc
-            if result is not None:
-                results.append(result)
-            else:
+                results.append(impute_cell(cell))
+            except (NoNeighborsError, NoObservedCellsError, AllTrialsFailedError) as exc:
                 failures.append({"row": panel.row_keys[cell[0]],
                                  "col": panel.col_keys[cell[1]],
-                                 "error": str(failure)})
+                                 "error": str(exc)})
         _write_json(args.output, {"config": config, "results": results,
                                   "failures": failures})
         return EXIT_OK
 
+    # target and tuning errors exit 1 through main
     cell = _resolve_target(panel, args)
-    eta = _resolve_eta(panel, cell, args)
-    result, failure = impute_cell(cell, eta)
-    if result is None:
-        return _no_neighbors(args, config, failure)
+    try:
+        result = impute_cell(cell)
+    except NoNeighborsError as exc:
+        return _no_neighbors(args, config, exc)
     _write_json(args.output, {"config": config, "result": result})
     return EXIT_OK
 
@@ -286,7 +279,7 @@ def _cmd_simulate(args) -> int:
     )
     result = run_scaling(spec)
     rows = result.csv_rows()
-    _write_csv(f"{args.output_prefix}.csv", rows, list(rows[0].keys()))
+    _write_csv(f"{args.output_prefix}.csv", rows)
     _write_json(f"{args.output_prefix}.json",
                 {"config": _config(args), "summary": result.summary()})
     print(f"fitted exponent: {result.fit.exponent:.4f}")
@@ -297,7 +290,7 @@ def _cmd_verify(args) -> int:
     if args.subject == "uniform-barycenter":
         rows = verify_uniform_barycenter_error(trials=args.trials, seed=args.seed)
         table = [asdict(r) for r in rows]
-        _write_csv(f"{args.output_prefix}.csv", table, list(table[0].keys()))
+        _write_csv(f"{args.output_prefix}.csv", table)
         _write_json(f"{args.output_prefix}.json", {
             "config": _config(args),
             "rows": table,
@@ -319,9 +312,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _add_target_args(parser, required=True):
-    parser.add_argument("--row", required=required, help="target row key")
-    parser.add_argument("--col", required=required, help="target column key")
+def _add_panel_command(sub, name, func, help, target_required=True):
+    """Subcommand over a panel's target cell that may tune eta and writes one file."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--input", required=True, help="panel CSV or matrix JSON")
+    p.add_argument("--row", required=target_required, help="target row key")
+    p.add_argument("--col", required=target_required, help="target column key")
+    p.add_argument("--budget", type=int, default=50, help="tuning candidate budget")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output", default=f"{name}_result.json")
+    p.set_defaults(func=func)
+    return p
 
 
 def _add_eta_args(parser):
@@ -330,8 +331,6 @@ def _add_eta_args(parser):
                        help="fixed distance threshold")
     group.add_argument("--tune", action="store_true",
                        help="select eta by leave-one-out validation (default)")
-    parser.add_argument("--budget", type=int, default=50,
-                        help="tuning candidate budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("impute", help="impute one target cell or all missing cells")
-    p.add_argument("--input", required=True, help="panel CSV or matrix JSON")
-    _add_target_args(p, required=False)
+    p = _add_panel_command(sub, "impute", _cmd_impute,
+                           "impute one target cell or all missing cells",
+                           target_required=False)
     p.add_argument("--all-missing", action="store_true",
                    help="impute every missing cell")
     _add_eta_args(p)
@@ -353,26 +352,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fallback-nearest", action="store_true",
                    help="fall back to the single nearest row when no "
                         "neighbor passes the threshold")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default="impute_result.json")
-    p.set_defaults(func=_cmd_impute)
 
-    p = sub.add_parser("tune", help="select the eta threshold for a target cell")
-    p.add_argument("--input", required=True)
-    _add_target_args(p)
-    p.add_argument("--budget", type=int, default=50)
+    p = _add_panel_command(sub, "tune", _cmd_tune,
+                           "select the eta threshold for a target cell")
     p.add_argument("--search", choices=["log_grid", "random_log_uniform"],
                    default="log_grid")
     p.add_argument("--eta-min", type=float, default=None)
     p.add_argument("--eta-max", type=float, default=None)
     p.add_argument("--min-overlap", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default="tune_result.json")
-    p.set_defaults(func=_cmd_tune)
 
-    p = sub.add_parser("bands", help="confidence bands for an imputed quantile function")
-    p.add_argument("--input", required=True)
-    _add_target_args(p)
+    p = _add_panel_command(sub, "bands", _cmd_bands,
+                           "confidence bands for an imputed quantile function")
     _add_eta_args(p)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--levels", type=int, default=99,
@@ -383,9 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="bootstrap")
     p.add_argument("--reps-samples", type=int, default=10)
     p.add_argument("--reps-neighbors", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default="bands_result.json")
-    p.set_defaults(func=_cmd_bands, simultaneous=True)
 
     p = sub.add_parser("simulate", help="run a synthetic scaling study")
     p.add_argument("--kind", choices=["homoscedastic", "heteroscedastic"],
@@ -419,10 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse printed its usage error; --help exits 0
+        if not exc.code:
+            raise
+        return EXIT_BAD_INPUT
     except NoNeighborsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_NEIGHBORS

@@ -126,13 +126,14 @@ def from_samples(raw) -> EmpiricalDistribution:
     """Build an empirical distribution from raw samples in any order.
 
     Nested input is flattened. Raises OutOfDomainError unless every value is
-    real, EmptyInputError if there is none and NonFiniteSampleError for NaN
-    or infinite values.
+    real (booleans and text are not), EmptyInputError if there is none and
+    NonFiniteSampleError for NaN or infinite values.
     """
     try:
         arr = np.asarray(raw)
-        if arr.dtype.kind == "c":
-            raise TypeError("complex samples")
+        if arr.dtype.kind in "bcSU" or (arr.dtype.kind == "O" and any(
+                isinstance(v, (bool, np.bool_, str, bytes)) for v in arr.flat)):
+            raise TypeError("non-real samples")
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise OutOfDomainError("samples must be real numbers") from None
@@ -258,7 +259,7 @@ def w2_equal_n(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     """W2 between equal-size empirical distributions: the RMS order-statistic gap."""
     if a.n != b.n:
         raise SizeMismatchError(f"sample counts differ: {a.n} != {b.n}")
-    return float(np.sqrt(np.mean((a.samples - b.samples) ** 2)))
+    return w2_general(a, b)
 
 
 def w2_general(a, b) -> float:

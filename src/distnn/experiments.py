@@ -140,10 +140,6 @@ class _TrialRecord:
     true_summaries: dict
 
 
-def _trial_seed_ints(rng):
-    return int(rng.integers(2**63))
-
-
 def _run_trial(spec: ExperimentSpec, value, seed_seq, var_alpha=0.05) -> _TrialRecord:
     rng = np.random.default_rng(seed_seq)
     n_rows = spec.n_rows
@@ -157,7 +153,7 @@ def _run_trial(spec: ExperimentSpec, value, seed_seq, var_alpha=0.05) -> _TrialR
         else:
             cap = max(1, int(round(value / n)))
             n_rows = max(spec.n_rows, spec.rows_per_neighbor * cap)
-    dgp = replace(spec.dgp, n_per_entry=n, seed=_trial_seed_ints(rng))
+    dgp = replace(spec.dgp, n_per_entry=n, seed=int(rng.integers(2**63)))
     full, truth = generate(dgp, n_rows, spec.n_cols)
     if spec.target == "random":
         i = int(rng.integers(n_rows))
@@ -172,22 +168,23 @@ def _run_trial(spec: ExperimentSpec, value, seed_seq, var_alpha=0.05) -> _TrialR
         if spec.eta_policy == "fixed":
             eta = spec.eta
         else:
-            cfg = TuneConfig(budget=spec.tune_budget, seed=_trial_seed_ints(rng))
+            cfg = TuneConfig(budget=spec.tune_budget, seed=int(rng.integers(2**63)))
             eta = tune_eta(masked, i, j, cfg).best_eta
         result = impute(masked, i, j, eta, var_alpha, min_neighbors=spec.min_neighbors)
 
     error = truth.w2sq_error(i, j, result.estimate)
     n_j = int(truth.n_per_col[j])
+    reps = spec.baseline_resamples
+    # one call draws the same values, in order, as one call per resample
+    draws = np.sort(truth.sample(i, j, reps * n_j, rng).reshape(reps, n_j), axis=1)
+    first_draw = _presorted(draws[0])
     baseline_total = 0.0
-    first_draw = None
-    for _ in range(spec.baseline_resamples):
-        draw = _presorted(np.sort(truth.sample(i, j, n_j, rng)))
-        if first_draw is None:
-            first_draw = draw
-        baseline_total += truth.w2sq_error(i, j, draw)
+    for draw_error in _w2sq_steps_to_base(truth.base, draws, first_draw.step_edges(),
+                                          truth.loc[i, j], truth.scale[i, j]).tolist():
+        baseline_total += draw_error
     return _TrialRecord(
         error=error,
-        baseline_error=baseline_total / spec.baseline_resamples,
+        baseline_error=baseline_total / reps,
         n_neighbors=result.neighbors.size,
         n_j=n_j,
         est_summaries=result.summaries,
@@ -218,22 +215,12 @@ class ScalingResult:
                 "mean_neighbors": float(self.mean_neighbors[idx]),
                 "n_failed": int(self.n_failed[idx]),
             }
-            rows.append(
-                dict(
-                    common,
-                    method="estimator",
-                    mean_error=float(self.mean_errors[idx]),
-                    std_error=float(self.std_errors[idx]),
-                )
-            )
-            rows.append(
-                dict(
-                    common,
-                    method="single_entry_baseline",
-                    mean_error=float(self.baseline_means[idx]),
-                    std_error=float("nan"),
-                )
-            )
+            for method, mean, std in (
+                ("estimator", self.mean_errors[idx], self.std_errors[idx]),
+                ("single_entry_baseline", self.baseline_means[idx], math.nan),
+            ):
+                rows.append(dict(common, method=method, mean_error=float(mean),
+                                 std_error=float(std)))
         return rows
 
     def summary(self) -> dict:

@@ -60,8 +60,8 @@ class DistributionalMatrix:
                 raise SizeMismatchError("all rows must have the same number of columns")
             rows.append([
                 None if cell is None
-                else cell.samples if isinstance(cell, EmpiricalDistribution)
-                else from_samples(cell).samples
+                else from_samples(cell.samples if isinstance(cell, EmpiricalDistribution)
+                                  else cell).samples
                 for cell in row
             ])
         if not rows or n_cols == 0:

@@ -3,7 +3,9 @@
 The CSV format is UTF-8 with header ``row,col,value`` and ``.`` as the
 decimal separator; the sample array of a matrix entry is the group of values
 sharing a (row, col) key pair. Axes are ordered by first appearance of each
-key, so re-reading a written file reproduces the same matrix.
+key. Only JSON keeps its axes exactly: a written CSV holds observed cells only,
+so reading it back moves a column the first row misses and drops a key with no
+observed cell; column order sets the order in which row distances are summed.
 """
 
 from __future__ import annotations
@@ -66,10 +68,6 @@ def read_panel_csv(path) -> Panel:
     """Parse a long-format CSV panel; raises PanelParseError with the
     offending line number on malformed input."""
     groups: dict = {}
-    row_keys: list = []
-    col_keys: list = []
-    seen_rows: set = set()
-    seen_cols: set = set()
     with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -98,18 +96,14 @@ def read_panel_csv(path) -> Panel:
                     ) from None
                 if not math.isfinite(value):
                     raise PanelParseError(f"value {raw_value!r} is not finite", line=line_no)
-                if row_key not in seen_rows:
-                    seen_rows.add(row_key)
-                    row_keys.append(row_key)
-                if col_key not in seen_cols:
-                    seen_cols.add(col_key)
-                    col_keys.append(col_key)
                 groups.setdefault((row_key, col_key), []).append(value)
         except csv.Error as exc:
             raise PanelParseError(str(exc), line=reader.line_num) from None
     if not groups:
         raise PanelParseError("no records found")
-    return _matrix_from_groups(groups, row_keys, col_keys)
+    # a key's first record opens the first group that holds it
+    return _matrix_from_groups(groups, dict.fromkeys(r for r, _ in groups),
+                               dict.fromkeys(c for _, c in groups))
 
 
 def write_panel_csv(panel: Panel, path) -> None:
@@ -118,13 +112,9 @@ def write_panel_csv(panel: Panel, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         m = panel.matrix
-        for i, row_key in enumerate(panel.row_keys):
-            for j, col_key in enumerate(panel.col_keys):
-                entry = m.entry(i, j)
-                if entry is None:
-                    continue
-                for value in entry.samples:
-                    writer.writerow([row_key, col_key, repr(float(value))])
+        for i, j in m.observed_cells():
+            for value in m.entry(i, j).samples:
+                writer.writerow([panel.row_keys[i], panel.col_keys[j], repr(float(value))])
 
 
 def write_matrix_json(panel: Panel, path) -> None:

@@ -82,6 +82,28 @@ class TestImputeCommand:
         payload = json.loads(out.read_text())
         assert payload["results"] == [] and payload["failures"] == []
 
+    def test_all_missing_records_each_failure_in_row_major_order(self, tmp_path):
+        # row a has no observed cell to tune on; rows b and c are identical,
+        # so tuning picks eta 0, and nobody observes column w
+        path = tmp_path / "panel.json"
+        entries = [{"row": r, "col": c, "samples": v}
+                   for r in "bc" for c, v in (("x", [0, 1]), ("y", [5, 6]))]
+        path.write_text(json.dumps({"rows": ["a", "b", "c"], "cols": ["x", "y", "w"],
+                                    "entries": entries}), encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main(["impute", "--input", str(path), "--all-missing", "--budget", "5",
+                     "--output", str(out)]) == 0
+        payload = strict_json(out)
+        assert payload["results"] == []
+        assert payload["failures"] == [
+            {"row": "a", "col": c, "error": f"row 0 has no observed entries besides column {j}"}
+            for j, c in enumerate("xyw")
+        ] + [
+            {"row": r, "col": "w",
+             "error": f"no neighbors for target ({i}, 2) at threshold eta=0.0"}
+            for i, r in ((1, "b"), (2, "c"))
+        ]
+
     def test_malformed_csv_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("row,col,value\nr,c,xyz\n", encoding="utf-8")
@@ -298,6 +320,29 @@ class TestBadArguments:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "impute --input {panel} --row r1 --col c1 --no-such-option",
+            "impute --row r1 --col c1 --eta 1",
+            "bands --input {panel} --row r3 --col c3 --method nope",
+            "tune --input {panel} --row r1",
+            "",
+        ],
+        ids=["unknown-option", "input-missing", "bad-method", "col-missing", "no-command"],
+    )
+    def test_usage_error_exits_one(self, argv, duplicate_csv, capsys):
+        code = main(argv.format(panel=duplicate_csv).split())
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: " in err and "Traceback" not in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["impute", "--help"])
+        assert exc.value.code == 0
+        assert "--all-missing" in capsys.readouterr().out
 
     def test_unwritable_output_names_the_path(self, duplicate_csv, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "o.json"

@@ -1,11 +1,14 @@
 """Simulation harness: power-law fits, sweeps, and Monte-Carlo verification."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from distnn import DgpSpec, from_samples
+from distnn import DgpSpec, from_samples, summaries
 from distnn.experiments import (
     ExperimentSpec,
+    _run_trial,
     fit_power_law,
     run_denoising,
     run_quantity_eval,
@@ -241,3 +244,35 @@ class TestBatchUniformScoring:
             assert truth.w2sq_error(0, 0, from_samples(row)) == pytest.approx(
                 float(expected), rel=1e-12
             )
+
+
+class TestSingleEntryBaseline:
+    """A trial's baseline equals the per-draw loop below bit for bit: one
+    resample drawn, sorted and scored at a time, errors added in draw order."""
+
+    @pytest.mark.parametrize("n", [7, 50])
+    @pytest.mark.parametrize("base", ["uniform", "gaussian", "truncated_gaussian"])
+    def test_matches_per_draw_loop(self, base, n, monkeypatch):
+        spec = small_spec(dgp=DgpSpec(base_family=base, n_per_entry=n, seed=0),
+                          baseline_resamples=25)
+        first_calls = []
+        sample = TrueDistributions.sample
+
+        def spy(truth, i, j, count, rng):
+            if not first_calls:
+                first_calls.append((truth, i, j, copy.deepcopy(rng.bit_generator.state)))
+            return sample(truth, i, j, count, rng)
+
+        monkeypatch.setattr(TrueDistributions, "sample", spy)
+        record = _run_trial(spec, None, np.random.SeedSequence(11))
+        truth, i, j, state = first_calls[0]
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        total, first = 0.0, None
+        for _ in range(spec.baseline_resamples):
+            draw = from_samples(sample(truth, i, j, n, rng))
+            if first is None:
+                first = draw
+            total += truth.w2sq_error(i, j, draw)
+        assert record.baseline_error == total / spec.baseline_resamples
+        assert record.base_summaries == summaries(first)

@@ -5,12 +5,15 @@ import pytest
 
 from distnn import (
     DistributionalMatrix,
+    EmpiricalDistribution,
     IndexOutOfRangeError,
     MaskSpec,
+    NonFiniteSampleError,
     OutOfDomainError,
     apply_mcar,
     from_samples,
     shared_columns,
+    w2sq,
 )
 
 
@@ -81,13 +84,22 @@ class TestConstruction:
 
     @pytest.mark.parametrize("cell", [
         "ab", {"a": 1}, [1 + 2j], np.array([1.0 + 0j]), [[1, 2], [3]], [10**400], object(),
+        ["1", "2"], [b"1"], [True, False], np.array([True]), [2**70, True], [2**70, "1"],
     ], ids=["string", "dict", "complex", "complex-array", "inhomogeneous", "overflow",
-            "object"])
+            "object", "numeric-strings", "bytes", "booleans", "bool-array",
+            "object-with-bool", "object-with-string"])
     def test_non_real_samples_are_typed_error(self, cell):
         with pytest.raises(OutOfDomainError, match="samples must be real numbers"):
             DistributionalMatrix([[cell]])
         with pytest.raises(OutOfDomainError, match="samples must be real numbers"):
             from_samples(cell)
+
+    def test_empirical_cell_takes_the_samples_path(self):
+        m = DistributionalMatrix([[EmpiricalDistribution(np.array([3.0, 1.0, 2.0])), [1, 2, 3]]])
+        assert np.array_equal(m.entry(0, 0).samples, [1, 2, 3])
+        assert w2sq(m.entry(0, 0), m.entry(0, 1)) == 0.0
+        with pytest.raises(NonFiniteSampleError):
+            DistributionalMatrix([[EmpiricalDistribution(np.array([1.0, np.nan]))]])
 
     def test_nested_cells_still_flattened(self):
         m = DistributionalMatrix([[[[3, 1], [2, 0]], [2**70]]])

@@ -50,10 +50,23 @@ class TestCsvRoundTrip:
 
     def test_axis_order_is_first_appearance(self, tmp_path):
         path = tmp_path / "panel.csv"
-        path.write_text("row,col,value\nb,y,1\na,x,2\nb,x,3\n", encoding="utf-8")
+        path.write_text("row,col,value\nb,y,1\na,x,2\nb,x,3\nc,z,4\na,y,5\nb,y,6\n",
+                        encoding="utf-8")
         panel = read_panel_csv(path)
-        assert panel.row_keys == ("b", "a")
-        assert panel.col_keys == ("y", "x")
+        assert panel.row_keys == ("b", "a", "c")
+        assert panel.col_keys == ("y", "x", "z")
+        assert observed_cells(panel) == {("b", "y"): [1, 6], ("a", "x"): [2], ("b", "x"): [3],
+                                         ("c", "z"): [4], ("a", "y"): [5]}
+
+    def test_csv_moves_a_column_the_first_row_misses(self, tmp_path):
+        panel = sample_panel()
+        panel = Panel(panel.matrix.mask_cell(0, 0), panel.row_keys, panel.col_keys)
+        write_panel_csv(panel, tmp_path / "panel.csv")
+        back = read_panel_csv(tmp_path / "panel.csv")
+        assert back.col_keys == ("beta", "acme", "gamma")
+        assert observed_cells(back) == observed_cells(panel)
+        write_matrix_json(panel, tmp_path / "panel.json")
+        assert_panels_equal(panel, read_matrix_json(tmp_path / "panel.json"))
 
     def test_groups_become_sample_arrays(self, tmp_path):
         path = tmp_path / "panel.csv"
