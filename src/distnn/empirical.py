@@ -122,6 +122,17 @@ def _check_alpha_complement(alpha):
     return 1.0 - alpha
 
 
+def _holds_bool(raw) -> bool:
+    """True when a list or tuple, at any depth, holds a boolean, which
+    ``np.asarray`` would cast to a number when floats sit beside it."""
+    if not isinstance(raw, (list, tuple)):
+        return False
+    types = set(map(type, raw))
+    if bool in types or np.bool_ in types:
+        return True
+    return (list in types or tuple in types) and any(map(_holds_bool, raw))
+
+
 def from_samples(raw) -> EmpiricalDistribution:
     """Build an empirical distribution from raw samples in any order.
 
@@ -131,7 +142,7 @@ def from_samples(raw) -> EmpiricalDistribution:
     """
     try:
         arr = np.asarray(raw)
-        if arr.dtype.kind in "bcSU" or (arr.dtype.kind == "O" and any(
+        if _holds_bool(raw) or arr.dtype.kind in "bcSU" or (arr.dtype.kind == "O" and any(
                 isinstance(v, (bool, np.bool_, str, bytes)) for v in arr.flat)):
             raise TypeError("non-real samples")
         arr = arr.astype(float, copy=False)
@@ -215,33 +226,159 @@ def _one_size(ds) -> bool:
     return all(isinstance(d, EmpiricalDistribution) for d in ds) and len({d.n for d in ds}) == 1
 
 
+def _widths(edges) -> np.ndarray:
+    """Piece widths edges[g] - edges[g-1] of a grid, edges[-1] read as 0."""
+    widths = edges.copy()
+    widths[1:] -= edges[:-1]
+    return widths
+
+
+# Gathers and running sums over a merged grid hold at most about this many
+# values at once (see _chunk_rows).
+_GATHER_ELEMENTS = 1 << 20
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows of ``width`` values that fit the gather budget, at least one."""
+    return max(1, _GATHER_ELEMENTS // max(width, 1))
+
+
+def _block_grid(flat, offsets, rows):
+    """Cells ``rows`` of a column block on their merged breakpoint grid.
+
+    Cell r's sorted samples are ``flat[offsets[r]:offsets[r + 1]]``. Returns
+    ``(edges, widths, take)``: ``take(lo, hi)`` gathers the values of
+    members lo..hi-1 on every piece (edges[g-1], edges[g]], of width
+    ``widths[g]``, as a new (hi - lo) x pieces array. When the members share
+    one sample count n, the grid is k/n and ``widths`` is None (see
+    :func:`_integral`). Otherwise member r's value on piece g is its order
+    statistic ceil(mid * n_r), mid the piece's midpoint. This is exact:
+    mid lies half a piece or more from each breakpoint k/n_r, and a piece
+    next to k/n_r is at least 1/(n_r * n_max) wide, so mid * n_r lies at
+    least 1/(2 * n_max) from every integer, far beyond its rounding.
+    """
+    rows = np.asarray(rows)
+    starts = offsets[rows]
+    sizes = offsets[rows + 1] - starts
+    distinct = sorted(set(sizes.tolist()))
+    if len(distinct) == 1:
+        n = distinct[0]
+        ranks = np.arange(n)
+
+        def take(lo, hi):
+            return flat[starts[lo:hi, None] + ranks]
+
+        return np.arange(1, n + 1, dtype=float) / n, None, take
+    edges = np.unique(np.concatenate([np.arange(1, n + 1, dtype=float) / n for n in distinct]))
+    widths = _widths(edges)
+    mids = edges - 0.5 * widths
+
+    def take(lo, hi):
+        return _gather(flat, starts[lo:hi, None], sizes[lo:hi, None], mids)
+
+    return edges, widths, take
+
+
+def _gather(flat, starts, sizes, mids):
+    """The order statistic ceil(mid * n) of cells with samples
+    ``flat[start:start + n]`` at levels ``mids`` (broadcast together)."""
+    ranks = np.ceil(mids * sizes).astype(np.int64)
+    ranks += starts - 1
+    return flat[ranks]
+
+
 def _merged_grid(ds):
     """The members' step quantile functions on their merged breakpoint grid.
 
-    Returns ``(edges, widths, values)``: ``values[r, g]`` is member r's value
-    on the g-th piece (edges[g-1], edges[g]], whose width is ``widths[g]``.
-    When :func:`_one_size` holds, the grid is k/n, ``values`` stacks the
-    order statistics and ``widths`` is None: every piece is 1/n wide, and
-    :func:`_integral` takes the mean, the order-statistic formula.
+    Returns ``(edges, widths, take)`` as :func:`_block_grid` does; empirical
+    members are gathered from their samples, other step quantile functions
+    read by ``searchsorted`` on their own edges.
     """
-    if _one_size(ds):
-        return ds[0].step_edges(), None, np.array([d.samples for d in ds])
+    if all(isinstance(d, EmpiricalDistribution) for d in ds):
+        offsets = np.array([0] + [d.n for d in ds]).cumsum()
+        return _block_grid(np.concatenate([d.samples for d in ds]), offsets, np.arange(len(ds)))
     steps = [d.step_edges() for d in ds]
     edges = np.unique(np.concatenate(steps))
-    widths = np.diff(np.concatenate(([0.0], edges)))
+    widths = _widths(edges)
     mids = edges - 0.5 * widths
-    values = np.array(
-        [d.step_values()[np.searchsorted(s, mids, side="left")] for d, s in zip(ds, steps)]
-    )
-    return edges, widths, values
+
+    def take(lo, hi):
+        return np.array([d.step_values()[np.searchsorted(s, mids, side="left")]
+                         for d, s in zip(ds[lo:hi], steps[lo:hi])])
+
+    return edges, widths, take
+
+
+def _running_sums(take, count: int, width: int):
+    """Cumulative sums down ``count`` gathered rows, a chunk of rows at a time.
+
+    Yields ``(lo, sums)`` with ``sums[r]`` the sum of rows 0..lo+r, a new
+    array the caller may overwrite. Each chunk's first row takes the
+    running sum before the chunk's ``np.cumsum``, so every row has the bits
+    of one cumulative sum over all rows, in O(chunk * width) memory.
+    """
+    step = _chunk_rows(width)
+    carry = None
+    for lo in range(0, count, step):
+        sums = take(lo, min(lo + step, count))
+        if carry is not None:
+            sums[0] += carry
+        np.cumsum(sums, axis=0, out=sums)
+        carry = sums[-1].copy()
+        yield lo, sums
 
 
 def _integral(widths, f) -> np.ndarray:
     """Integral over (0, 1) of step functions given on a :func:`_merged_grid`
-    grid, one per row of ``f`` (last axis: the grid's pieces)."""
+    grid, one per row of ``f`` (last axis: the grid's pieces). Overwrites
+    ``f`` when ``widths`` is given."""
     if widths is None:
         return np.mean(f, axis=-1)
-    return np.sum(widths * f, axis=-1)
+    f *= widths
+    return np.sum(f, axis=-1)
+
+
+def _w2sq_pairs(flat, offsets, rows, i) -> np.ndarray:
+    """``w2sq(cell u, cell i)`` for every u in ``rows``, bit for bit, from one
+    column block (cells as in :func:`_block_grid`).
+
+    All pairs' merged grids come from one sort of exact integer keys. Over
+    a pair's common denominator n_i * n_u, cell i's breakpoint k/n_i is
+    k * n_u and cell u's l/n_u is l * n_i; two breakpoints are equal exactly
+    when their keys are, and their floats are then equal too (both are the
+    rounded value of one fraction). Adding pair * span keeps each pair's
+    keys in a run of its own. Widths, midpoints and values then follow
+    :func:`_block_grid`, and each pair is reduced over its own slice as
+    :func:`_integral` reduces its grid: a mean when n_u equals n_i.
+    """
+    rows = np.asarray(rows)
+    if rows.size == 0:
+        return np.empty(0)
+    start_i = offsets[i]
+    n_i = int(offsets[i + 1] - start_i)
+    starts = offsets[rows]
+    sizes = offsets[rows + 1] - starts
+    span = n_i * int(sizes.max()) + 1
+    base = np.arange(rows.size, dtype=np.int64) * span
+    mine = base[:, None] + sizes[:, None] * np.arange(1, n_i + 1)
+    theirs = np.arange(1, int(sizes.sum()) + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    theirs = theirs * n_i + np.repeat(base, sizes)
+    # both runs are sorted, so the stable sort merges them
+    keys = np.sort(np.concatenate((mine.ravel(), theirs)), kind="stable")
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    pair = keys // span
+    n_u = sizes[pair]
+    edges = (keys - pair * span) / (n_i * n_u)
+    first = np.searchsorted(pair, np.arange(rows.size + 1))
+    widths = _widths(edges)
+    widths[first[:-1]] = edges[first[:-1]]
+    mids = edges - 0.5 * widths
+    f = (_gather(flat, starts[pair], n_u, mids) - _gather(flat, start_i, n_i, mids)) ** 2
+    weighted = widths * f
+    return np.array([
+        np.mean(f[lo:hi]) if n == n_i else np.sum(weighted[lo:hi])
+        for lo, hi, n in zip(first[:-1].tolist(), first[1:].tolist(), sizes.tolist())
+    ])
 
 
 def w2sq(a, b) -> float:
@@ -251,7 +388,8 @@ def w2sq(a, b) -> float:
     integration over the merged breakpoint grid, with an order-statistic fast
     path when both are empirical with equal n.
     """
-    _, widths, (va, vb) = _merged_grid((a, b))
+    _, widths, take = _merged_grid((a, b))
+    va, vb = take(0, 2)
     return float(_integral(widths, (va - vb) ** 2))
 
 
@@ -295,9 +433,11 @@ def step_barycenter(ds) -> StepQuantile:
     ds = list(ds)
     if not ds:
         raise EmptyCollectionError("barycenter of an empty collection")
-    edges, _, values = _merged_grid(ds)
+    edges, _, take = _merged_grid(ds)
+    for _, sums in _running_sums(take, len(ds), edges.size):
+        pass
     # 0.0 + turns an all-zero -0.0 sum into +0.0, as summing from zero does
-    return StepQuantile(edges, (0.0 + np.cumsum(values, axis=0)[-1]) / len(ds))
+    return StepQuantile(edges, (0.0 + sums[-1]) / len(ds))
 
 
 def summaries(d, var_alpha: float = 0.05) -> dict:

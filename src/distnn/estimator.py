@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .empirical import _one_size, barycenter, step_barycenter, summaries, w2sq
+from .empirical import _one_size, _w2sq_pairs, barycenter, step_barycenter, summaries, w2sq
 from .errors import NoNeighborsError, OutOfDomainError
 from .matrix import DistributionalMatrix, shared_columns
 
@@ -80,8 +80,8 @@ def _w2sq_table(m: DistributionalMatrix, i: int) -> np.ndarray:
     """W2^2 between row i's entry and every other row's entry, per column.
 
     NaN marks pairs where either entry is missing; row i itself is NaN
-    throughout. A column stored as one equal-size block is computed in a
-    single vectorized pass; other columns use per-pair w2sq.
+    throughout. Each column is computed in one pass over its block, with the
+    bits of per-pair w2sq.
     """
     mask = m.mask
     table = np.full(mask.shape, np.nan)
@@ -92,9 +92,7 @@ def _w2sq_table(m: DistributionalMatrix, i: int) -> np.ndarray:
         if block is not None:
             table[rows, c] = np.mean((block[rows] - block[i][None, :]) ** 2, axis=1)
         else:
-            target = m._cell(i, c)
-            for u in rows.tolist():
-                table[u, c] = w2sq(m._cell(u, c), target)
+            table[rows, c] = _w2sq_pairs(*m._ragged_block(c), rows, i)
     return table
 
 

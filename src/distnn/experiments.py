@@ -121,6 +121,8 @@ class ExperimentSpec:
             raise OutOfDomainError("n_rows and n_cols must be at least 1")
         if self.min_neighbors < 1:
             raise OutOfDomainError("min_neighbors must be at least 1")
+        if self.baseline_resamples < 1:
+            raise OutOfDomainError("baseline_resamples must be at least 1")
         if self.eta_policy not in ("tuned", "fixed"):
             raise OutOfDomainError(f"unknown eta policy: {self.eta_policy!r}")
         if self.eta_policy == "fixed" and self.eta is None:

@@ -107,6 +107,11 @@ class DistributionalMatrix:
         block = self._blocks[j]
         return None if isinstance(block, tuple) else block
 
+    def _ragged_block(self, j: int):
+        """Column j's (samples, row offsets), or None when stored rows x n."""
+        block = self._blocks[j]
+        return block if isinstance(block, tuple) else None
+
     def is_observed(self, i: int, j: int) -> bool:
         return bool(self._mask[self._check_index(i, j)])
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import _integral, _merged_grid, _presorted
+from .empirical import _block_grid, _integral, _presorted, _running_sums
 # perfbench/tracing.py wraps tuning.w2sq and tuning.step_barycenter by name
 from .empirical import step_barycenter, w2sq  # noqa: F401
 from .errors import AllTrialsFailedError, NoObservedCellsError, OutOfDomainError
@@ -110,22 +110,30 @@ def _prefix_losses(m: DistributionalMatrix, state, v: int, min_overlap: int) -> 
     nearest rows, indexed by k (NaN at k = 0: no neighbor).
 
     The ranked rows and the held-out entry share one merged grid, so every
-    prefix barycenter is one row of a cumulative sum over it. Kept in row i's
-    state: no target column enters it.
+    prefix barycenter is one row of a cumulative sum over it, taken a chunk
+    of rows at a time. Kept in row i's state: no target column enters it.
     """
     key = (v, min_overlap)
     losses = state.losses.get(key)
     if losses is None:
-        rows = state.ranked(m, v, min_overlap).rows
+        rows = np.append(state.ranked(m, v, min_overlap).rows, state.row)
         block = m._equal_block(v)
         if block is not None:
-            widths, values = None, block[np.append(rows, state.row)]
+            widths = None
+
+            def take(lo, hi):
+                return block[rows[lo:hi]]
         else:
-            cells = [m._cell(u, v) for u in rows.tolist()] + [m._cell(state.row, v)]
-            _, widths, values = _merged_grid(cells)
-        ks = np.arange(1, rows.size + 1)
-        gaps = (np.cumsum(values[:-1], axis=0) / ks[:, None] - values[-1]) ** 2
-        losses = np.concatenate(([np.nan], _integral(widths, gaps)))
+            _, widths, take = _block_grid(*m._ragged_block(v), rows)
+        target = take(rows.size - 1, rows.size)[0]
+        losses = np.empty(rows.size)
+        losses[0] = np.nan
+        for lo, sums in _running_sums(take, rows.size - 1, target.size):
+            hi = lo + sums.shape[0]
+            sums /= np.arange(lo + 1, hi + 1)[:, None]
+            sums -= target
+            sums *= sums
+            losses[lo + 1:hi + 1] = _integral(widths, sums)
         losses.setflags(write=False)
         state.losses[key] = losses
     return losses

@@ -67,6 +67,13 @@ class TestFromSamples:
         with pytest.raises(NonFiniteSampleError):
             from_samples(bad)
 
+    @pytest.mark.parametrize("bad", [
+        [1.5, True], (False, 2.0), [1.5, np.bool_(True)], [[1.5, 2.0], [True, 3.0]],
+    ])
+    def test_boolean_beside_floats_rejected(self, bad):
+        with pytest.raises(OutOfDomainError):
+            from_samples(bad)
+
     def test_stored_array_read_only(self):
         d = from_samples([2, 1])
         with pytest.raises(ValueError):

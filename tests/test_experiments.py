@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from distnn import DgpSpec, from_samples, summaries
+from distnn.errors import OutOfDomainError
 from distnn.experiments import (
     ExperimentSpec,
     _run_trial,
@@ -129,6 +130,11 @@ class TestRunScaling:
             small_spec(eta_policy="fixed")
         with pytest.raises(ValueError):
             small_spec(target=(1, 2, 3))
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_baseline_resamples_below_one_rejected(self, reps):
+        with pytest.raises(OutOfDomainError, match="baseline_resamples"):
+            small_spec(baseline_resamples=reps)
 
 
 class TestRunDenoising:
