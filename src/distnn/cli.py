@@ -23,7 +23,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 
-from .empirical import EmpiricalDistribution, StepQuantile
+from .empirical import EmpiricalDistribution
 from .errors import (
     AllTrialsFailedError,
     DistnnError,
@@ -93,14 +93,9 @@ def _write_csv(path, rows) -> None:
 
 def _estimate_payload(estimate) -> dict:
     if isinstance(estimate, EmpiricalDistribution):
-        return {"kind": "samples", "samples": [float(v) for v in estimate.samples]}
-    if isinstance(estimate, StepQuantile):
-        return {
-            "kind": "quantile_grid",
-            "levels": [float(v) for v in estimate.edges],
-            "values": [float(v) for v in estimate.values],
-        }
-    raise TypeError(f"unknown estimate type: {type(estimate)!r}")
+        return {"kind": "samples", "samples": estimate.samples.tolist()}
+    return {"kind": "quantile_grid", "levels": estimate.edges.tolist(),
+            "values": estimate.values.tolist()}
 
 
 def _result_payload(panel, result) -> dict:

@@ -9,6 +9,11 @@ reduces to exact sums. The Wasserstein barycenter of a collection is the
 distribution whose quantile function is the arithmetic mean of the members'
 quantile functions; for equal sample counts this is the coordinate-wise mean
 of the order statistics.
+
+Both kinds are one class, :class:`StepQuantile`, which computes every
+summary; :class:`EmpiricalDistribution` is its case of the grid k/n. A
+distributional matrix stores each column as one block of sorted samples
+(:func:`_column_block`), and only this module reads a block.
 """
 
 from __future__ import annotations
@@ -65,61 +70,127 @@ def _check_levels(levels):
     return levels
 
 
+def _readonly(arr):
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
-class EmpiricalDistribution:
-    """Sorted sample array carrying mass 1/n per atom.
+class StepQuantile:
+    """Piecewise-constant quantile function, exact on (0, 1].
+
+    ``edges`` are strictly increasing breakpoints in (0, 1] ending at 1;
+    ``values[l]`` is the function value on (edges[l-1], edges[l]] with
+    edges[-1] read as 0. Equivalently a discrete measure with atom
+    ``values[l]`` of mass ``edges[l] - edges[l-1]``. Every summary is
+    computed here; :class:`EmpiricalDistribution` is the grid k/n.
+    """
+
+    edges: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if edges.ndim != 1 or edges.size == 0 or edges.shape != values.shape:
+            raise SizeMismatchError("edges and values must be equal-length 1-D arrays")
+        if edges[-1] != 1.0 or np.any(edges <= 0.0) or np.any(np.diff(edges) <= 0.0):
+            raise OutOfDomainError("edges must increase strictly within (0, 1] and end at 1")
+        if np.any(np.diff(values) < 0.0):
+            raise OutOfDomainError("quantile values must be non-decreasing")
+        object.__setattr__(self, "edges", _readonly(edges))
+        object.__setattr__(self, "values", _readonly(values))
+
+    def _piece_widths(self):
+        """Piece widths, or None when every piece is 1/n wide (see :func:`_integral`)."""
+        return _widths(self.edges)
+
+    def _pieces(self, t) -> np.ndarray:
+        """Index of the piece (edges[l-1], edges[l]] holding each level t."""
+        return np.searchsorted(self.edges, t, side="left")
+
+    def _negated(self) -> "StepQuantile":
+        """The quantile function of the negated variable: the values reversed
+        and negated, on the cumulative sums of the reversed widths."""
+        edges = np.cumsum(self._piece_widths()[::-1])
+        edges[-1] = 1.0
+        # valid by construction; the checks would only see cumsum's rounding
+        negated = object.__new__(StepQuantile)
+        negated.__dict__.update(edges=edges, values=-self.values[::-1])
+        return negated
+
+    def quantile(self, t):
+        """The value of the piece holding t, for levels t in (0, 1)."""
+        t = np.asarray(t, dtype=float)
+        if np.any(~np.isfinite(t)) or np.any((t <= 0.0) | (t >= 1.0)):
+            raise OutOfDomainError("quantile level must lie in (0, 1)")
+        out = self.values[self._pieces(t)]
+        return float(out) if out.ndim == 0 else out
+
+    def step_edges(self) -> np.ndarray:
+        return self.edges
+
+    def step_values(self) -> np.ndarray:
+        return self.values
+
+    def mean(self) -> float:
+        return float(_integral(self._piece_widths(), self.values.copy()))
+
+    def std(self) -> float:
+        """Population standard deviation, by the two-pass formula."""
+        return float(np.sqrt(_integral(self._piece_widths(), (self.values - self.mean()) ** 2)))
+
+    def var_at_risk(self, alpha: float) -> float:
+        """Value-at-risk: the (1 - alpha) quantile of the negated variable."""
+        if not (0.0 < alpha < 1.0):
+            raise OutOfDomainError("alpha must lie in (0, 1)")
+        return self._negated().quantile(1.0 - alpha)
+
+    def __repr__(self):
+        return f"StepQuantile(pieces={self.edges.shape[0]})"
+
+
+class EmpiricalDistribution(StepQuantile):
+    """Sorted sample array carrying mass 1/n per atom: the step quantile
+    function on the grid k/n, k = 1..n, whose value on ((k-1)/n, k/n] is
+    the k-th order statistic. Only the samples are stored.
 
     Construct through :func:`from_samples`; the stored array is sorted
     ascending and marked read-only.
     """
 
-    samples: np.ndarray
+    def __init__(self, samples: np.ndarray):
+        object.__setattr__(self, "values", samples)
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self.values
 
     @property
     def n(self) -> int:
-        return self.samples.shape[0]
+        return self.values.shape[0]
 
-    def quantile(self, t):
-        """Step quantile: the k-th order statistic with k = ceil(t*n), t in (0,1)."""
-        t = np.asarray(t, dtype=float)
-        if np.any(~np.isfinite(t)) or np.any((t <= 0.0) | (t >= 1.0)):
-            raise OutOfDomainError("quantile level must lie in (0, 1)")
-        out = self.samples[_order_index(t, self.n) - 1]
-        return float(out) if out.ndim == 0 else out
-
-    def step_edges(self) -> np.ndarray:
-        """Breakpoints k/n, k = 1..n, of the step quantile function."""
+    @property
+    def edges(self) -> np.ndarray:
+        """Breakpoints k/n, k = 1..n."""
         return np.arange(1, self.n + 1, dtype=float) / self.n
 
-    def step_values(self) -> np.ndarray:
-        return self.samples
+    def _piece_widths(self):
+        return None
 
-    def mean(self) -> float:
-        return float(np.mean(self.samples))
+    def _pieces(self, t) -> np.ndarray:
+        """k - 1 for the order statistic k = ceil(t*n), levels k/n snapped to k."""
+        return _order_index(t, self.n) - 1
 
-    def std(self) -> float:
-        """Population standard deviation (divide by n)."""
-        return float(np.std(self.samples))
-
-    def var_at_risk(self, alpha: float) -> float:
-        """Value-at-risk: the (1 - alpha) step quantile of the negated samples."""
-        negated = _presorted(-self.samples[::-1])
-        return negated.quantile(_check_alpha_complement(alpha))
+    def _negated(self) -> "EmpiricalDistribution":
+        return _presorted(-self.values[::-1])
 
     def __repr__(self):
         return f"EmpiricalDistribution(n={self.n})"
 
 
 def _presorted(sorted_samples: np.ndarray) -> EmpiricalDistribution:
-    arr = np.asarray(sorted_samples, dtype=float)
-    arr.setflags(write=False)
-    return EmpiricalDistribution(arr)
-
-
-def _check_alpha_complement(alpha):
-    if not (0.0 < alpha < 1.0):
-        raise OutOfDomainError("alpha must lie in (0, 1)")
-    return 1.0 - alpha
+    return EmpiricalDistribution(_readonly(np.asarray(sorted_samples, dtype=float)))
 
 
 def _holds_bool(raw) -> bool:
@@ -154,76 +225,7 @@ def from_samples(raw) -> EmpiricalDistribution:
         raise EmptyInputError("sample array is empty")
     if np.any(~np.isfinite(arr)):
         raise NonFiniteSampleError("sample array contains NaN or infinite values")
-    out = np.sort(arr, kind="stable")
-    out.setflags(write=False)
-    return EmpiricalDistribution(out)
-
-
-@dataclass(frozen=True, eq=False)
-class StepQuantile:
-    """Piecewise-constant quantile function, exact on (0, 1].
-
-    ``edges`` are strictly increasing breakpoints in (0, 1] ending at 1;
-    ``values[l]`` is the function value on (edges[l-1], edges[l]] with
-    edges[-1] read as 0. Equivalently a discrete measure with atom
-    ``values[l]`` of mass ``edges[l] - edges[l-1]``.
-    """
-
-    edges: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if edges.ndim != 1 or edges.size == 0 or edges.shape != values.shape:
-            raise SizeMismatchError("edges and values must be equal-length 1-D arrays")
-        if edges[-1] != 1.0 or np.any(edges <= 0.0) or np.any(np.diff(edges) <= 0.0):
-            raise OutOfDomainError("edges must increase strictly within (0, 1] and end at 1")
-        if np.any(np.diff(values) < 0.0):
-            raise OutOfDomainError("quantile values must be non-decreasing")
-        edges.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "values", values)
-
-    def quantile(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(~np.isfinite(t)) or np.any((t <= 0.0) | (t >= 1.0)):
-            raise OutOfDomainError("quantile level must lie in (0, 1)")
-        out = self.values[np.searchsorted(self.edges, t, side="left")]
-        return float(out) if out.ndim == 0 else out
-
-    def step_edges(self) -> np.ndarray:
-        return self.edges
-
-    def step_values(self) -> np.ndarray:
-        return self.values
-
-    def weights(self) -> np.ndarray:
-        return np.diff(np.concatenate(([0.0], self.edges)))
-
-    def mean(self) -> float:
-        return float(np.sum(self.weights() * self.values))
-
-    def std(self) -> float:
-        w = self.weights()
-        m = np.sum(w * self.values)
-        return float(np.sqrt(max(0.0, np.sum(w * self.values**2) - m * m)))
-
-    def var_at_risk(self, alpha: float) -> float:
-        t = _check_alpha_complement(alpha)
-        atoms = -self.values[::-1]
-        cum = np.cumsum(self.weights()[::-1])
-        cum[-1] = 1.0
-        return float(atoms[np.searchsorted(cum, t, side="left")])
-
-    def __repr__(self):
-        return f"StepQuantile(pieces={self.edges.shape[0]})"
-
-
-def _one_size(ds) -> bool:
-    """True when every member is empirical and all share one sample count."""
-    return all(isinstance(d, EmpiricalDistribution) for d in ds) and len({d.n for d in ds}) == 1
+    return EmpiricalDistribution(_readonly(np.sort(arr, kind="stable")))
 
 
 def _widths(edges) -> np.ndarray:
@@ -243,11 +245,35 @@ def _chunk_rows(width: int) -> int:
     return max(1, _GATHER_ELEMENTS // max(width, 1))
 
 
-def _block_grid(flat, offsets, rows):
+def _column_block(cells):
+    """One column's block from its cells' sorted samples (None where missing).
+
+    A block is read-only: a rows x n array when every present cell holds n
+    samples (NaN rows where missing), else ``(flat, offsets)`` with cell r's
+    samples at ``flat[offsets[r]:offsets[r + 1]]``. Only this module reads
+    the layout.
+    """
+    present = [s for s in cells if s is not None]
+    if len({s.shape[0] for s in present}) == 1:
+        n = present[0].shape[0]
+        return _readonly(np.array([np.full(n, np.nan) if s is None else s for s in cells]))
+    sizes = [0 if s is None else s.shape[0] for s in cells]
+    return (_readonly(np.concatenate([np.empty(0)] + present)),
+            _readonly(np.array([0] + sizes).cumsum()))
+
+
+def _block_cell(block, r) -> EmpiricalDistribution:
+    """Cell r of a column block, a view of its samples."""
+    if isinstance(block, tuple):
+        flat, offsets = block
+        return EmpiricalDistribution(flat[offsets[r]:offsets[r + 1]])
+    return EmpiricalDistribution(block[r])
+
+
+def _block_grid(block, rows):
     """Cells ``rows`` of a column block on their merged breakpoint grid.
 
-    Cell r's sorted samples are ``flat[offsets[r]:offsets[r + 1]]``. Returns
-    ``(edges, widths, take)``: ``take(lo, hi)`` gathers the values of
+    Returns ``(edges, widths, take)``: ``take(lo, hi)`` gathers the values of
     members lo..hi-1 on every piece (edges[g-1], edges[g]], of width
     ``widths[g]``, as a new (hi - lo) x pieces array. When the members share
     one sample count n, the grid is k/n and ``widths`` is None (see
@@ -258,25 +284,32 @@ def _block_grid(flat, offsets, rows):
     least 1/(2 * n_max) from every integer, far beyond its rounding.
     """
     rows = np.asarray(rows)
-    starts = offsets[rows]
-    sizes = offsets[rows + 1] - starts
-    distinct = sorted(set(sizes.tolist()))
-    if len(distinct) == 1:
-        n = distinct[0]
-        ranks = np.arange(n)
+    if not isinstance(block, tuple):
+        n = block.shape[1]
+
+        def take(lo, hi):
+            return block[rows[lo:hi]]
+    else:
+        flat, offsets = block
+        starts = offsets[rows]
+        sizes = offsets[rows + 1] - starts
+        distinct = sorted(set(sizes.tolist()))
+        if len(distinct) > 1:
+            edges = np.unique(np.concatenate([np.arange(1, n + 1, dtype=float) / n
+                                              for n in distinct]))
+            widths = _widths(edges)
+            mids = edges - 0.5 * widths
+
+            def take(lo, hi):
+                return _gather(flat, starts[lo:hi, None], sizes[lo:hi, None], mids)
+
+            return edges, widths, take
+        n, ranks = distinct[0], np.arange(distinct[0])
 
         def take(lo, hi):
             return flat[starts[lo:hi, None] + ranks]
 
-        return np.arange(1, n + 1, dtype=float) / n, None, take
-    edges = np.unique(np.concatenate([np.arange(1, n + 1, dtype=float) / n for n in distinct]))
-    widths = _widths(edges)
-    mids = edges - 0.5 * widths
-
-    def take(lo, hi):
-        return _gather(flat, starts[lo:hi, None], sizes[lo:hi, None], mids)
-
-    return edges, widths, take
+    return np.arange(1, n + 1, dtype=float) / n, None, take
 
 
 def _gather(flat, starts, sizes, mids):
@@ -291,12 +324,16 @@ def _merged_grid(ds):
     """The members' step quantile functions on their merged breakpoint grid.
 
     Returns ``(edges, widths, take)`` as :func:`_block_grid` does; empirical
-    members are gathered from their samples, other step quantile functions
-    read by ``searchsorted`` on their own edges.
+    members are read from a column block of their samples, built here
+    without :func:`_column_block`'s missing-cell work because a per-pair
+    ``w2sq`` pays for every step; other step quantile functions are read by
+    ``searchsorted`` on their own edges.
     """
     if all(isinstance(d, EmpiricalDistribution) for d in ds):
-        offsets = np.array([0] + [d.n for d in ds]).cumsum()
-        return _block_grid(np.concatenate([d.samples for d in ds]), offsets, np.arange(len(ds)))
+        samples, sizes = [d.samples for d in ds], [d.n for d in ds]
+        block = (np.array(samples) if len(set(sizes)) == 1
+                 else (np.concatenate(samples), np.array([0] + sizes).cumsum()))
+        return _block_grid(block, np.arange(len(ds)))
     steps = [d.step_edges() for d in ds]
     edges = np.unique(np.concatenate(steps))
     widths = _widths(edges)
@@ -333,27 +370,53 @@ def _integral(widths, f) -> np.ndarray:
     grid, one per row of ``f`` (last axis: the grid's pieces). Overwrites
     ``f`` when ``widths`` is given."""
     if widths is None:
-        return np.mean(f, axis=-1)
+        # np.mean's bits (a pairwise sum, then one division), less its overhead
+        return np.add.reduce(f, axis=-1) / f.shape[-1]
     f *= widths
     return np.sum(f, axis=-1)
 
 
-def _w2sq_pairs(flat, offsets, rows, i) -> np.ndarray:
-    """``w2sq(cell u, cell i)`` for every u in ``rows``, bit for bit, from one
-    column block (cells as in :func:`_block_grid`).
+def _heldout_losses(block, rows) -> np.ndarray:
+    """Loss of the barycenter of block cells rows[:k] against cell rows[-1],
+    the integral of their squared quantile gap, indexed by k (NaN at k = 0).
 
-    All pairs' merged grids come from one sort of exact integer keys. Over
-    a pair's common denominator n_i * n_u, cell i's breakpoint k/n_i is
-    k * n_u and cell u's l/n_u is l * n_i; two breakpoints are equal exactly
-    when their keys are, and their floats are then equal too (both are the
-    rounded value of one fraction). Adding pair * span keeps each pair's
-    keys in a run of its own. Widths, midpoints and values then follow
+    Every prefix barycenter is one row of a cumulative sum over the cells'
+    merged grid, taken a chunk of rows at a time.
+    """
+    _, widths, take = _block_grid(block, rows)
+    count = len(rows) - 1
+    target = take(count, count + 1)[0]
+    losses = np.empty(count + 1)
+    losses[0] = np.nan
+    for lo, sums in _running_sums(take, count, target.size):
+        hi = lo + sums.shape[0]
+        sums /= np.arange(lo + 1, hi + 1)[:, None]
+        sums -= target
+        sums *= sums
+        losses[lo + 1:hi + 1] = _integral(widths, sums)
+    return losses
+
+
+def _w2sq_pairs(block, rows, i) -> np.ndarray:
+    """``w2sq(cell u, cell i)`` for every u in ``rows``, bit for bit, from one
+    column block.
+
+    On a rows x n block this is the mean squared order-statistic gap. On a
+    ragged one, all pairs' merged grids come from one sort of exact integer
+    keys. Over a pair's common denominator n_i * n_u, cell i's breakpoint
+    k/n_i is k * n_u and cell u's l/n_u is l * n_i; two breakpoints are
+    equal exactly when their keys are, and their floats are then equal too
+    (both are the rounded value of one fraction). Adding pair * span keeps
+    each pair's keys in a run of its own. Widths, midpoints and values then follow
     :func:`_block_grid`, and each pair is reduced over its own slice as
     :func:`_integral` reduces its grid: a mean when n_u equals n_i.
     """
     rows = np.asarray(rows)
+    if not isinstance(block, tuple):
+        return _integral(None, (block[rows] - block[i]) ** 2)
     if rows.size == 0:
         return np.empty(0)
+    flat, offsets = block
     start_i = offsets[i]
     n_i = int(offsets[i + 1] - start_i)
     starts = offsets[rows]

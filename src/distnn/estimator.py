@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .empirical import _one_size, _w2sq_pairs, barycenter, step_barycenter, summaries, w2sq
+from .empirical import StepQuantile, _w2sq_pairs, barycenter, step_barycenter, summaries, w2sq
 from .errors import NoNeighborsError, OutOfDomainError
 from .matrix import DistributionalMatrix, shared_columns
 
@@ -55,7 +55,7 @@ class NeighborSet:
 class ImputationResult:
     """Estimated distribution for one cell plus neighbor diagnostics."""
 
-    estimate: object  # EmpiricalDistribution or StepQuantile
+    estimate: StepQuantile  # an EmpiricalDistribution when the neighbours share n
     neighbors: NeighborSet
     summaries: dict
     var_alpha: float
@@ -88,11 +88,7 @@ def _w2sq_table(m: DistributionalMatrix, i: int) -> np.ndarray:
     for c in np.flatnonzero(mask[i]).tolist():
         rows = np.flatnonzero(mask[:, c])
         rows = rows[rows != i]
-        block = m._equal_block(c)
-        if block is not None:
-            table[rows, c] = np.mean((block[rows] - block[i][None, :]) ** 2, axis=1)
-        else:
-            table[rows, c] = _w2sq_pairs(*m._ragged_block(c), rows, i)
+        table[rows, c] = _w2sq_pairs(m._blocks[c], rows, i)
     return table
 
 
@@ -226,10 +222,6 @@ def find_neighbors(
     )
 
 
-def _barycenter_of(entries):
-    return barycenter(entries) if _one_size(entries) else step_barycenter(entries)
-
-
 def impute(
     m: DistributionalMatrix,
     i: int,
@@ -251,7 +243,7 @@ def impute(
     if neighbors.size == 0:
         raise NoNeighborsError(i, j, math.inf if neighbors.fallback else eta)
     entries = [m._cell(u, j) for u in neighbors.rows.tolist()]
-    estimate = _barycenter_of(entries)
+    estimate = (barycenter if len({d.n for d in entries}) == 1 else step_barycenter)(entries)
     return ImputationResult(
         estimate=estimate,
         neighbors=neighbors,

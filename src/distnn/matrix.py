@@ -1,9 +1,8 @@
 """Distributional matrix container, observation mask, and MCAR masking.
 
-Each column is one read-only block of sorted samples: rows x n when every
-cell stored in it holds n samples, else the cells' samples in row order
-with row offsets. Hiding a cell copies only the mask; its samples stay in
-the shared block, behind the mask.
+Each column is one read-only block of sorted samples, in the format of
+``empirical._column_block``. Hiding a cell copies only the mask; its
+samples stay in the shared block, behind the mask.
 """
 
 from __future__ import annotations
@@ -13,27 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import EmpiricalDistribution, from_samples
+from .empirical import EmpiricalDistribution, _block_cell, _column_block, _readonly, from_samples
 from .errors import EmptyInputError, IndexOutOfRangeError, OutOfDomainError, SizeMismatchError
 
 __all__ = ["DistributionalMatrix", "MaskSpec", "apply_mcar", "shared_columns"]
-
-
-def _readonly(arr):
-    arr.setflags(write=False)
-    return arr
-
-
-def _column_block(cells):
-    """One column's block from its cells' sorted samples (None where missing)."""
-    present = [s for s in cells if s is not None]
-    if present and len({s.shape[0] for s in present}) == 1:
-        block = np.full((len(cells), present[0].shape[0]), np.nan)
-        block[[r for r, s in enumerate(cells) if s is not None]] = present
-        return _readonly(block)
-    sizes = [0 if s is None else s.shape[0] for s in cells]
-    return (_readonly(np.concatenate([np.empty(0)] + present)),
-            _readonly(np.cumsum([0] + sizes)))
 
 
 class DistributionalMatrix:
@@ -94,23 +76,7 @@ class DistributionalMatrix:
 
     def _cell(self, i: int, j: int):
         """``entry(i, j)`` without the bounds check."""
-        if not self._mask[i, j]:
-            return None
-        block = self._blocks[j]
-        if isinstance(block, tuple):
-            values, offsets = block
-            return EmpiricalDistribution(values[offsets[i]:offsets[i + 1]])
-        return EmpiricalDistribution(block[i])
-
-    def _equal_block(self, j: int):
-        """Column j's rows x n block, or None when its cells' sizes differ."""
-        block = self._blocks[j]
-        return None if isinstance(block, tuple) else block
-
-    def _ragged_block(self, j: int):
-        """Column j's (samples, row offsets), or None when stored rows x n."""
-        block = self._blocks[j]
-        return block if isinstance(block, tuple) else None
+        return _block_cell(self._blocks[j], i) if self._mask[i, j] else None
 
     def is_observed(self, i: int, j: int) -> bool:
         return bool(self._mask[self._check_index(i, j)])

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output schemas, reproducibility."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -411,3 +412,42 @@ class TestConfigEcho:
     def test_config_keys(self, argv, keys, duplicate_csv, tmp_path):
         assert main(argv.format(panel=duplicate_csv, tmp=tmp_path).split()) == 0
         assert set(strict_json(tmp_path / "o.json")["config"]) == keys
+
+
+def _golden_panel(path, seed, ragged):
+    """A 10 x 5 CSV panel with about a quarter of the cells missing (never in
+    the first row); 16 samples per cell, or 6 to 25 when ``ragged``."""
+    rng = np.random.default_rng(seed)
+    lines = ["row,col,value"]
+    for r in range(10):
+        for c in range(5):
+            if r > 0 and rng.random() < 0.25:
+                continue
+            n = int(rng.integers(6, 26)) if ragged else 16
+            lines += [f"r{r},c{c},{v!r}" for v in rng.normal(r % 3 + c, 1.0 + r / 10, n).tolist()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestGoldenOutputs:
+    """``impute --all-missing --tune`` results, pinned by sha256 of their
+    ``results`` and ``failures`` (``config.input`` echoes the temporary
+    path). The ragged panel's ``std`` values are left out: they moved to the
+    two-pass formula, by at most 1.5e-13 relative on the benchmark panels."""
+
+    @pytest.mark.parametrize("ragged, seed, sha", [
+        (False, 12, "5d6a7c7ddd75399bd52ea1d0f761d438f4f97860bf38b95b66192384492bcda3"),
+        (True, 13, "d47b6d1efe9d23ff28c1cc3e96b245dbedf2cd6387ec1417476d446bfd5abdfa"),
+    ], ids=["equal-n", "ragged"])
+    def test_all_missing_tuned_output(self, ragged, seed, sha, tmp_path):
+        _golden_panel(tmp_path / "panel.csv", seed, ragged)
+        out = tmp_path / "out.json"
+        assert main(["impute", "--input", str(tmp_path / "panel.csv"), "--all-missing",
+                     "--tune", "--output", str(out)]) == 0
+        payload = strict_json(out)
+        kept = {"results": payload["results"], "failures": payload["failures"]}
+        assert len(kept["results"]) == (10 if ragged else 5)
+        if ragged:
+            for result in kept["results"]:
+                del result["summaries"]["std"]
+        digest = hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()
+        assert digest == sha

@@ -66,7 +66,7 @@ class TestPairTable:
         ds = [from_samples(c) for c in cells]
         for i in range(len(cells)):
             rows = np.array([u for u in range(len(cells)) if u != i])
-            got = _w2sq_pairs(flat, offsets, rows, i)
+            got = _w2sq_pairs((flat, offsets), rows, i)
             assert got.tolist() == [w2sq(ds[u], ds[i]) for u in rows.tolist()]
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -90,13 +90,24 @@ class TestPairTable:
         cells = [rng.normal(size=99_991), rng.normal(0.5, 2.0, size=100_000)]
         flat, offsets = _block(cells)
         a, b = (from_samples(c) for c in cells)
-        assert _w2sq_pairs(flat, offsets, np.array([1]), 0).tolist() == [w2sq(b, a)]
-        assert _w2sq_pairs(flat, offsets, np.array([0]), 1).tolist() == [w2sq(a, b)]
-        edges, widths, take = _block_grid(flat, offsets, np.arange(2))
+        assert _w2sq_pairs((flat, offsets), np.array([1]), 0).tolist() == [w2sq(b, a)]
+        assert _w2sq_pairs((flat, offsets), np.array([0]), 1).tolist() == [w2sq(a, b)]
+        edges, widths, take = _block_grid((flat, offsets), np.arange(2))
         ref_edges, ref_widths, ref_values = _searchsorted_grid([a, b])
         assert edges.tobytes() == ref_edges.tobytes()
         assert widths.tobytes() == ref_widths.tobytes()
         assert take(0, 2).tobytes() == ref_values.tobytes()
+
+
+class TestEqualSizeIntegral:
+    """On the k/n grid the integral is np.mean's value, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(rows=st.integers(1, 12), n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+    def test_matches_np_mean(self, rows, n, seed):
+        f = np.random.default_rng(seed).normal(0.0, 10.0, (rows, n)) ** 2
+        assert empirical._integral(None, f).tobytes() == np.mean(f, axis=-1).tobytes()
+        assert empirical._integral(None, f[0]).tobytes() == np.mean(f[0]).tobytes()
 
 
 class TestGather:
@@ -112,7 +123,7 @@ class TestGather:
             rng.integers(1, max_n + 1, size=members)
         cells = [_samples(rng, int(n), bool(rng.integers(2))) for n in sizes]
         flat, offsets = _block(cells)
-        edges, widths, take = _block_grid(flat, offsets, np.arange(members))
+        edges, widths, take = _block_grid((flat, offsets), np.arange(members))
         ref_edges, ref_widths, ref_values = _searchsorted_grid([from_samples(c) for c in cells])
         assert edges.tobytes() == ref_edges.tobytes()
         if ref_widths is None:
@@ -128,7 +139,7 @@ class TestGather:
         cells = [rng.normal(size=n) for n in (7, 3, 12, 5, 3)]
         flat, offsets = _block(cells)
         rows = np.array([3, 0, 4])
-        _, _, take = _block_grid(flat, offsets, rows)
+        _, _, take = _block_grid((flat, offsets), rows)
         ref = _searchsorted_grid([from_samples(cells[r]) for r in rows.tolist()])
         assert take(0, 3).tobytes() == ref[2].tobytes()
 
