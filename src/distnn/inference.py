@@ -189,12 +189,13 @@ def bootstrap_band(
     fixed seed, and independent of replicate evaluation order.
 
     Replicate r draws from its own generator, spawned from ``seed``: first
-    the k chosen neighbor indices, then one resample of each chosen
-    neighbor in the order chosen. Neighbors are grouped by sample count
-    once, each group holding its sorted samples as one block and the
-    levels' order-statistic ranks; a replicate then gathers, sorts and reads
-    each group's resamples with one array operation each, and averages the
-    k quantile rows in the order chosen. A seed gives the same band as
+    the k chosen neighbor indices, then, in one call, the resample indices
+    of every chosen neighbor in the order chosen, which is the same stream
+    as one call per neighbor. Neighbors are grouped by sample count once,
+    each group holding its sorted samples as one block and the levels'
+    order-statistic ranks; a replicate then gathers, sorts and reads each
+    group's resamples with one array operation each, and averages the k
+    quantile rows in the order chosen. A seed gives the same band as
     evaluating each resample one at a time.
     """
     levels = _check_levels(levels)
@@ -203,7 +204,7 @@ def bootstrap_band(
     result = impute(m, i, j, eta, min_overlap=min_overlap, max_neighbors=max_neighbors)
     neighbor_samples = [m.entry(u, j).samples for u in result.neighbors.rows]
     k = len(neighbor_samples)
-    sizes = [s.shape[0] for s in neighbor_samples]
+    sizes = np.array([s.shape[0] for s in neighbor_samples])
     counts, group_of = np.unique(sizes, return_inverse=True)
     offset = np.empty(k, dtype=np.int64)  # where a neighbor starts in its block
     groups = []
@@ -220,22 +221,29 @@ def bootstrap_band(
     for r in range(n_reps):
         rng = np.random.default_rng(seeds[r])
         chosen = rng.integers(0, k, size=k)
-        # One call per chosen neighbor, in the order chosen, as the draws
-        # have always been made: the values then do not depend on how the
-        # generator splits its 64-bit outputs between calls.
-        draws = [rng.integers(0, sizes[u], size=sizes[u]) for u in chosen.tolist()]
+        # One call gives the values and the generator state of one call per
+        # chosen neighbor: bounds under 2**32 draw 32-bit halves, and PCG64
+        # keeps a spare half between calls. The scalar bound is about 3x
+        # faster per value than an array of bounds, so mixed counts alone
+        # use the array. tests/test_inference.py::TestOneDrawCallPerReplicate
+        # checks the property.
+        n_chosen = sizes[chosen]
+        if len(groups) == 1:
+            draws = rng.integers(0, counts[0], size=k * counts[0])
+        else:
+            draws = rng.integers(0, np.repeat(n_chosen, n_chosen))
+        starts = np.cumsum(n_chosen) - n_chosen
         chosen_group = group_of[chosen]
         for g, (block, n, ranks) in enumerate(groups):
             at = np.flatnonzero(chosen_group == g)
             if at.size:
-                picks = np.concatenate([draws[t] for t in at.tolist()]).reshape(-1, n)
+                picks = draws[starts[at][:, None] + np.arange(n)]
                 picks += offset[chosen[at]][:, None]
                 rows[1 + at] = np.sort(block[picks], axis=1)[:, ranks]
         curves[r] = np.cumsum(rows, axis=0)[-1] / k
     curves.sort(axis=0)
 
-    lo_rank = _replicate_rank(alpha_eff / 2.0, n_reps)
-    hi_rank = _replicate_rank(1.0 - alpha_eff / 2.0, n_reps)
+    lo_rank, hi_rank = _order_index([alpha_eff / 2.0, 1.0 - alpha_eff / 2.0], n_reps)
     return ConfidenceBand(
         levels=levels,
         lower=curves[lo_rank - 1],
@@ -244,8 +252,3 @@ def bootstrap_band(
         method="bootstrap",
         simultaneous=bool(simultaneous),
     )
-
-
-def _replicate_rank(t: float, n: int) -> int:
-    """Step-quantile rank ceil(t*n), clipped to [1, n]."""
-    return int(min(max(int(np.ceil(t * n)), 1), n))

@@ -429,10 +429,10 @@ def _golden_panel(path, seed, ragged):
 
 
 class TestGoldenOutputs:
-    """``impute --all-missing --tune`` results, pinned by sha256 of their
-    ``results`` and ``failures`` (``config.input`` echoes the temporary
-    path). The ragged panel's ``std`` values are left out: they moved to the
-    two-pass formula, by at most 1.5e-13 relative on the benchmark panels."""
+    """``impute --all-missing --tune`` results and ``bands`` envelopes,
+    pinned by sha256 of the parts that do not echo the temporary path. The
+    ragged panel's ``std`` values are left out: they moved to the two-pass
+    formula, by at most 1.5e-13 relative on the benchmark panels."""
 
     @pytest.mark.parametrize("ragged, seed, sha", [
         (False, 12, "5d6a7c7ddd75399bd52ea1d0f761d438f4f97860bf38b95b66192384492bcda3"),
@@ -450,4 +450,20 @@ class TestGoldenOutputs:
             for result in kept["results"]:
                 del result["summaries"]["std"]
         digest = hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()
+        assert digest == sha
+
+    @pytest.mark.parametrize("ragged, seed, cell, sha", [
+        (False, 12, ("r1", "c0"), "35a58dcace453f652a6a375f3e02372d30157305ee47d63e85fbf9e7ba3c4d6a"),
+        (True, 13, ("r1", "c1"), "37445d6962baa2e733dde24ebd9a83c244fea9e88ba371ee73be4c160601ea69"),
+    ], ids=["equal-n", "ragged"])
+    def test_bootstrap_bands_output(self, ragged, seed, cell, sha, tmp_path):
+        """``bands --method bootstrap`` on a missing cell, with tuned eta;
+        the ragged panel's neighbours have six different sample counts."""
+        _golden_panel(tmp_path / "panel.csv", seed, ragged)
+        out = tmp_path / "out.json"
+        assert main(["bands", "--input", str(tmp_path / "panel.csv"), "--row", cell[0],
+                     "--col", cell[1], "--method", "bootstrap", "--output", str(out)]) == 0
+        band = strict_json(out)["band"]
+        kept = {"lower": band["lower"], "upper": band["upper"]}
+        digest = hashlib.sha256(json.dumps(kept).encode()).hexdigest()
         assert digest == sha

@@ -177,14 +177,12 @@ class TestBootstrapBand:
             bootstrap_band(m, 0, 1, **{"eta": 1.0, "alpha": 0.05, "levels": [0.5], **kwargs})
 
 
-def reference_bootstrap(m, i, j, alpha, levels, reps_samples, reps_neighbors, seed):
-    """Band from the per-neighbour replicate loop: each chosen neighbour is
-    resampled, sorted and read at the levels on its own, and the quantile
-    rows are summed one at a time into a zero vector."""
-    levels = np.asarray(levels, dtype=float)
+def reference_curves(m, i, j, levels, n_reps, seed):
+    """Sorted replicate curves of the per-neighbour replicate loop: each
+    chosen neighbour is resampled, sorted and read at the levels on its own,
+    and the quantile rows are summed one at a time into a zero vector."""
     samples = [m.entry(u, j).samples for u in impute(m, i, j, math.inf).neighbors.rows]
     k = len(samples)
-    n_reps = reps_samples * reps_neighbors
     curves = np.empty((n_reps, levels.size))
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_reps)):
         rng = np.random.default_rng(child)
@@ -195,6 +193,14 @@ def reference_bootstrap(m, i, j, alpha, levels, reps_samples, reps_neighbors, se
             acc += from_samples(resampled).quantile(levels)
         curves[r] = acc / k
     curves.sort(axis=0)
+    return curves
+
+
+def reference_bootstrap(m, i, j, alpha, levels, reps_samples, reps_neighbors, seed):
+    """Band from the per-neighbour replicate loop."""
+    levels = np.asarray(levels, dtype=float)
+    n_reps = reps_samples * reps_neighbors
+    curves = reference_curves(m, i, j, levels, n_reps, seed)
     tail = alpha / levels.size / 2.0
     lo = min(max(math.ceil(tail * n_reps), 1), n_reps)
     hi = min(max(math.ceil((1.0 - tail) * n_reps), 1), n_reps)
@@ -252,6 +258,60 @@ class TestBootstrapMatchesPerNeighbourLoop:
         band = bootstrap_band(m, 0, 1, math.inf, 0.05, [0.5], reps_samples=1,
                               reps_neighbors=1, seed=0)
         assert band.lower.tobytes() == np.array([0.0]).tobytes()  # 0.0 + -0.0
+
+
+def test_envelope_rank_snaps_like_the_step_quantile():
+    """Pointwise alpha 0.14 over 100 replicates puts the lower envelope on
+    the 7th-smallest curve: 0.07 * 100 rounds to 7.000000000000001, which
+    must not lift the rank to 8."""
+    rng = np.random.default_rng(5)
+    m = neighbour_panel(rng.normal(size=(6, 8)).round(3))
+    levels = default_levels(5)
+    band = bootstrap_band(m, 0, 1, math.inf, 0.14, levels, seed=4, simultaneous=False)
+    curves = reference_curves(m, 0, 1, levels, 100, 4)
+    assert not np.array_equal(curves[6], curves[7])
+    assert band.lower.tobytes() == curves[6].tobytes()
+    assert band.upper.tobytes() == curves[92].tobytes()
+
+
+class TestOneDrawCallPerReplicate:
+    """``bootstrap_band`` draws a replicate's resample indices with one
+    ``integers`` call; the band keeps its stream only while that call gives
+    the values and the generator state of one call per chosen neighbour."""
+
+    PROPERTY = (
+        "one Generator.integers call no longer equals one call per neighbour "
+        "(PCG64 keeping its spare 32-bit half between bounded draws): "
+        "bootstrap bands would change"
+    )
+
+    @staticmethod
+    def pair(seed, k):
+        """Two generators on one seed, each past the draw of k neighbour
+        indices, as in a replicate."""
+        gens = [np.random.default_rng(seed), np.random.default_rng(seed)]
+        for g in gens:
+            g.integers(0, k, size=k)
+        return gens
+
+    def check(self, merged, one_at_a_time, gens):
+        assert np.array_equal(merged, np.concatenate(one_at_a_time)), self.PROPERTY
+        assert gens[0].bit_generator.state == gens[1].bit_generator.state, self.PROPERTY
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 199, 200])
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_scalar_bound(self, n, k):
+        for seed in range(40):
+            gens = self.pair(seed, k)
+            merged = gens[0].integers(0, n, size=k * n)
+            self.check(merged, [gens[1].integers(0, n, size=n) for _ in range(k)], gens)
+
+    def test_array_bound_for_mixed_counts(self):
+        for seed in range(150):
+            counts = np.random.default_rng(10_000 + seed).integers(1, 60, size=1 + seed % 12)
+            gens = self.pair(seed, counts.size)
+            merged = gens[0].integers(0, np.repeat(counts, counts))
+            self.check(merged, [gens[1].integers(0, n, size=n) for n in counts.tolist()], gens)
 
 
 def test_pinned_stream():
