@@ -307,6 +307,13 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """Type of every ``--seed``: numpy seeds are non-negative integers."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_panel_command(sub, name, func, help, target_required=True):
     """Subcommand over a panel's target cell that may tune eta and writes one file."""
     p = sub.add_parser(name, help=help)
@@ -314,7 +321,7 @@ def _add_panel_command(sub, name, func, help, target_required=True):
     p.add_argument("--row", required=target_required, help="target row key")
     p.add_argument("--col", required=target_required, help="target column key")
     p.add_argument("--budget", type=int, default=50, help="tuning candidate budget")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output", default=f"{name}_result.json")
     p.set_defaults(func=func)
     return p
@@ -386,14 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed eta; omit to tune per trial")
     p.add_argument("--budget", type=int, default=50)
     p.add_argument("--min-neighbors", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output-prefix", default="simulate_result")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="Monte-Carlo checks against exact formulas")
     p.add_argument("subject", choices=["uniform-barycenter", "barycenter-rate"])
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output-prefix", default="verify_result")
     p.set_defaults(func=_cmd_verify)
 

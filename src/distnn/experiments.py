@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 QUANTITIES = ("mean", "median", "std", "var_at_risk")
+MAX_FAILURE_FRACTION = 0.2  # a study aborts when a larger share of trials finds no neighbors
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,6 @@ class ExperimentSpec:
     baseline_resamples: int = 100
     target: object = "random"  # or a fixed (row, col) pair
     seed: int = 0
-    max_failure_fraction: float = 0.2
 
     def __post_init__(self):
         if self.sweep not in ("n_samples", "n_rows", "n_times_neighbors"):
@@ -242,7 +242,7 @@ class ScalingResult:
 def _run_trials(spec: ExperimentSpec, value, seeds, what, var_alpha=0.05):
     """Run one trial per seed; return the records of those that found
     neighbors and the count of those that did not. Raises
-    ExperimentAbortedError when the failures exceed the spec's fraction."""
+    ExperimentAbortedError when the failures exceed MAX_FAILURE_FRACTION."""
     records = []
     for seed_seq in seeds:
         try:
@@ -250,10 +250,10 @@ def _run_trials(spec: ExperimentSpec, value, seeds, what, var_alpha=0.05):
         except NoNeighborsError:
             pass
     n_failed = len(seeds) - len(records)
-    if n_failed > spec.max_failure_fraction * len(seeds):
+    if n_failed > MAX_FAILURE_FRACTION * len(seeds):
         raise ExperimentAbortedError(
             f"{what}: {n_failed}/{len(seeds)} trials failed, above the "
-            f"{spec.max_failure_fraction:.0%} abort threshold"
+            f"{MAX_FAILURE_FRACTION:.0%} abort threshold"
         )
     return records, n_failed
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .empirical import _check_levels, _order_index, _presorted
+from .empirical import _check_levels, _order_index, from_samples
 from .errors import DegenerateDensityError, NoNeighborsError, OutOfDomainError
 from .estimator import ImputationResult, impute
 from .matrix import DistributionalMatrix
@@ -63,14 +63,14 @@ class SigmaFunction:
         """Gaussian KDE with Silverman bandwidth on each neighbor's samples,
         evaluated at the neighbor's empirical step quantile.
 
-        Raises DegenerateDensityError when no KDE fits a neighbor's samples,
-        such as a single sample or samples that are all equal.
+        Samples are checked by ``empirical.from_samples``; DegenerateDensityError
+        means no KDE fits them, as for a single sample or all samples equal.
         """
         fns = []
         for arr in sample_arrays:
-            emp = _presorted(np.sort(np.asarray(arr, dtype=float)))
+            emp = from_samples(arr)
             try:
-                kde = stats.gaussian_kde(arr, bw_method="silverman")
+                kde = stats.gaussian_kde(emp.samples, bw_method="silverman")
             except (np.linalg.LinAlgError, ValueError) as exc:
                 raise DegenerateDensityError(
                     f"cannot fit a KDE to a neighbor's {emp.n} samples: "
@@ -190,12 +190,12 @@ def bootstrap_band(
 
     Replicate r draws from its own generator, spawned from ``seed``: first
     the k chosen neighbor indices, then, in one call, the resample indices
-    of every chosen neighbor in the order chosen, which is the same stream
-    as one call per neighbor. Neighbors are grouped by sample count once,
-    each group holding its sorted samples as one block and the levels'
-    order-statistic ranks; a replicate then gathers, sorts and reads each
-    group's resamples with one array operation each, and averages the k
-    quantile rows in the order chosen. A seed gives the same band as
+    of every chosen neighbor in the order chosen, the same stream as one
+    call per neighbor. The sorted samples sit in one k x n_max block padded
+    with +inf, which sorts after every sample and above each neighbor's
+    level ranks, so for any mix of sample counts a replicate gathers, sorts
+    and reads its k resamples with one array operation each, and averages
+    the k quantile rows in the order chosen. A seed gives the same band as
     evaluating each resample one at a time.
     """
     levels = _check_levels(levels)
@@ -205,14 +205,11 @@ def bootstrap_band(
     neighbor_samples = [m.entry(u, j).samples for u in result.neighbors.rows]
     k = len(neighbor_samples)
     sizes = np.array([s.shape[0] for s in neighbor_samples])
-    counts, group_of = np.unique(sizes, return_inverse=True)
-    offset = np.empty(k, dtype=np.int64)  # where a neighbor starts in its block
-    groups = []
-    for g, n in enumerate(counts.tolist()):
-        members = np.flatnonzero(group_of == g)
-        offset[members] = n * np.arange(members.size)
-        block = np.concatenate([neighbor_samples[u] for u in members])
-        groups.append((block, n, _order_index(levels, n) - 1))
+    n_max = int(sizes.max())
+    slots = np.arange(n_max)
+    flat = np.full(k * n_max, np.inf)  # row u: neighbor u's samples, then +inf
+    flat[(slots < sizes[:, None]).ravel()] = np.concatenate(neighbor_samples)
+    ranks = _order_index(levels, sizes[:, None]) - 1
     n_reps = reps_neighbors * reps_samples
     seeds = np.random.SeedSequence(seed).spawn(n_reps)
     curves = np.empty((n_reps, levels.shape[0]))
@@ -227,19 +224,14 @@ def bootstrap_band(
         # faster per value than an array of bounds, so mixed counts alone
         # use the array. tests/test_inference.py::TestOneDrawCallPerReplicate
         # checks the property.
-        n_chosen = sizes[chosen]
-        if len(groups) == 1:
-            draws = rng.integers(0, counts[0], size=k * counts[0])
+        if sizes.min() == n_max:
+            picks = rng.integers(0, n_max, size=(k, n_max))
         else:
-            draws = rng.integers(0, np.repeat(n_chosen, n_chosen))
-        starts = np.cumsum(n_chosen) - n_chosen
-        chosen_group = group_of[chosen]
-        for g, (block, n, ranks) in enumerate(groups):
-            at = np.flatnonzero(chosen_group == g)
-            if at.size:
-                picks = draws[starts[at][:, None] + np.arange(n)]
-                picks += offset[chosen[at]][:, None]
-                rows[1 + at] = np.sort(block[picks], axis=1)[:, ranks]
+            n_chosen = sizes[chosen]
+            picks = np.tile(slots, (k, 1))  # pad slots read the chosen row's +inf
+            picks[slots < n_chosen[:, None]] = rng.integers(0, np.repeat(n_chosen, n_chosen))
+        picks += n_max * chosen[:, None]
+        rows[1:] = np.take_along_axis(np.sort(flat[picks], axis=1), ranks[chosen], axis=1)
         curves[r] = np.cumsum(rows, axis=0)[-1] / k
     curves.sort(axis=0)
 

@@ -339,6 +339,27 @@ class TestBadArguments:
         assert code == 1
         assert "error: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "impute --input {panel} --row r3 --col c3 --tune",
+            "tune --input {panel} --row r3 --col c3 --search random_log_uniform",
+            "bands --input {panel} --row r3 --col c3",
+            "simulate --values 10 20 --trials 2",
+            "verify uniform-barycenter --trials 100",
+        ],
+        ids=["impute", "tune", "bands", "simulate", "verify"],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_is_a_usage_error(self, argv, seed, duplicate_csv, tmp_path,
+                                       monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(argv.format(panel=duplicate_csv).split() + ["--seed", seed])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--seed: expected a non-negative integer" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == [duplicate_csv.name]  # no output
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["impute", "--help"])

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from distnn import (
     DegenerateDensityError,
     DgpSpec,
     DistributionalMatrix,
+    EmptyInputError,
+    NonFiniteSampleError,
     OutOfDomainError,
     SigmaFunction,
     asymptotic_band,
@@ -222,13 +225,14 @@ sample_values = st.one_of(
 
 @st.composite
 def neighbour_sets(draw):
-    """Equal or ragged sample counts, at times with a single-sample
-    neighbour and a neighbour whose samples are all -0.0."""
+    """Equal or ragged sample counts of 1-24, so that the padded block holds
+    many pad slots, at times with a single-sample neighbour and a neighbour
+    whose samples are all -0.0."""
     k = draw(st.integers(1, 10))
     if draw(st.booleans()):
-        counts = [draw(st.integers(1, 6))] * k
+        counts = [draw(st.integers(1, 24))] * k
     else:
-        counts = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+        counts = draw(st.lists(st.integers(1, 24), min_size=k, max_size=k))
     sets = [draw(st.lists(sample_values, min_size=n, max_size=n)) for n in counts]
     if draw(st.booleans()):
         sets[draw(st.integers(0, k - 1))] = [-0.0] * counts[0]
@@ -358,6 +362,19 @@ class TestKdeMode:
         assert result.neighbors.rows.tolist() == [0, 1]
         with pytest.raises(DegenerateDensityError, match="KDE"):
             SigmaFunction.from_result(m, result)
+
+    @pytest.mark.parametrize("bad, error", [
+        ([True, False, True], OutOfDomainError),
+        (["1.0", "2.0", "3.0"], OutOfDomainError),
+        ([1.0, np.nan, 3.0], NonFiniteSampleError),
+        ([1.0, np.inf, 3.0], NonFiniteSampleError),
+        ([], EmptyInputError),
+    ], ids=["bool", "str", "nan", "inf", "empty"])
+    def test_bad_samples_are_typed_errors_without_warnings(self, bad, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                SigmaFunction.from_samples([[1.0, 2.0, 4.0], bad])
 
 
 class TestOracleCoverageSmoke:
