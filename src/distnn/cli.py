@@ -20,14 +20,12 @@ import csv
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict
 
 from .empirical import EmpiricalDistribution
 from .errors import (
     AllTrialsFailedError,
     DistnnError,
-    IndexOutOfRangeError,
     NoNeighborsError,
     NoObservedCellsError,
 )
@@ -46,7 +44,7 @@ from .inference import (
     bootstrap_band,
     default_levels,
 )
-from .panel import load_panel
+from .panel import _open_text, load_panel
 from .synthetic import DgpSpec
 from .tuning import TuneConfig, tune_eta
 
@@ -66,26 +64,15 @@ def _finite_or_null(obj):
     return obj
 
 
-@contextmanager
-def _open_output(path, **kwargs):
-    """Open ``path`` for writing as UTF-8 text; a file that cannot be written
-    raises DistnnError."""
-    try:
-        with open(path, "w", encoding="utf-8", **kwargs) as fh:
-            yield fh
-    except OSError as exc:
-        raise DistnnError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
 def _write_json(path, payload) -> None:
-    with _open_output(path) as fh:
+    with _open_text(path, "w") as fh:
         json.dump(_finite_or_null(payload), fh, indent=1, sort_keys=True,
                   allow_nan=False)
         fh.write("\n")
 
 
 def _write_csv(path, rows) -> None:
-    with _open_output(path, newline="") as fh:
+    with _open_text(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
@@ -140,14 +127,6 @@ def _no_neighbors(args, config, exc) -> int:
     return EXIT_NO_NEIGHBORS
 
 
-def _resolve_target(panel, args):
-    cell = panel.cell_index(args.row, args.col)
-    if cell is None:
-        raise IndexOutOfRangeError(
-            f"target ({args.row}, {args.col}) not found in panel axes")
-    return cell
-
-
 def _resolve_eta(panel, cell, args):
     if args.eta is not None:
         return float(args.eta)
@@ -183,7 +162,7 @@ def _cmd_impute(args) -> int:
         return EXIT_OK
 
     # target and tuning errors exit 1 through main
-    cell = _resolve_target(panel, args)
+    cell = panel.cell_index(args.row, args.col)
     try:
         result = impute_cell(cell)
     except NoNeighborsError as exc:
@@ -194,7 +173,7 @@ def _cmd_impute(args) -> int:
 
 def _cmd_tune(args) -> int:
     panel = load_panel(args.input)
-    cell = _resolve_target(panel, args)
+    cell = panel.cell_index(args.row, args.col)
     cfg = TuneConfig(
         budget=args.budget,
         search=args.search,
@@ -214,7 +193,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_bands(args) -> int:
     panel = load_panel(args.input)
-    cell = _resolve_target(panel, args)
+    cell = panel.cell_index(args.row, args.col)
     eta = _resolve_eta(panel, cell, args)
     levels = default_levels(args.levels)
     config = _config(args, "tune", "budget", eta=eta)
@@ -415,9 +394,6 @@ def main(argv=None) -> int:
         if not exc.code:
             raise
         return EXIT_BAD_INPUT
-    except NoNeighborsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_NEIGHBORS
     except DistnnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -18,6 +18,7 @@ distributional matrix stores each column as one block of sorted samples
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,12 @@ def _check_levels(levels):
     if np.any(np.diff(levels) <= 0.0):
         raise OutOfDomainError("levels must be strictly increasing")
     return levels
+
+
+def _check_seed(seed):
+    """OutOfDomainError unless ``seed`` is a numpy seed: an integer >= 0, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise OutOfDomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _readonly(arr):
@@ -324,16 +331,11 @@ def _merged_grid(ds):
     """The members' step quantile functions on their merged breakpoint grid.
 
     Returns ``(edges, widths, take)`` as :func:`_block_grid` does; empirical
-    members are read from a column block of their samples, built here
-    without :func:`_column_block`'s missing-cell work because a per-pair
-    ``w2sq`` pays for every step; other step quantile functions are read by
-    ``searchsorted`` on their own edges.
+    members are read from a column block of their samples, other step
+    quantile functions by ``searchsorted`` on their own edges.
     """
     if all(isinstance(d, EmpiricalDistribution) for d in ds):
-        samples, sizes = [d.samples for d in ds], [d.n for d in ds]
-        block = (np.array(samples) if len(set(sizes)) == 1
-                 else (np.concatenate(samples), np.array([0] + sizes).cumsum()))
-        return _block_grid(block, np.arange(len(ds)))
+        return _block_grid(_column_block([d.samples for d in ds]), np.arange(len(ds)))
     steps = [d.step_edges() for d in ds]
     edges = np.unique(np.concatenate(steps))
     widths = _widths(edges)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .empirical import StepQuantile, _w2sq_pairs, barycenter, step_barycenter, summaries, w2sq
+from .empirical import StepQuantile, _heldout_losses, _w2sq_pairs, barycenter, step_barycenter, summaries, w2sq
 from .errors import NoNeighborsError, OutOfDomainError
 from .matrix import DistributionalMatrix, shared_columns
 
@@ -128,25 +128,29 @@ class _Ranking(NamedTuple):
     rows: np.ndarray  # as _ranked_rows orders them
     sorted_dists: np.ndarray  # dists[rows]
 
+    def within(self, eta):
+        """Count of ranked rows, a prefix, at distance <= eta (each of an array of etas)."""
+        return np.searchsorted(self.sorted_dists, eta, side="right")
+
 
 class _RowState:
     """Row i's W2^2 table and the leave-one-column-out work derived from it.
 
     Nothing here depends on a target's threshold, so every cell of row i
-    shares it: the ranking of rows for each left-out column and, filled in
-    by tuning, the held-out losses of each column. Stored arrays are
-    read-only and each memo entry is written whole, so threads sharing a
-    matrix can at worst compute an entry twice, with the same value.
+    shares it: for each left-out column, the ranking of rows and the
+    held-out losses of that column's cell. Stored arrays are read-only and
+    each memo entry is written whole, so threads sharing a matrix can at
+    worst compute an entry twice, with the same value.
     """
 
-    __slots__ = ("row", "table", "_ranked", "losses")
+    __slots__ = ("row", "table", "_ranked", "_losses")
 
     def __init__(self, m: DistributionalMatrix, i: int):
         self.row = i
         self.table = _w2sq_table(m, i)
         self.table.setflags(write=False)
         self._ranked = {}
-        self.losses = {}  # (held column, min_overlap) -> loss for every prefix size
+        self._losses = {}
 
     def ranked(self, m: DistributionalMatrix, col: int, min_overlap: int) -> _Ranking:
         key = (col, min_overlap)
@@ -158,6 +162,18 @@ class _RowState:
             for arr in found:
                 arr.setflags(write=False)
             self._ranked[key] = found
+        return found
+
+    def heldout_losses(self, m: DistributionalMatrix, col: int, min_overlap: int) -> np.ndarray:
+        """Loss at row i's held-out cell in ``col`` of the barycenter of the
+        k nearest rows, indexed by k (NaN at k = 0: no neighbor)."""
+        key = (col, min_overlap)
+        found = self._losses.get(key)
+        if found is None:
+            rows = np.append(self.ranked(m, col, min_overlap).rows, self.row)
+            found = _heldout_losses(m._blocks[col], rows)
+            found.setflags(write=False)
+            self._losses[key] = found
         return found
 
 
@@ -203,21 +219,21 @@ def find_neighbors(
     if min_neighbors < 0:
         raise OutOfDomainError("min_neighbors must be at least 0")
     i, j = m._check_index(i, j)
-    dists, overlaps, ranked, sorted_dists = _row_state(m, i).ranked(m, j, min_overlap)
-    k = int(np.searchsorted(sorted_dists, eta, side="right"))
+    ranking = _row_state(m, i).ranked(m, j, min_overlap)
+    k = int(ranking.within(eta))
     fallback = k < min_neighbors
     if fallback:
-        k, eta = min(min_neighbors, ranked.shape[0]), math.inf
+        k, eta = min(min_neighbors, ranking.rows.shape[0]), math.inf
     if max_neighbors is not None:
         k = min(k, max_neighbors)
-    rows = np.sort(ranked[:k])
+    rows = np.sort(ranking.rows[:k])
     return NeighborSet(
         target_row=i,
         target_col=j,
         eta=float(eta),
         rows=rows,
-        distances=dists[rows],
-        overlap_counts=overlaps[rows],
+        distances=ranking.dists[rows],
+        overlap_counts=ranking.overlaps[rows],
         fallback=fallback,
     )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .empirical import _presorted, summaries as distribution_summaries
+from .empirical import _check_seed, _presorted, summaries as distribution_summaries
 from .errors import ExperimentAbortedError, NoNeighborsError, OutOfDomainError
 from .estimator import impute
 from .exact import uniform_barycenter_expected_w2_sq
@@ -129,6 +129,7 @@ class ExperimentSpec:
             raise OutOfDomainError("fixed eta policy requires an eta value")
         if self.target != "random" and len(self.target) != 2:
             raise OutOfDomainError('target must be "random" or a (row, col) pair')
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -423,6 +424,7 @@ def verify_uniform_barycenter_error(m_list=(1, 5, 20), n_list=(5, 20, 100), tria
     """
     if trials < 100:
         raise OutOfDomainError("need at least 100 trials for a meaningful z-score")
+    _check_seed(seed)
     root = np.random.SeedSequence(seed)
     rows = []
     for m in m_list:
@@ -482,6 +484,7 @@ def verify_barycenter_rate(
     sits between the 1/n and 1/n^2 regimes. Unit-width uniform intervals at
     seeded random locations keep the closed-form target constant across k.
     """
+    _check_seed(seed)
     root = np.random.SeedSequence(seed)
     settings = ([(k, n_fixed, trials_k) for k in k_list]
                 + [(k_fixed, int(n), trials_n) for n in n_list])

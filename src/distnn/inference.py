@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .empirical import _check_levels, _order_index, from_samples
+from .empirical import EmpiricalDistribution, _check_levels, _check_seed, _order_index, from_samples
 from .errors import DegenerateDensityError, NoNeighborsError, OutOfDomainError
 from .estimator import ImputationResult, impute
 from .matrix import DistributionalMatrix
@@ -63,12 +63,13 @@ class SigmaFunction:
         """Gaussian KDE with Silverman bandwidth on each neighbor's samples,
         evaluated at the neighbor's empirical step quantile.
 
-        Samples are checked by ``empirical.from_samples``; DegenerateDensityError
+        Each neighbor is an EmpiricalDistribution, used as it is, or raw
+        samples, checked by ``empirical.from_samples``. DegenerateDensityError
         means no KDE fits them, as for a single sample or all samples equal.
         """
         fns = []
         for arr in sample_arrays:
-            emp = from_samples(arr)
+            emp = arr if isinstance(arr, EmpiricalDistribution) else from_samples(arr)
             try:
                 kde = stats.gaussian_kde(emp.samples, bw_method="silverman")
             except (np.linalg.LinAlgError, ValueError) as exc:
@@ -82,15 +83,13 @@ class SigmaFunction:
     @classmethod
     def from_result(cls, m: DistributionalMatrix, result: ImputationResult) -> "SigmaFunction":
         ns = result.neighbors
-        return cls.from_samples(
-            [m.entry(u, ns.target_col).samples for u in ns.rows]
-        )
+        return cls.from_samples([m.entry(u, ns.target_col) for u in ns.rows])
 
 
 def sigma_sq(sigma: SigmaFunction, t):
     """Variance analog: mean over neighbors of (t - t^2) / f^2(Q(t))."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any((t <= 0.0) | (t >= 1.0)):
+    if np.any(~np.isfinite(t)) or np.any((t <= 0.0) | (t >= 1.0)):
         raise OutOfDomainError("sigma_sq levels must lie in (0, 1)")
     total = np.zeros_like(t)
     for fn in sigma.density_at_quantile_fns:
@@ -200,6 +199,7 @@ def bootstrap_band(
     """
     levels = _check_levels(levels)
     _check_reps(reps_samples, reps_neighbors)
+    _check_seed(seed)
     alpha_eff = _per_level_alpha(alpha, levels.shape[0], simultaneous)
     result = impute(m, i, j, eta, min_overlap=min_overlap, max_neighbors=max_neighbors)
     neighbor_samples = [m.entry(u, j).samples for u in result.neighbors.rows]

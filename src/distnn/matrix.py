@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import EmpiricalDistribution, _block_cell, _column_block, _readonly, from_samples
+from .empirical import EmpiricalDistribution, _block_cell, _check_seed, _column_block, _readonly, from_samples
 from .errors import EmptyInputError, IndexOutOfRangeError, OutOfDomainError, SizeMismatchError
 
 __all__ = ["DistributionalMatrix", "MaskSpec", "apply_mcar", "shared_columns"]
@@ -126,6 +126,7 @@ class MaskSpec:
     def __post_init__(self):
         if not (0.0 < self.p <= 1.0):
             raise OutOfDomainError("observation probability must lie in (0, 1]")
+        _check_seed(self.seed)
 
 
 def apply_mcar(full: DistributionalMatrix, spec: MaskSpec, protect=None) -> DistributionalMatrix:

@@ -16,7 +16,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .errors import PanelParseError
+from .errors import DistnnError, IndexOutOfRangeError, PanelParseError
 from .matrix import DistributionalMatrix
 
 __all__ = ["Panel", "read_panel_csv", "write_panel_csv", "read_matrix_json", "write_matrix_json"]
@@ -33,10 +33,12 @@ class Panel:
     col_keys: tuple
 
     def cell_index(self, row_key: str, col_key: str):
+        """The (row, col) indices of a cell; IndexOutOfRangeError for an unknown key."""
         try:
             return self.row_keys.index(row_key), self.col_keys.index(col_key)
         except ValueError:
-            return None
+            raise IndexOutOfRangeError(
+                f"target ({row_key}, {col_key}) not found in panel axes") from None
 
 
 def _matrix_from_groups(groups, row_keys, col_keys) -> Panel:
@@ -52,13 +54,16 @@ def _matrix_from_groups(groups, row_keys, col_keys) -> Panel:
 
 
 @contextmanager
-def _open_text(path, **kwargs):
-    """Open ``path`` as UTF-8 text; a file that cannot be opened or decoded
-    raises PanelParseError."""
+def _open_text(path, mode="r", **kwargs):
+    """Open ``path`` as UTF-8 text to read or, with mode "w", to write. A file
+    that cannot be read or decoded raises PanelParseError; one that cannot
+    be written raises DistnnError."""
     try:
-        with open(path, encoding="utf-8", **kwargs) as fh:
+        with open(path, mode, encoding="utf-8", **kwargs) as fh:
             yield fh
     except OSError as exc:
+        if mode == "w":
+            raise DistnnError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise PanelParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise PanelParseError(f"file is not UTF-8 text: {exc.reason}") from None
@@ -108,7 +113,7 @@ def read_panel_csv(path) -> Panel:
 
 def write_panel_csv(panel: Panel, path) -> None:
     """Write observed entries in axis order; samples are written sorted."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_text(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         m = panel.matrix
@@ -130,7 +135,7 @@ def write_matrix_json(panel: Panel, path) -> None:
             for i, j in panel.matrix.observed_cells()
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_text(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

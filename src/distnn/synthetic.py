@@ -20,6 +20,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
+from .empirical import _check_seed
 from .errors import OutOfDomainError
 from .matrix import DistributionalMatrix
 
@@ -149,6 +150,7 @@ class DgpSpec:
             raise OutOfDomainError("sigma must be non-negative")
         if self.latent_dim < 1:
             raise OutOfDomainError("latent_dim must be at least 1")
+        _check_seed(self.seed)
 
     def n_for_columns(self, n_cols: int) -> np.ndarray:
         ns = np.asarray(self.n_per_entry, dtype=np.int64)
@@ -170,14 +172,6 @@ class TrueDistributions:
         self.n_per_col = n_per_col
         self.factors = factors
         self.spec = spec
-
-    @property
-    def n_rows(self) -> int:
-        return self.loc.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.loc.shape[1]
 
     def quantile(self, i: int, j: int, t):
         return self.loc[i, j] + self.scale[i, j] * self.base.ppf(t)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import _heldout_losses, _presorted
+from .empirical import _check_seed, _presorted
 # perfbench/tracing.py wraps tuning.w2sq and tuning.step_barycenter by name
 from .empirical import step_barycenter, w2sq  # noqa: F401
 from .errors import AllTrialsFailedError, NoObservedCellsError, OutOfDomainError
@@ -52,6 +52,7 @@ class TuneConfig:
             raise OutOfDomainError("need 0 < eta_min < eta_max < inf")
         if self.min_overlap < 1:
             raise OutOfDomainError("min_overlap must be at least 1")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -105,22 +106,6 @@ def _candidate_etas(cfg: TuneConfig, sorted_dists: np.ndarray) -> np.ndarray:
     return np.sort(draws)
 
 
-def _prefix_losses(m: DistributionalMatrix, state, v: int, min_overlap: int) -> np.ndarray:
-    """Validation loss at row i's held-out column v of the barycenter of the k
-    nearest rows, indexed by k (NaN at k = 0: no neighbor).
-
-    Kept in row i's state: no target column enters it.
-    """
-    key = (v, min_overlap)
-    losses = state.losses.get(key)
-    if losses is None:
-        rows = np.append(state.ranked(m, v, min_overlap).rows, state.row)
-        losses = _heldout_losses(m._blocks[v], rows)
-        losses.setflags(write=False)
-        state.losses[key] = losses
-    return losses
-
-
 def tune_eta(m: DistributionalMatrix, i: int, j: int, cfg: TuneConfig | None = None) -> TuneReport:
     """Choose eta by leave-one-out validation over row i's observed entries.
 
@@ -141,9 +126,8 @@ def tune_eta(m: DistributionalMatrix, i: int, j: int, cfg: TuneConfig | None = N
 
     losses = np.empty((candidates.shape[0], len(held_cols)))
     for c, v in enumerate(held_cols):
-        sorted_dists = state.ranked(m, v, cfg.min_overlap).sorted_dists
-        ks = np.searchsorted(sorted_dists, candidates, side="right")
-        losses[:, c] = _prefix_losses(m, state, v, cfg.min_overlap)[ks]
+        ks = state.ranked(m, v, cfg.min_overlap).within(candidates)
+        losses[:, c] = state.heldout_losses(m, v, cfg.min_overlap)[ks]
 
     valid = ~np.isnan(losses)
     n_valid = np.sum(valid, axis=1)

@@ -16,7 +16,6 @@ from distnn import DistributionalMatrix, TuneConfig, from_samples, impute, step_
 from distnn import empirical
 from distnn.empirical import _block_grid, _w2sq_pairs
 from distnn.estimator import _RowState, _w2sq_table
-from distnn.tuning import _prefix_losses
 
 
 def _block(cells):
@@ -151,7 +150,7 @@ def _ragged_outcomes(m):
     for i in range(m.n_rows):
         state = _RowState(m, i)
         for v in np.flatnonzero(m.mask[i]).tolist():
-            out.append(_prefix_losses(m, state, v, 1).tobytes())
+            out.append(state.heldout_losses(m, v, 1).tobytes())
     for i, j in m.missing_cells():
         report = tune_eta(m, i, j, TuneConfig(budget=8))
         est = impute(m, i, j, report.best_eta).estimate

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from distnn import DgpSpec, from_samples, summaries
+from distnn import DgpSpec, experiments, from_samples, generate, summaries
 from distnn.errors import OutOfDomainError
 from distnn.experiments import (
     ExperimentSpec,
@@ -116,6 +116,18 @@ class TestRunScaling:
         assert np.allclose(r.fit_x, 50.0 * r.mean_neighbors)
         assert np.allclose(r.mean_neighbors, [2.0, 4.0])
 
+    def test_row_count_sweep_draws_each_value_of_rows(self, monkeypatch):
+        drawn = []
+
+        def recording_generate(dgp, n_rows, n_cols):
+            drawn.append(n_rows)
+            return generate(dgp, n_rows, n_cols)
+
+        monkeypatch.setattr(experiments, "generate", recording_generate)
+        r = run_scaling(small_spec(sweep="n_rows", values=(20, 40), trials=3, n_cols=6))
+        assert drawn == [20, 20, 20, 40, 40, 40]
+        assert r.fit_x.tolist() == [20.0, 40.0] and r.n_failed.tolist() == [0, 0]
+
     def test_fixed_target_cell(self):
         r1 = run_scaling(small_spec(values=(10, 20), trials=3, target=(2, 3)))
         r2 = run_scaling(small_spec(values=(10, 20), trials=3, target=(2, 3)))
@@ -219,6 +231,20 @@ class TestVerifyBarycenterRate:
         assert res.doubling_ratios.shape == (1,)
         assert 0.35 < res.doubling_ratios[0] < 0.65
         assert -2.2 < res.slope_fit.exponent < -0.5
+
+    def test_summary_lists_every_figure(self):
+        res = verify_barycenter_rate(
+            k_list=(4, 8), n_list=(50, 100), trials_k=50, trials_n=50,
+            n_fixed=50, k_fixed=4, seed=1,
+        )
+        assert res.summary() == {
+            "k_list": [4, 8],
+            "k_errors": res.k_errors.tolist(),
+            "doubling_ratios": res.doubling_ratios.tolist(),
+            "n_list": [50, 100],
+            "n_errors": res.n_errors.tolist(),
+            "slope_exponent": res.slope_fit.exponent,
+        }
 
     def test_simulation_tracks_closed_form(self):
         res = verify_barycenter_rate(

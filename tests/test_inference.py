@@ -71,6 +71,17 @@ class TestSigmaSq:
         with pytest.raises(Exception):
             sigma_sq(uniform_sigma(1.0), 0.0)
 
+    @pytest.mark.parametrize("mode", ["oracle", "kde"])
+    @pytest.mark.parametrize("t", [np.nan, [0.5, np.nan], np.inf], ids=["nan", "nan-in-grid", "inf"])
+    def test_non_finite_levels_rejected(self, mode, t):
+        m, truth = generate(DgpSpec(n_per_entry=30, seed=0), 3, 1)
+        if mode == "oracle":
+            sig = SigmaFunction.from_true_distributions(truth, [1, 2], 0)
+        else:
+            sig = SigmaFunction.from_samples([m.entry(1, 0), m.entry(2, 0)])
+        with pytest.raises(OutOfDomainError, match="levels must lie in"):
+            sigma_sq(sig, t)
+
 
 def simple_result():
     m = DistributionalMatrix(
@@ -125,6 +136,29 @@ class TestAsymptoticBand:
         wide = asymptotic_band(result, uniform_sigma(1.0), 10, 0.01, levels)
         narrow = asymptotic_band(result, uniform_sigma(1.0), 10, 0.10, levels)
         assert np.all(wide.lower <= narrow.lower) and np.all(narrow.upper <= wide.upper)
+
+
+BAD_GRIDS = {
+    "empty": ([], "non-empty 1-D"),
+    "2-D": ([[0.2, 0.5]], "non-empty 1-D"),
+    "zero": ([0.0, 0.5], "strictly inside"),
+    "one": ([0.5, 1.0], "strictly inside"),
+    "nan": ([0.5, np.nan], "strictly inside"),
+    "decreasing": ([0.5, 0.3], "strictly increasing"),
+    "repeated": ([0.5, 0.5], "strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("method", ["asymptotic", "bootstrap"])
+@pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
+def test_bad_level_grid_is_out_of_domain(method, grid):
+    levels, message = BAD_GRIDS[grid]
+    m, result = simple_result()
+    with pytest.raises(OutOfDomainError, match=message):
+        if method == "asymptotic":
+            asymptotic_band(result, uniform_sigma(1.0), 10, 0.05, levels)
+        else:
+            bootstrap_band(m, 0, 1, 1.0, 0.05, levels)
 
 
 class TestBootstrapBand:
@@ -362,6 +396,22 @@ class TestKdeMode:
         assert result.neighbors.rows.tolist() == [0, 1]
         with pytest.raises(DegenerateDensityError, match="KDE"):
             SigmaFunction.from_result(m, result)
+
+    def test_cells_give_the_band_of_their_samples(self):
+        rng = np.random.default_rng(23)
+        m = DistributionalMatrix([
+            [rng.normal(size=20), None],
+            [rng.normal(size=20), rng.normal(size=40)],
+            [rng.normal(size=20), rng.normal(size=25)],
+        ])
+        result = impute(m, 0, 1, eta=10.0)
+        cells = [m.entry(u, 1) for u in result.neighbors.rows]
+        levels = default_levels(9)
+        from_cells = asymptotic_band(result, SigmaFunction.from_samples(cells), 25, 0.05, levels)
+        raw = [rng.permutation(c.samples) for c in cells]
+        from_raw = asymptotic_band(result, SigmaFunction.from_samples(raw), 25, 0.05, levels)
+        assert from_cells.lower.tobytes() == from_raw.lower.tobytes()
+        assert from_cells.upper.tobytes() == from_raw.upper.tobytes()
 
     @pytest.mark.parametrize("bad, error", [
         ([True, False, True], OutOfDomainError),

@@ -11,6 +11,7 @@ from distnn import (
     DistnnError,
     DistributionalMatrix,
     EmptyInputError,
+    IndexOutOfRangeError,
     PanelParseError,
     SizeMismatchError,
 )
@@ -216,6 +217,26 @@ class TestUnreadableFiles:
     def test_missing_path_or_directory(self, tmp_path, name):
         with pytest.raises(PanelParseError):
             load_panel(tmp_path / name)
+
+
+class TestUnwritableFiles:
+    @pytest.mark.parametrize("write", [write_panel_csv, write_matrix_json])
+    def test_missing_directory_is_typed(self, tmp_path, write):
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(DistnnError, match=f"^cannot write {path}: ") as err:
+            write(sample_panel(), path)
+        assert not isinstance(err.value, PanelParseError)
+
+
+class TestCellIndex:
+    def test_known_keys(self):
+        assert sample_panel().cell_index("q2", "gamma") == (1, 2)
+
+    @pytest.mark.parametrize("row, col", [("q3", "acme"), ("q1", "delta")])
+    def test_unknown_key_raises(self, row, col):
+        with pytest.raises(IndexOutOfRangeError,
+                           match=rf"^target \({row}, {col}\) not found in panel axes$"):
+            sample_panel().cell_index(row, col)
 
 
 class TestMatrixShapeErrors:

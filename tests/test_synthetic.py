@@ -181,6 +181,21 @@ class TestW2sqError:
         assert got == pytest.approx(expected, rel=1e-12)
 
 
+class TestSpecChecks:
+    @pytest.mark.parametrize("field, value, message", [
+        ("location_range", (5.0, -5.0), "location_range"),
+        ("sigma", -1.0, "sigma"),
+        ("latent_dim", 0, "latent_dim"),
+    ])
+    def test_bad_field_is_out_of_domain(self, field, value, message):
+        with pytest.raises(OutOfDomainError, match=message):
+            DgpSpec(**{field: value})
+
+    def test_unknown_base_family(self):
+        with pytest.raises(OutOfDomainError, match="unknown base family: 'cauchy'"):
+            make_base("cauchy")
+
+
 class TestTruncation:
     @pytest.mark.parametrize("cut", [0.0, -1.0, float("nan")])
     def test_make_base_rejects_non_positive_cut(self, cut):
