@@ -38,8 +38,9 @@ def main():
         tmp = Path(tmp)
         panel_path = tmp / "earnings_panel.csv"
         build_csv(panel_path)
-        print(f"wrote panel: {panel_path.name} "
-              f"({sum(1 for _ in open(panel_path)) - 1} records)")
+        with open(panel_path, encoding="utf-8") as f:
+            records = sum(1 for _ in f) - 1
+        print(f"wrote panel: {panel_path.name} ({records} records)")
 
         out_path = tmp / "imputed.json"
         code = cli_main([

@@ -13,11 +13,13 @@ is alpha divided by the number of levels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
+from . import empirical
 from .empirical import EmpiricalDistribution, _check_levels, _check_seed, _order_index, from_samples
 from .errors import DegenerateDensityError, NoNeighborsError, OutOfDomainError
 from .estimator import ImputationResult, impute
@@ -65,25 +67,53 @@ class SigmaFunction:
 
         Each neighbor is an EmpiricalDistribution, used as it is, or raw
         samples, checked by ``empirical.from_samples``. DegenerateDensityError
-        means no KDE fits them, as for a single sample or all samples equal.
+        means no KDE fits them, as for a single sample, all samples equal or
+        a variance that overflows.
         """
         fns = []
         for arr in sample_arrays:
             emp = arr if isinstance(arr, EmpiricalDistribution) else from_samples(arr)
-            try:
-                kde = stats.gaussian_kde(emp.samples, bw_method="silverman")
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                raise DegenerateDensityError(
-                    f"cannot fit a KDE to a neighbor's {emp.n} samples: "
-                    "it needs two distinct values and a finite variance"
-                ) from exc
-            fns.append(lambda t, e=emp, k=kde: k(np.atleast_1d(e.quantile(t))))
-        return cls(mode="kde", density_at_quantile_fns=fns)
+            fns.append(functools.partial(_kde_at_quantile, emp, *_silverman_kernel(emp)))
+        return cls(mode="kde", density_at_quantile_fns=tuple(fns))
 
     @classmethod
     def from_result(cls, m: DistributionalMatrix, result: ImputationResult) -> "SigmaFunction":
         ns = result.neighbors
         return cls.from_samples([m.entry(u, ns.target_col) for u in ns.rows])
+
+
+def _silverman_kernel(emp: EmpiricalDistribution):
+    """``(1 / sqrt(2 h^2), n * sqrt(2 pi h^2))`` for the Gaussian kernel of
+    variance h^2 = var(x, ddof=1) * (3n/4)^(-2/5), Silverman's rule in one
+    dimension: the exponent's scale and the density's normaliser.
+
+    The variance is taken about the middle sample, so that the rounding of
+    the mean scales with the spread and not with the samples' magnitude.
+    """
+    n, x = emp.n, emp.samples
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        h2 = np.var(x - x[n // 2], ddof=1) * (0.75 * n) ** -0.4 if n >= 2 else np.nan
+        norm = n * np.sqrt(2.0 * np.pi * h2)
+    if not (np.isfinite(h2) and h2 > 0.0 and np.isfinite(norm)):
+        raise DegenerateDensityError(
+            f"cannot fit a KDE to a neighbor's {n} samples: "
+            "it needs two distinct values and a finite variance"
+        )
+    return 1.0 / np.sqrt(2.0 * h2), norm
+
+
+def _kde_at_quantile(emp: EmpiricalDistribution, scale: float, norm: float, t) -> np.ndarray:
+    """The KDE sum_i exp(-(q - x_i)^2 / (2 h^2)) / norm at q = Q(t), over a
+    block of levels at a time so that at most ``_chunk_rows`` rows of n
+    values are held. Each level's sum is the same for any block size."""
+    q = np.atleast_1d(emp.quantile(t))
+    x = emp.samples
+    out = np.empty(q.shape)
+    step = empirical._chunk_rows(x.shape[0])
+    for lo in range(0, q.shape[0], step):
+        z = (q[lo:lo + step, None] - x) * scale
+        out[lo:lo + step] = np.exp(-(z * z)).sum(axis=1)
+    return out / norm
 
 
 def sigma_sq(sigma: SigmaFunction, t):
@@ -145,7 +175,7 @@ def asymptotic_band(
     if n_j < 1:
         raise OutOfDomainError("n_j must be at least 1")
     alpha_eff = _per_level_alpha(alpha, levels.shape[0], simultaneous)
-    z = float(stats.norm.ppf(1.0 - alpha_eff / 2.0))
+    z = float(ndtri(1.0 - alpha_eff / 2.0))
     centers = np.asarray(result.estimate.quantile(levels), dtype=float)
     sig = np.sqrt(np.atleast_1d(sigma_sq(sigma, levels)))
     half = z * sig / np.sqrt(n_j * result.neighbors.size)

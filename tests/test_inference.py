@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distnn import (
@@ -25,7 +25,7 @@ from distnn import (
     impute,
     sigma_sq,
 )
-from distnn import inference
+from distnn import empirical, inference
 
 
 def uniform_sigma(width):
@@ -425,6 +425,80 @@ class TestKdeMode:
             warnings.simplefilter("error")
             with pytest.raises(error):
                 SigmaFunction.from_samples([[1.0, 2.0, 4.0], bad])
+
+    @pytest.mark.parametrize("bad", [
+        [1e200, -1e200, 3.0],
+        [1e300, -1e300],
+        [1e-300, 2e-300],
+        [-8e153, 8e153],
+    ], ids=["variance-overflows", "pair-overflows", "variance-underflows", "normaliser-overflows"])
+    def test_unfittable_spread_is_degenerate_without_warnings(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDensityError,
+                               match=f"cannot fit a KDE to a neighbor's {len(bad)} samples"):
+                SigmaFunction.from_samples([[1.0, 2.0, 4.0], bad])
+
+
+def scipy_sigma(neighbours):
+    """The KDE-mode SigmaFunction built from ``scipy.stats.gaussian_kde``
+    objects, as the closed form replaced. Each KDE is fitted to the samples
+    less their minimum and evaluated at the quantiles less it, the same
+    density: scipy divides the raw values by the bandwidth before it takes
+    differences, which at an offset of 1e6 and a spread of 1e-3 alone moves
+    the density by about 1e-7 relative."""
+    from scipy import stats
+
+    fns = []
+    for emp in neighbours:
+        shift = emp.samples[0]
+        kde = stats.gaussian_kde(emp.samples - shift, bw_method="silverman")
+        fns.append(lambda t, e=emp, k=kde, c=shift: k(np.atleast_1d(e.quantile(t)) - c))
+    return SigmaFunction(mode="kde", density_at_quantile_fns=tuple(fns))
+
+
+@st.composite
+def kde_neighbours(draw):
+    """One to three neighbours of 2-500 samples at an offset up to 1e6 and a
+    scale in [1e-3, 1e3], each with its samples tied onto 2 to n distinct
+    values."""
+    neighbours = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 500))
+        distinct = draw(st.integers(2, n))
+        offset = draw(st.floats(-1e6, 1e6))
+        scale = draw(st.floats(1e-3, 1e3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = offset + scale * rng.normal(size=distinct)
+        x = np.concatenate([values, values[rng.integers(0, distinct, n - distinct)]])
+        assume(np.unique(x).size >= 2)  # the offset can swallow a spread of 1e-3
+        neighbours.append(from_samples(x))
+    return neighbours
+
+
+class TestClosedFormKde:
+    LEVELS = default_levels(99)
+    RTOL = 1e-12
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(neighbours=kde_neighbours())
+    def test_matches_scipy_gaussian_kde(self, neighbours):
+        ours = SigmaFunction.from_samples(neighbours)
+        ref = scipy_sigma(neighbours)
+        for fn, ref_fn in zip(ours.density_at_quantile_fns, ref.density_at_quantile_fns):
+            want = ref_fn(self.LEVELS)
+            assert np.all(np.abs(fn(self.LEVELS) - want) <= self.RTOL * want)
+        want = sigma_sq(ref, self.LEVELS)
+        assert np.all(np.abs(sigma_sq(ours, self.LEVELS) - want) <= self.RTOL * want)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_level_blocks_change_no_bit(self, monkeypatch, rows):
+        rng = np.random.default_rng(41)
+        neighbours = [rng.normal(size=n) for n in (2, 37, 200, 501)]
+        expected = sigma_sq(SigmaFunction.from_samples(neighbours), self.LEVELS)
+        monkeypatch.setattr(empirical, "_chunk_rows", lambda width: rows)
+        chunked = sigma_sq(SigmaFunction.from_samples(neighbours), self.LEVELS)
+        assert chunked.tobytes() == expected.tobytes()
 
 
 class TestOracleCoverageSmoke:
