@@ -442,7 +442,7 @@ class TestKdeMode:
 
 def scipy_sigma(neighbours):
     """The KDE-mode SigmaFunction built from ``scipy.stats.gaussian_kde``
-    objects, as the closed form replaced. Each KDE is fitted to the samples
+    objects, the path the closed form replaced. Each KDE is fitted to the samples
     less their minimum and evaluated at the quantiles less it, the same
     density: scipy divides the raw values by the bandwidth before it takes
     differences, which at an offset of 1e6 and a spread of 1e-3 alone moves
