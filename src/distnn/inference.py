@@ -105,8 +105,9 @@ def _silverman_kernel(emp: EmpiricalDistribution):
 def _kde_at_quantile(emp: EmpiricalDistribution, scale: float, norm: float, t) -> np.ndarray:
     """The KDE sum_i exp(-(q - x_i)^2 / (2 h^2)) / norm at q = Q(t), over a
     block of levels at a time so that at most ``_chunk_rows`` rows of n
-    values are held. Each level's sum is the same for any block size."""
-    q = np.atleast_1d(emp.quantile(t))
+    values are held. Each level's sum is the same for any block size. The
+    levels are those ``sigma_sq`` has checked, so Q(t) is read by rank."""
+    q = np.atleast_1d(emp.samples[_order_index(t, emp.n) - 1])
     x = emp.samples
     out = np.empty(q.shape)
     step = empirical._chunk_rows(x.shape[0])
@@ -128,7 +129,10 @@ def sigma_sq(sigma: SigmaFunction, t):
             raise DegenerateDensityError(
                 "neighbor density non-positive or non-finite at requested level"
             )
-        total += (t - t * t) / dens**2
+        with np.errstate(over="ignore"):
+            total += (t - t * t) / dens**2
+    if not np.all(np.isfinite(total)):
+        raise DegenerateDensityError("the variance analog overflows at a requested level")
     out = total / len(sigma.density_at_quantile_fns)
     return float(out[0]) if out.shape == (1,) else out
 
@@ -222,10 +226,13 @@ def bootstrap_band(
     of every chosen neighbor in the order chosen, the same stream as one
     call per neighbor. The sorted samples sit in one k x n_max block padded
     with +inf, which sorts after every sample and above each neighbor's
-    level ranks, so for any mix of sample counts a replicate gathers, sorts
-    and reads its k resamples with one array operation each, and averages
-    the k quantile rows in the order chosen. A seed gives the same band as
-    evaluating each resample one at a time.
+    level ranks, so for any mix of sample counts a replicate gathers its k
+    resamples, sorts them and reads them at the level ranks with one array
+    operation each. The replicates' quantile rows are kept in blocks of as
+    many replicates as the gather budget holds; each block is summed by k
+    adds of whole rows into zeroed curves, in the order chosen, and one
+    division by k ends the loop. A seed gives the same band, bit for bit, as
+    evaluating each resample one at a time and summing from 0.0.
     """
     levels = _check_levels(levels)
     _check_reps(reps_samples, reps_neighbors)
@@ -240,11 +247,13 @@ def bootstrap_band(
     flat = np.full(k * n_max, np.inf)  # row u: neighbor u's samples, then +inf
     flat[(slots < sizes[:, None]).ravel()] = np.concatenate(neighbor_samples)
     ranks = _order_index(levels, sizes[:, None]) - 1
+    offsets = n_max * np.arange(k)[:, None]  # start of each row of the block
+    equal = sizes.min() == n_max
     n_reps = reps_neighbors * reps_samples
     seeds = np.random.SeedSequence(seed).spawn(n_reps)
-    curves = np.empty((n_reps, levels.shape[0]))
-    # row 0 stays zero so the running sum starts from 0.0, as a loop would
-    rows = np.zeros((k + 1, levels.shape[0]))
+    curves = np.zeros((n_reps, levels.shape[0]))
+    block = min(empirical._chunk_rows(k * levels.shape[0]), n_reps)
+    rows = np.empty((block, k, levels.shape[0]))
     for r in range(n_reps):
         rng = np.random.default_rng(seeds[r])
         chosen = rng.integers(0, k, size=k)
@@ -254,15 +263,21 @@ def bootstrap_band(
         # faster per value than an array of bounds, so mixed counts alone
         # use the array. tests/test_inference.py::TestOneDrawCallPerReplicate
         # checks the property.
-        if sizes.min() == n_max:
+        if equal:
             picks = rng.integers(0, n_max, size=(k, n_max))
         else:
             n_chosen = sizes[chosen]
             picks = np.tile(slots, (k, 1))  # pad slots read the chosen row's +inf
             picks[slots < n_chosen[:, None]] = rng.integers(0, np.repeat(n_chosen, n_chosen))
-        picks += n_max * chosen[:, None]
-        rows[1:] = np.take_along_axis(np.sort(flat[picks], axis=1), ranks[chosen], axis=1)
-        curves[r] = np.cumsum(rows, axis=0)[-1] / k
+        picks += offsets[chosen]
+        b = r % block
+        rows[b] = np.sort(flat[picks], axis=1).ravel()[ranks[chosen] + offsets]
+        if b == block - 1 or r == n_reps - 1:
+            # k adds in the order chosen: np.add.reduce would sum pairwise
+            done = curves[r - b:r + 1]
+            for u in range(k):
+                done += rows[:b + 1, u]
+    curves /= k
     curves.sort(axis=0)
 
     lo_rank, hi_rank = _order_index([alpha_eff / 2.0, 1.0 - alpha_eff / 2.0], n_reps)

@@ -298,6 +298,38 @@ class TestBootstrapMatchesPerNeighbourLoop:
         assert band.lower.tobytes() == np.array([0.0]).tobytes()  # 0.0 + -0.0
 
 
+class TestAveragingOrder:
+    """A replicate's k quantile rows are summed one at a time, in the order
+    chosen, from 0.0, as the reference loop does. numpy's own reduction over
+    a contiguous axis of 8 or more values sums pairwise, which moves the last
+    bit of one-level bands."""
+
+    @staticmethod
+    def panel(k, ragged):
+        rng = np.random.default_rng([k, ragged])
+        counts = rng.integers(5, 30, size=k) if ragged else np.full(k, 17)
+        return neighbour_panel(rng.normal(size=n) * 10.0 ** rng.integers(-3, 4) for n in counts)
+
+    def check(self, m, seeds):
+        for seed in seeds:
+            band = bootstrap_band(m, 0, 1, math.inf, 0.5, [0.5], reps_samples=2,
+                                  reps_neighbors=5, seed=seed)
+            lower, upper = reference_bootstrap(m, 0, 1, 0.5, [0.5], 2, 5, seed)
+            assert band.lower.tobytes() == lower.tobytes()
+            assert band.upper.tobytes() == upper.tobytes()
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["equal", "ragged"])
+    @pytest.mark.parametrize("k", [12, 40])
+    def test_one_level_bands_are_byte_equal(self, k, ragged):
+        self.check(self.panel(k, ragged), range(10))
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    def test_replicate_blocks_change_no_bit(self, monkeypatch, per_block):
+        monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", per_block * 12)
+        assert empirical._chunk_rows(12) == per_block
+        self.check(self.panel(12, True), range(10))
+
+
 def test_envelope_rank_snaps_like_the_step_quantile():
     """Pointwise alpha 0.14 over 100 replicates puts the lower envelope on
     the 7th-smallest curve: 0.07 * 100 rounds to 7.000000000000001, which
@@ -438,6 +470,13 @@ class TestKdeMode:
             with pytest.raises(DegenerateDensityError,
                                match=f"cannot fit a KDE to a neighbor's {len(bad)} samples"):
                 SigmaFunction.from_samples([[1.0, 2.0, 4.0], bad])
+
+    def test_variance_analog_overflow_is_degenerate_without_warnings(self):
+        sigma = SigmaFunction.from_samples([[-4e153, 4e153]] * 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDensityError, match="variance analog overflows"):
+                sigma_sq(sigma, default_levels(9))
 
 
 def scipy_sigma(neighbours):

@@ -1,14 +1,20 @@
-"""Record benchmark runs of a distnn checkout as ``BENCH_<label>.json``.
+"""Record benchmark runs of distnn checkouts as ``BENCH_<label>.json``.
 
     python3 tools/bench_record.py --checkout DIR --label LABEL \\
         --workload bands --seed 11 12 13 --seconds 8
+    python3 tools/bench_record.py --checkout PARENT CHANGE --label base new \\
+        --workload bands --seed 11 12 13 --seconds 8
 
 Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
-in DIR for every workload and seed given, and writes one JSON file (into
-``--out-dir``, default the current directory) holding DIR's commit, the
-machine record of the harness's detail line, and for each run its workload,
-seed, seconds, ``correct`` flag, metrics and output and gate checksums.
-``uncommitted_changes`` is true when tracked files differ from the commit.
+in each checkout for every workload and seed given, and writes one JSON file
+per checkout (into ``--out-dir``, default the current directory) holding its
+commit, the machine record of the harness's detail line, and for each run
+its workload, seed, seconds, ``correct`` flag, metrics and output and gate
+checksums. ``uncommitted_changes`` is true when tracked files differ from the
+commit. With several checkouts, one label each, the runs alternate: every
+(workload, seed) runs once in each checkout before the next starts, and the
+order of the checkouts reverses from one (workload, seed) to the next, so
+that a drift in the host's speed falls on both sides alike.
 The harness's exit code is recorded, not raised, so a run whose output check
 failed is still kept, with ``correct`` false.
 """
@@ -45,23 +51,32 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[d
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--checkout", required=True, help="root of the checkout to measure")
-    ap.add_argument("--label", required=True, help="file name is BENCH_<label>.json")
+    ap.add_argument("--checkout", nargs="+", required=True,
+                    help="root of each checkout to measure")
+    ap.add_argument("--label", nargs="+", required=True,
+                    help="one per checkout: its file name is BENCH_<label>.json")
     ap.add_argument("--workload", choices=WORKLOADS, nargs="+", required=True)
     ap.add_argument("--seed", type=int, nargs="+", required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--out-dir", default=".")
     args = ap.parse_args(argv)
+    if len(args.label) != len(args.checkout) or len(set(args.label)) != len(args.label):
+        ap.error("give one distinct --label per --checkout")
 
-    checkout = os.path.abspath(args.checkout)
-    commit = git(checkout, "rev-parse", "HEAD")
-    status = git(checkout, "status", "--porcelain", "--untracked-files=no")
-    machine, runs = None, []
-    for workload in args.workload:
-        for seed in args.seed:
+    checkouts = [os.path.abspath(c) for c in args.checkout]
+    records = [
+        {"label": label, "commit": git(c, "rev-parse", "HEAD"),
+         "uncommitted_changes": bool(git(c, "status", "--porcelain", "--untracked-files=no")),
+         "machine": None, "runs": []}
+        for c, label in zip(checkouts, args.label)
+    ]
+    sides = list(zip(checkouts, records))
+    pairs = [(workload, seed) for workload in args.workload for seed in args.seed]
+    for p, (workload, seed) in enumerate(pairs):
+        for checkout, record in sides if p % 2 == 0 else sides[::-1]:
             detail, result = run_once(checkout, workload, seed, args.seconds)
-            machine = machine or detail["machine"]
-            runs.append({
+            record["machine"] = record["machine"] or detail["machine"]
+            record["runs"].append({
                 "workload": workload,
                 "seed": seed,
                 "seconds": args.seconds,
@@ -70,12 +85,12 @@ def main(argv=None) -> int:
                 "outputs_sha256": detail["outputs_sha256"],
                 "gate_outputs_sha256": detail["gate_outputs_sha256"],
             })
-    path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"label": args.label, "commit": commit, "uncommitted_changes": bool(status),
-                   "machine": machine, "runs": runs}, fh, indent=1)
-        fh.write("\n")
-    print(path)
+    for record in records:
+        path = os.path.join(args.out_dir, f"BENCH_{record['label']}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
+        print(path)
     return 0
 
 
