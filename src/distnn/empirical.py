@@ -12,8 +12,10 @@ of the order statistics.
 
 Both kinds are one class, :class:`StepQuantile`, which computes every
 summary; :class:`EmpiricalDistribution` is its case of the grid k/n. A
-distributional matrix stores each column as one block of sorted samples
-(:func:`_column_block`), and only this module reads a block.
+distributional matrix stores each column as one block of +inf-padded rows
+of sorted samples (:func:`_column_block`), and only this module reads a
+block. A reader's path follows only the counts of the cells it reads, so a
+hidden cell's count never changes the path of the visible ones.
 """
 
 from __future__ import annotations
@@ -255,26 +257,29 @@ def _chunk_rows(width: int) -> int:
 def _column_block(cells):
     """One column's block from its cells' sorted samples (None where missing).
 
-    A block is read-only: a rows x n array when every present cell holds n
-    samples (NaN rows where missing), else ``(flat, offsets)`` with cell r's
-    samples at ``flat[offsets[r]:offsets[r + 1]]``. Only this module reads
-    the layout.
+    A block is a read-only pair ``(values, sizes)``: row r of the rows x
+    n_max array ``values`` holds cell r's ``sizes[r]`` sorted samples, then
+    +inf, and ``sizes[r]`` is 0 where the cell is missing. A ragged column
+    so stores rows x its largest count, at most twice each cell's samples
+    when the counts lie within a factor of two.
     """
-    present = [s for s in cells if s is not None]
-    if len({s.shape[0] for s in present}) == 1:
-        n = present[0].shape[0]
-        return _readonly(np.array([np.full(n, np.nan) if s is None else s for s in cells]))
-    sizes = [0 if s is None else s.shape[0] for s in cells]
-    return (_readonly(np.concatenate([np.empty(0)] + present)),
-            _readonly(np.array([0] + sizes).cumsum()))
+    sizes = np.array([0 if s is None else s.shape[0] for s in cells])
+    values = np.full((len(cells), int(sizes.max(initial=0))), np.inf)
+    for r, s in enumerate(cells):
+        if s is not None:
+            values[r, :s.shape[0]] = s
+    return _readonly(values), _readonly(sizes)
+
+
+def _full_block(values):
+    """The block of a rows x n array of sorted samples, every cell present, without a copy."""
+    return _readonly(values), _readonly(np.full(values.shape[0], values.shape[1]))
 
 
 def _block_cell(block, r) -> EmpiricalDistribution:
     """Cell r of a column block, a view of its samples."""
-    if isinstance(block, tuple):
-        flat, offsets = block
-        return EmpiricalDistribution(flat[offsets[r]:offsets[r + 1]])
-    return EmpiricalDistribution(block[r])
+    values, sizes = block
+    return EmpiricalDistribution(values[r, :sizes[r]])
 
 
 def _block_grid(block, rows):
@@ -283,40 +288,34 @@ def _block_grid(block, rows):
     Returns ``(edges, widths, take)``: ``take(lo, hi)`` gathers the values of
     members lo..hi-1 on every piece (edges[g-1], edges[g]], of width
     ``widths[g]``, as a new (hi - lo) x pieces array. When the members share
-    one sample count n, the grid is k/n and ``widths`` is None (see
-    :func:`_integral`). Otherwise member r's value on piece g is its order
-    statistic ceil(mid * n_r), mid the piece's midpoint. This is exact:
-    mid lies half a piece or more from each breakpoint k/n_r, and a piece
-    next to k/n_r is at least 1/(n_r * n_max) wide, so mid * n_r lies at
-    least 1/(2 * n_max) from every integer, far beyond its rounding.
+    one sample count n, the grid is k/n, ``widths`` is None (see
+    :func:`_integral`) and a member's values are the first n of its row.
+    Otherwise member r's value on piece g is its order statistic
+    ceil(mid * n_r), mid the piece's midpoint. This is exact: mid lies half
+    a piece or more from each breakpoint k/n_r, and a piece next to k/n_r
+    is at least 1/(n_r * n_max) wide, so mid * n_r lies at least
+    1/(2 * n_max) from every integer, far beyond its rounding.
     """
-    rows = np.asarray(rows)
-    if not isinstance(block, tuple):
-        n = block.shape[1]
+    values, sizes = block
+    counts = sizes[rows]
+    distinct = sorted(set(counts.tolist()))
+    if len(distinct) == 1:
+        n = distinct[0]
 
         def take(lo, hi):
-            return block[rows[lo:hi]]
-    else:
-        flat, offsets = block
-        starts = offsets[rows]
-        sizes = offsets[rows + 1] - starts
-        distinct = sorted(set(sizes.tolist()))
-        if len(distinct) > 1:
-            edges = np.unique(np.concatenate([np.arange(1, n + 1, dtype=float) / n
-                                              for n in distinct]))
-            widths = _widths(edges)
-            mids = edges - 0.5 * widths
+            return values[rows[lo:hi], :n]
 
-            def take(lo, hi):
-                return _gather(flat, starts[lo:hi, None], sizes[lo:hi, None], mids)
+        return np.arange(1, n + 1, dtype=float) / n, None, take
+    edges = np.unique(np.concatenate([np.arange(1, n + 1, dtype=float) / n for n in distinct]))
+    widths = _widths(edges)
+    mids = edges - 0.5 * widths
+    flat = values.reshape(-1)
+    starts = rows * values.shape[1]
 
-            return edges, widths, take
-        n, ranks = distinct[0], np.arange(distinct[0])
+    def take(lo, hi):
+        return _gather(flat, starts[lo:hi, None], counts[lo:hi, None], mids)
 
-        def take(lo, hi):
-            return flat[starts[lo:hi, None] + ranks]
-
-    return np.arange(1, n + 1, dtype=float) / n, None, take
+    return edges, widths, take
 
 
 def _gather(flat, starts, sizes, mids):
@@ -403,46 +402,43 @@ def _w2sq_pairs(block, rows, i) -> np.ndarray:
     """``w2sq(cell u, cell i)`` for every u in ``rows``, bit for bit, from one
     column block.
 
-    On a rows x n block this is the mean squared order-statistic gap. On a
-    ragged one, all pairs' merged grids come from one sort of exact integer
-    keys. Over a pair's common denominator n_i * n_u, cell i's breakpoint
-    k/n_i is k * n_u and cell u's l/n_u is l * n_i; two breakpoints are
-    equal exactly when their keys are, and their floats are then equal too
-    (both are the rounded value of one fraction). Adding pair * span keeps
-    each pair's keys in a run of its own. Widths, midpoints and values then follow
-    :func:`_block_grid`, and each pair is reduced over its own slice as
-    :func:`_integral` reduces its grid: a mean when n_u equals n_i.
+    When every cell read holds cell i's count n_i, this is the mean squared
+    gap of the first n_i values of their rows. Otherwise all pairs' merged
+    grids come from one sort of exact integer keys. Over a pair's common
+    denominator n_i * n_u, cell i's breakpoint k/n_i is k * n_u and cell u's
+    l/n_u is l * n_i; two breakpoints are equal exactly when their keys
+    are, and their floats are then equal too (both are the rounded value of
+    one fraction). Adding pair * span keeps each pair's keys in a run of its
+    own. Widths, midpoints and values then follow :func:`_block_grid`, and
+    each pair is reduced over its own slice as :func:`_integral` reduces its
+    grid: a mean when n_u equals n_i.
     """
-    rows = np.asarray(rows)
-    if not isinstance(block, tuple):
-        return _integral(None, (block[rows] - block[i]) ** 2)
-    if rows.size == 0:
-        return np.empty(0)
-    flat, offsets = block
-    start_i = offsets[i]
-    n_i = int(offsets[i + 1] - start_i)
-    starts = offsets[rows]
-    sizes = offsets[rows + 1] - starts
-    span = n_i * int(sizes.max()) + 1
+    values, sizes = block
+    n_i = int(sizes[i])
+    counts = sizes[rows]
+    if np.all(counts == n_i):
+        return _integral(None, (values[rows, :n_i] - values[i, :n_i]) ** 2)
+    flat, width = values.reshape(-1), values.shape[1]
+    span = n_i * int(counts.max()) + 1
     base = np.arange(rows.size, dtype=np.int64) * span
-    mine = base[:, None] + sizes[:, None] * np.arange(1, n_i + 1)
-    theirs = np.arange(1, int(sizes.sum()) + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    theirs = theirs * n_i + np.repeat(base, sizes)
+    mine = base[:, None] + counts[:, None] * np.arange(1, n_i + 1)
+    theirs = np.arange(1, int(counts.sum()) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    theirs = theirs * n_i + np.repeat(base, counts)
     # both runs are sorted, so the stable sort merges them
     keys = np.sort(np.concatenate((mine.ravel(), theirs)), kind="stable")
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     pair = keys // span
-    n_u = sizes[pair]
+    n_u = counts[pair]
     edges = (keys - pair * span) / (n_i * n_u)
     first = np.searchsorted(pair, np.arange(rows.size + 1))
     widths = _widths(edges)
     widths[first[:-1]] = edges[first[:-1]]
     mids = edges - 0.5 * widths
-    f = (_gather(flat, starts[pair], n_u, mids) - _gather(flat, start_i, n_i, mids)) ** 2
+    f = (_gather(flat, rows[pair] * width, n_u, mids) - _gather(flat, i * width, n_i, mids)) ** 2
     weighted = widths * f
     return np.array([
         np.mean(f[lo:hi]) if n == n_i else np.sum(weighted[lo:hi])
-        for lo, hi, n in zip(first[:-1].tolist(), first[1:].tolist(), sizes.tolist())
+        for lo, hi, n in zip(first[:-1].tolist(), first[1:].tolist(), counts.tolist())
     ])
 
 

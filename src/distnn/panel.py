@@ -142,16 +142,18 @@ def write_matrix_json(panel: Panel, path) -> None:
 
 def read_matrix_json(path) -> Panel:
     """Parse the JSON matrix format; raises PanelParseError on malformed
-    input, such as a repeated axis key, an entry off the axes or given twice,
-    or ``samples`` that is not an array of numbers."""
+    input, such as ``rows`` or ``cols`` that is not an array, a repeated
+    axis key, an entry off the axes or given twice, or ``samples`` that is
+    not an array of numbers."""
     with _open_text(path) as fh:
         try:
             payload = json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise PanelParseError(f"invalid JSON: {exc}") from None
     try:
-        row_keys = list(payload["rows"])
-        col_keys = list(payload["cols"])
+        row_keys, col_keys = payload["rows"], payload["cols"]
+        if not (isinstance(row_keys, list) and isinstance(col_keys, list)):
+            raise PanelParseError("rows and cols must be arrays of keys")
         rows, cols = set(row_keys), set(col_keys)
         if len(rows) < len(row_keys) or len(cols) < len(col_keys):
             raise PanelParseError("a key appears more than once in rows or cols")

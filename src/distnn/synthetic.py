@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
-from .empirical import _check_seed
+from .empirical import _check_seed, _full_block
 from .errors import OutOfDomainError
 from .matrix import DistributionalMatrix
 
@@ -274,8 +274,7 @@ def generate(spec: DgpSpec, n_rows: int, n_cols: int):
         np.maximum(u, 1e-300, out=u)
         block = loc[:, j : j + 1] + scale[:, j : j + 1] * base.ppf(u)
         block.sort(axis=1)
-        block.setflags(write=False)
-        columns.append(block)
+        columns.append(_full_block(block))
     matrix = DistributionalMatrix._of_blocks(columns, np.ones((n_rows, n_cols), dtype=bool))
     truth = TrueDistributions(base, loc, scale, n_per_col, factors, spec)
     return matrix, truth

@@ -78,3 +78,34 @@ def test_labels_must_match_the_checkouts(tmp_path):
                                "--workload", "bands", "--seed", "11", "--seconds", "0.5",
                                "--out-dir", str(tmp_path)])
     assert not list(tmp_path.iterdir())
+
+
+def test_two_checkouts_end_with_the_ab_verdict(tmp_path, monkeypatch, capsys):
+    parent_ops = {11: 10.0, 12: 11.0, 13: 12.0, 14: 13.0}
+    change_ops = {"bands": {11: 8.0, 12: 8.0, 13: 8.0, 14: 14.0},
+                  "panel_equal": {s: v + 1.0 for s, v in parent_ops.items()}}
+    change_setup = {"bands": 1.2, "panel_equal": 1.3}
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        parent = checkout.endswith("parent")
+        metrics = {
+            "setup_s": {"value": 1.0 if parent else change_setup[workload], "unit": "s"},
+            "ops_per_s": {"value": parent_ops[seed] if parent else change_ops[workload][seed],
+                          "unit": "1/s"},
+        }
+        detail = {"machine": {"cores": 2}, "outputs_sha256": {}, "gate_outputs_sha256": {}}
+        return detail, {"correct": True, "metrics": metrics}
+
+    monkeypatch.setattr(bench_record, "git", lambda checkout, *args: "")
+    monkeypatch.setattr(bench_record, "run_once", fake_run_once)
+    assert bench_record.main(["--checkout", "a/parent", "b/change", "--label", "p", "c",
+                              "--workload", "bands", "panel_equal",
+                              "--seed", "11", "12", "13", "14",
+                              "--seconds", "0.5", "--out-dir", str(tmp_path)]) == 0
+    # medians and quartiles of four runs; bounds 0.25 (setup_s) and 0.2 (ops_per_s)
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "bands setup_s: parent 1 (IQR 0), change 1.2, change better in 0/4 pairs",
+        "bands ops_per_s: parent 11.5 (IQR 1.5), change 8, change better in 1/4 pairs WORSE",
+        "panel_equal setup_s: parent 1 (IQR 0), change 1.3, change better in 0/4 pairs WORSE",
+        "panel_equal ops_per_s: parent 11.5 (IQR 1.5), change 12.5, change better in 4/4 pairs",
+    ]

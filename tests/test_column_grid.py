@@ -19,9 +19,11 @@ from distnn.estimator import _RowState, _w2sq_table
 
 
 def _block(cells):
-    """A column block (flat samples, row offsets) holding sorted ``cells``."""
-    offsets = np.cumsum([0] + [c.size for c in cells])
-    return np.concatenate([np.sort(c) for c in cells]), offsets
+    """A column block (+inf-padded rows, sample counts) holding sorted ``cells``."""
+    sizes = np.array([c.size for c in cells])
+    values = np.array([np.append(np.sort(c), np.full(sizes.max() - c.size, np.inf))
+                       for c in cells])
+    return values, sizes
 
 
 def _searchsorted_grid(ds):
@@ -61,11 +63,11 @@ class TestPairTable:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(cells=ragged_columns())
     def test_batched_pairs_equal_w2sq(self, cells):
-        flat, offsets = _block(cells)
+        block = _block(cells)
         ds = [from_samples(c) for c in cells]
         for i in range(len(cells)):
             rows = np.array([u for u in range(len(cells)) if u != i])
-            got = _w2sq_pairs((flat, offsets), rows, i)
+            got = _w2sq_pairs(block, rows, i)
             assert got.tolist() == [w2sq(ds[u], ds[i]) for u in rows.tolist()]
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -87,11 +89,11 @@ class TestPairTable:
     def test_coprime_pair_near_a_hundred_thousand(self):
         rng = np.random.default_rng(8)
         cells = [rng.normal(size=99_991), rng.normal(0.5, 2.0, size=100_000)]
-        flat, offsets = _block(cells)
+        block = _block(cells)
         a, b = (from_samples(c) for c in cells)
-        assert _w2sq_pairs((flat, offsets), np.array([1]), 0).tolist() == [w2sq(b, a)]
-        assert _w2sq_pairs((flat, offsets), np.array([0]), 1).tolist() == [w2sq(a, b)]
-        edges, widths, take = _block_grid((flat, offsets), np.arange(2))
+        assert _w2sq_pairs(block, np.array([1]), 0).tolist() == [w2sq(b, a)]
+        assert _w2sq_pairs(block, np.array([0]), 1).tolist() == [w2sq(a, b)]
+        edges, widths, take = _block_grid(block, np.arange(2))
         ref_edges, ref_widths, ref_values = _searchsorted_grid([a, b])
         assert edges.tobytes() == ref_edges.tobytes()
         assert widths.tobytes() == ref_widths.tobytes()
@@ -121,8 +123,7 @@ class TestGather:
         sizes = np.full(members, rng.integers(1, max_n + 1)) if one_count else \
             rng.integers(1, max_n + 1, size=members)
         cells = [_samples(rng, int(n), bool(rng.integers(2))) for n in sizes]
-        flat, offsets = _block(cells)
-        edges, widths, take = _block_grid((flat, offsets), np.arange(members))
+        edges, widths, take = _block_grid(_block(cells), np.arange(members))
         ref_edges, ref_widths, ref_values = _searchsorted_grid([from_samples(c) for c in cells])
         assert edges.tobytes() == ref_edges.tobytes()
         if ref_widths is None:
@@ -136,9 +137,8 @@ class TestGather:
     def test_rows_of_a_block_in_any_order(self):
         rng = np.random.default_rng(4)
         cells = [rng.normal(size=n) for n in (7, 3, 12, 5, 3)]
-        flat, offsets = _block(cells)
         rows = np.array([3, 0, 4])
-        _, _, take = _block_grid((flat, offsets), rows)
+        _, _, take = _block_grid(_block(cells), rows)
         ref = _searchsorted_grid([from_samples(cells[r]) for r in rows.tolist()])
         assert take(0, 3).tobytes() == ref[2].tobytes()
 

@@ -177,6 +177,18 @@ class TestJsonErrors:
         with pytest.raises(PanelParseError):
             read_matrix_json(path)
 
+    @pytest.mark.parametrize("axis", ["rows", "cols"])
+    @pytest.mark.parametrize("keys", ["rc", {"r": 1, "c": 2}, 2],
+                             ids=["string", "object", "number"])
+    def test_axis_that_is_not_an_array_is_parse_error(self, tmp_path, axis, keys):
+        payload = {"rows": ["r"], "cols": ["c"],
+                   "entries": [{"row": "r", "col": "c", "samples": [1.0]}]}
+        payload[axis] = keys
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(PanelParseError, match="must be arrays"):
+            read_matrix_json(path)
+
     def test_repeated_axis_key_is_parse_error(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"rows": ["r", "r"], "cols": ["c"], "entries": []}))

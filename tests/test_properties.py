@@ -4,6 +4,7 @@ Seeded generators and hypothesis strategies stand in for real data; each
 suite states the invariant it drives and fails on the first counterexample.
 """
 
+import json
 import math
 import sys
 import threading
@@ -29,8 +30,10 @@ from distnn import (
     w2_general,
     w2sq,
 )
-from distnn.errors import DistnnError
+from distnn.cli import main as cli_main
+from distnn.errors import DistnnError, NoNeighborsError
 from distnn.estimator import _leave_out_distances, _w2sq_table
+from distnn.panel import Panel, write_matrix_json
 
 
 def random_distribution(rng, max_n=8, integer_grid=False):
@@ -405,14 +408,12 @@ class TestHiddenCells:
             assert all(t.mean_loss < 1e3 for t in report.trials)
 
     def test_hidden_odd_sized_cell_keeps_equal_size_results(self):
-        # column 1 holds 3 samples per cell except the hidden cell's 5, so
-        # its stored block stays ragged while every visible cell has 3
+        # column 1 holds 3 samples per cell except the hidden cell's 5, which
+        # stay in its stored block while every visible cell has 3
         rng = np.random.default_rng(22)
         rows = [[rng.normal(r, 1.0, 3) for _ in range(3)] for r in range(5)]
         rows[2][1] = rng.normal(2.0, 1.0, 5)
         masked = DistributionalMatrix(rows).mask_cell(2, 1)
-        assert isinstance(masked._blocks[1], tuple)
-        assert not isinstance(_cold_copy(masked)._blocks[1], tuple)
         assert_same_as_cold(masked)
         result = impute(masked, 2, 1, math.inf)
         assert isinstance(result.estimate, EmpiricalDistribution)
@@ -421,3 +422,48 @@ class TestHiddenCells:
             ns = find_neighbors(masked, r, 0, math.inf)
             assert ns.distances.tolist() == [
                 row_distance(masked, r, u, 0) for u in ns.rows.tolist()]
+
+
+class TestUnobservedColumn:
+    """A column that no cell observes is stored as a rows x 0 block, and no
+    result of the other cells reads it."""
+
+    @staticmethod
+    def _panels():
+        # columns 0 and 1 ragged, 2 and 3 of one sample count, 4 unobserved
+        rng = np.random.default_rng(24)
+        rows = [[rng.normal(r % 3, 1.0, int(rng.integers(2, 7))) for _ in range(2)]
+                + [rng.normal(r % 3, 1.0, 4) for _ in range(2)] for r in range(7)]
+        for r, c in ((0, 1), (3, 0), (5, 2), (6, 3)):
+            rows[r][c] = None
+        return (DistributionalMatrix(rows),
+                DistributionalMatrix([row + [None] for row in rows]))
+
+    def test_entries_tables_and_other_cells(self):
+        base, m = self._panels()
+        assert m._blocks[4][0].shape == (7, 0)
+        for i in range(m.n_rows):
+            assert m.entry(i, 4) is None
+            assert np.all(np.isnan(_w2sq_table(m, i)[:, 4]))
+            with pytest.raises(NoNeighborsError):
+                impute(m, i, 4, math.inf)
+            for j in range(base.n_cols):
+                for mo in (1, 2):
+                    assert _cell_outcome(m, i, j, mo) == _cell_outcome(base, i, j, mo)
+
+    def test_all_missing_lists_the_column_under_failures(self, tmp_path):
+        outputs = []
+        for name, m in zip(("base", "empty"), self._panels()):
+            cols = ("a", "b", "c", "d", "w")[:m.n_cols]
+            panel = Panel(m, tuple(f"r{r}" for r in range(m.n_rows)), cols)
+            write_matrix_json(panel, tmp_path / f"{name}.json")
+            out = tmp_path / f"{name}_out.json"
+            assert cli_main(["impute", "--input", str(tmp_path / f"{name}.json"),
+                             "--all-missing", "--tune", "--budget", "5",
+                             "--output", str(out)]) == 0
+            outputs.append(json.loads(out.read_text(encoding="utf-8")))
+        base, empty = outputs
+        assert empty["results"] == base["results"]
+        assert [(f["row"], f["col"]) for f in empty["failures"] if f["col"] == "w"] == [
+            (f"r{r}", "w") for r in range(7)]
+        assert [f for f in empty["failures"] if f["col"] != "w"] == base["failures"]

@@ -17,6 +17,14 @@ order of the checkouts reverses from one (workload, seed) to the next, so
 that a drift in the host's speed falls on both sides alike.
 The harness's exit code is recorded, not raised, so a run whose output check
 failed is still kept, with ``correct`` false.
+
+With two checkouts, the first read as the parent and the second as the
+change, the last lines are the A/B verdict: for each workload and each
+end-to-end metric of ``BENCHMARK.json``, both medians, the parent's
+interquartile range, the (workload, seed) pairs in which the change was
+better (ties count for neither side), and ``WORSE`` where the change's
+median is worse than the parent's by more than the metric's bound, a share
+of the parent's median.
 """
 
 from __future__ import annotations
@@ -27,7 +35,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 WORKLOADS = ("panel_equal", "panel_ragged", "scaling_sweep", "bands")
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "BENCHMARK.json")
 
 
 def git(checkout: str, *args: str) -> str:
@@ -47,6 +59,28 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[d
         raise SystemExit(f"{workload} at seed {seed}: harness exited with "
                          f"{proc.returncode} and printed no result")
     return json.loads(lines[-2])["detail"], json.loads(lines[-1])
+
+
+def verdict(parent: dict, change: dict, end_to_end: list) -> list[str]:
+    """The A/B lines for two records whose runs pair up in order."""
+    lines = []
+    for workload in dict.fromkeys(r["workload"] for r in parent["runs"]):
+        pairs = [(p["metrics"], c["metrics"]) for p, c in zip(parent["runs"], change["runs"])
+                 if p["workload"] == workload]
+        for metric in end_to_end:
+            name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+            values = np.array([(p[name]["value"], c[name]["value"])
+                               for p, c in pairs if name in p and name in c])
+            if values.size == 0:
+                continue
+            q1, base, q3 = np.percentile(values[:, 0], [25, 50, 75])
+            median = np.median(values[:, 1])
+            won = int(np.sum(sign * (values[:, 1] - values[:, 0]) > 0.0))
+            worse = sign * (median - base) < -metric["bound"] * abs(base)
+            lines.append(f"{workload} {name}: parent {base:.4g} (IQR {q3 - q1:.3g}), "
+                         f"change {median:.4g}, change better in {won}/{len(values)} pairs"
+                         + (" WORSE" if worse else ""))
+    return lines
 
 
 def main(argv=None) -> int:
@@ -91,6 +125,10 @@ def main(argv=None) -> int:
             json.dump(record, fh, indent=1)
             fh.write("\n")
         print(path)
+    if len(records) == 2:
+        with open(BENCHMARK, encoding="utf-8") as fh:
+            end_to_end = json.load(fh)["end_to_end"]
+        print("\n".join(verdict(*records, end_to_end)))
     return 0
 
 
