@@ -12,10 +12,10 @@ of the order statistics.
 
 Both kinds are one class, :class:`StepQuantile`, which computes every
 summary; :class:`EmpiricalDistribution` is its case of the grid k/n. A
-distributional matrix stores each column as one block of +inf-padded rows
-of sorted samples (:func:`_column_block`), and only this module reads a
-block. A reader's path follows only the counts of the cells it reads, so a
-hidden cell's count never changes the path of the visible ones.
+distributional matrix stores each column as one block of sorted samples,
++inf-padded rows unless that costs more than a few times the samples
+(:func:`_column_block`); only this module reads a block. A reader's path
+follows only the counts of the cells it reads, never a hidden cell's.
 """
 
 from __future__ import annotations
@@ -254,32 +254,51 @@ def _chunk_rows(width: int) -> int:
     return max(1, _GATHER_ELEMENTS // max(width, 1))
 
 
-def _column_block(cells):
+# Padded rows hold at most this many times a column's samples (see _column_block).
+_PAD_LIMIT = 4
+
+
+def _column_block(cells, padded=False):
     """One column's block from its cells' sorted samples (None where missing).
 
-    A block is a read-only pair ``(values, sizes)``: row r of the rows x
-    n_max array ``values`` holds cell r's ``sizes[r]`` sorted samples, then
-    +inf, and ``sizes[r]`` is 0 where the cell is missing. A ragged column
-    so stores rows x its largest count, at most twice each cell's samples
-    when the counts lie within a factor of two.
+    A block is a read-only triple ``(values, starts, sizes)``: cell r's
+    ``sizes[r]`` sorted samples start at ``values.reshape(-1)[starts[r]]``,
+    and ``sizes[r]`` is 0 where the cell is missing. ``values`` is rows x
+    n_max, row r holding cell r's samples then +inf, so that cells of one
+    count read as whole rows, when ``padded`` or when that is at most
+    ``_PAD_LIMIT`` times the samples. Otherwise (one cell far larger than
+    the rest, or few cells observed) it holds the samples back to back.
     """
-    sizes = np.array([0 if s is None else s.shape[0] for s in cells])
-    values = np.full((len(cells), int(sizes.max(initial=0))), np.inf)
+    sizes = np.array([0 if s is None else s.shape[0] for s in cells], dtype=np.int64)
+    width = int(sizes.max(initial=0))
+    if not padded and len(cells) * width > _PAD_LIMIT * int(sizes.sum()):
+        values = np.concatenate([s for s in cells if s is not None])
+        return _readonly(values), _readonly(np.cumsum(sizes) - sizes), _readonly(sizes)
+    values = np.full((len(cells), width), np.inf)
     for r, s in enumerate(cells):
         if s is not None:
             values[r, :s.shape[0]] = s
-    return _readonly(values), _readonly(sizes)
+    return _readonly(values), _readonly(np.arange(len(cells)) * width), _readonly(sizes)
 
 
 def _full_block(values):
-    """The block of a rows x n array of sorted samples, every cell present, without a copy."""
-    return _readonly(values), _readonly(np.full(values.shape[0], values.shape[1]))
+    """The block of a C-contiguous rows x n array of sorted samples, without a copy."""
+    rows, n = values.shape
+    return _readonly(values), _readonly(np.arange(rows) * n), _readonly(np.full(rows, n))
 
 
 def _block_cell(block, r) -> EmpiricalDistribution:
     """Cell r of a column block, a view of its samples."""
-    values, sizes = block
-    return EmpiricalDistribution(values[r, :sizes[r]])
+    values, starts, sizes = block
+    return EmpiricalDistribution(values.reshape(-1)[starts[r]:starts[r] + sizes[r]])
+
+
+def _block_rows(block, rows, n):
+    """The samples of cells ``rows``, which all hold n, as a new len(rows) x n array."""
+    values, starts, _ = block
+    if values.ndim == 2:  # padded rows: cell r is row r
+        return values[rows, :n]
+    return values[starts[rows, None] + np.arange(n)]
 
 
 def _block_grid(block, rows):
@@ -289,28 +308,28 @@ def _block_grid(block, rows):
     members lo..hi-1 on every piece (edges[g-1], edges[g]], of width
     ``widths[g]``, as a new (hi - lo) x pieces array. When the members share
     one sample count n, the grid is k/n, ``widths`` is None (see
-    :func:`_integral`) and a member's values are the first n of its row.
-    Otherwise member r's value on piece g is its order statistic
-    ceil(mid * n_r), mid the piece's midpoint. This is exact: mid lies half
-    a piece or more from each breakpoint k/n_r, and a piece next to k/n_r
-    is at least 1/(n_r * n_max) wide, so mid * n_r lies at least
-    1/(2 * n_max) from every integer, far beyond its rounding.
+    :func:`_integral`) and a member's values are its samples. Otherwise
+    member r's value on piece g is its order statistic ceil(mid * n_r), mid
+    the piece's midpoint, gathered from the flattened block. This is exact:
+    mid lies half a piece or more from each breakpoint k/n_r, and a piece
+    next to k/n_r is at least 1/(n_r * n_max) wide, so mid * n_r lies at
+    least 1/(2 * n_max) from every integer, far beyond its rounding.
     """
-    values, sizes = block
+    values, starts, sizes = block
     counts = sizes[rows]
     distinct = sorted(set(counts.tolist()))
     if len(distinct) == 1:
         n = distinct[0]
 
         def take(lo, hi):
-            return values[rows[lo:hi], :n]
+            return _block_rows(block, rows[lo:hi], n)
 
         return np.arange(1, n + 1, dtype=float) / n, None, take
     edges = np.unique(np.concatenate([np.arange(1, n + 1, dtype=float) / n for n in distinct]))
     widths = _widths(edges)
     mids = edges - 0.5 * widths
     flat = values.reshape(-1)
-    starts = rows * values.shape[1]
+    starts = starts[rows]
 
     def take(lo, hi):
         return _gather(flat, starts[lo:hi, None], counts[lo:hi, None], mids)
@@ -403,8 +422,8 @@ def _w2sq_pairs(block, rows, i) -> np.ndarray:
     column block.
 
     When every cell read holds cell i's count n_i, this is the mean squared
-    gap of the first n_i values of their rows. Otherwise all pairs' merged
-    grids come from one sort of exact integer keys. Over a pair's common
+    gap of their samples. Otherwise all pairs' merged grids come from one
+    sort of exact integer keys. Over a pair's common
     denominator n_i * n_u, cell i's breakpoint k/n_i is k * n_u and cell u's
     l/n_u is l * n_i; two breakpoints are equal exactly when their keys
     are, and their floats are then equal too (both are the rounded value of
@@ -413,12 +432,12 @@ def _w2sq_pairs(block, rows, i) -> np.ndarray:
     each pair is reduced over its own slice as :func:`_integral` reduces its
     grid: a mean when n_u equals n_i.
     """
-    values, sizes = block
+    values, starts, sizes = block
     n_i = int(sizes[i])
     counts = sizes[rows]
-    if np.all(counts == n_i):
-        return _integral(None, (values[rows, :n_i] - values[i, :n_i]) ** 2)
-    flat, width = values.reshape(-1), values.shape[1]
+    flat = values.reshape(-1)
+    if (counts == n_i).all():
+        return _integral(None, (_block_rows(block, rows, n_i) - flat[starts[i]:starts[i] + n_i]) ** 2)
     span = n_i * int(counts.max()) + 1
     base = np.arange(rows.size, dtype=np.int64) * span
     mine = base[:, None] + counts[:, None] * np.arange(1, n_i + 1)
@@ -434,7 +453,7 @@ def _w2sq_pairs(block, rows, i) -> np.ndarray:
     widths = _widths(edges)
     widths[first[:-1]] = edges[first[:-1]]
     mids = edges - 0.5 * widths
-    f = (_gather(flat, rows[pair] * width, n_u, mids) - _gather(flat, i * width, n_i, mids)) ** 2
+    f = (_gather(flat, starts[rows[pair]], n_u, mids) - _gather(flat, starts[i], n_i, mids)) ** 2
     weighted = widths * f
     return np.array([
         np.mean(f[lo:hi]) if n == n_i else np.sum(weighted[lo:hi])

@@ -224,30 +224,30 @@ def bootstrap_band(
     Replicate r draws from its own generator, spawned from ``seed``: first
     the k chosen neighbor indices, then, in one call, the resample indices
     of every chosen neighbor in the order chosen, the same stream as one
-    call per neighbor. The neighbors' samples form one column block (see
-    ``empirical._column_block``): k rows of n_max values, each neighbor's
-    sorted samples padded with +inf, which sorts after every sample and
-    above each neighbor's level ranks. So for any mix of sample counts a
-    replicate gathers its k resamples, sorts them and reads them at the
-    level ranks with one array operation each. The replicates' quantile
-    rows are kept in blocks of as many replicates as the gather budget
-    holds; each block is summed by k adds of whole rows into zeroed curves,
-    in the order chosen, and one division by k ends the loop. A seed gives
-    the same band, bit for bit, as evaluating each resample one at a time
-    and summing from 0.0.
+    call per neighbor. The neighbors' samples form one column block, padded
+    whatever their counts, as one replicate's resamples are: k rows of n_max
+    values, each neighbor's sorted samples then +inf, which sorts after
+    every sample and above each neighbor's level ranks. So for any mix of
+    sample counts a replicate gathers its k resamples, sorts them and reads
+    them at the level ranks with one array operation each. The replicates'
+    quantile rows are kept in blocks of as many replicates as the gather
+    budget holds; each block is summed by k adds of whole rows into zeroed
+    curves, in the order chosen, and one division by k ends the loop. A
+    seed gives the same band, bit for bit, as evaluating each resample one
+    at a time and summing from 0.0.
     """
     levels = _check_levels(levels)
     _check_reps(reps_samples, reps_neighbors)
     _check_seed(seed)
     alpha_eff = _per_level_alpha(alpha, levels.shape[0], simultaneous)
     result = impute(m, i, j, eta, min_overlap=min_overlap, max_neighbors=max_neighbors)
-    values, sizes = empirical._column_block(
-        [m.entry(u, j).samples for u in result.neighbors.rows])
+    values, starts, sizes = empirical._column_block(
+        [m.entry(u, j).samples for u in result.neighbors.rows], padded=True)
     k, n_max = values.shape
     slots = np.arange(n_max)
     flat = values.reshape(-1)
     ranks = _order_index(levels, sizes[:, None]) - 1
-    offsets = n_max * np.arange(k)[:, None]  # start of each row of the block
+    offsets = starts[:, None]  # start of each row of the block
     equal = sizes.min() == n_max
     n_reps = reps_neighbors * reps_samples
     seeds = np.random.SeedSequence(seed).spawn(n_reps)

@@ -1,7 +1,7 @@
 """Distributional matrix container, observation mask, and MCAR masking.
 
-Each column is one read-only block, +inf-padded rows of sorted samples in
-the one layout of ``empirical._column_block``. Hiding a cell copies only
+Each column is one read-only block of sorted samples in the layout of
+``empirical._column_block``. Hiding a cell copies only
 the mask; its samples stay in the shared block, behind the mask.
 """
 

@@ -109,3 +109,38 @@ def test_two_checkouts_end_with_the_ab_verdict(tmp_path, monkeypatch, capsys):
         "panel_equal setup_s: parent 1 (IQR 0), change 1.3, change better in 0/4 pairs WORSE",
         "panel_equal ops_per_s: parent 11.5 (IQR 1.5), change 12.5, change better in 4/4 pairs",
     ]
+
+
+def _runs(workload, values, correct=None):
+    correct = correct or [True] * len(values)
+    return {"runs": [{"workload": workload, "seed": seed, "correct": ok,
+                      "metrics": {"ops_per_s": {"value": v}}}
+                     for seed, (v, ok) in enumerate(zip(values, correct))]}
+
+
+OPS = [{"name": "ops_per_s", "better": "higher", "bound": 0.2}]
+
+
+def test_verdict_marks_a_spread_wider_than_the_bound_unresolved():
+    # parent IQR 5 > 0.2 * 10; the change's runs overlap the parent's
+    parent = _runs("bands", [6.0, 8.0, 10.0, 13.0, 14.0])
+    assert bench_record.verdict(parent, _runs("bands", [7.0, 9.0, 10.5, 12.0, 15.0]), OPS) == [
+        "bands ops_per_s: parent 10 (IQR 5), change 10.5, change better in 4/5 pairs UNRESOLVED"]
+    # every change run beats every parent run: resolved however wide the spread
+    assert bench_record.verdict(parent, _runs("bands", [15.0, 16.0, 17.0, 18.0, 19.0]), OPS) == [
+        "bands ops_per_s: parent 10 (IQR 5), change 17, change better in 5/5 pairs"]
+
+
+def test_verdict_leaves_out_pairs_with_a_failed_run():
+    parent = _runs("bands", [10.0, 10.0, 10.0, 1.0], [True, True, True, False])
+    change = _runs("bands", [11.0, 11.0, 1.0, 11.0], [True, True, False, True])
+    assert bench_record.verdict(parent, change, OPS) == [
+        "bands: 2/4 pairs left out, a run not correct FAILED",
+        "bands ops_per_s: parent 10 (IQR 0), change 11, change better in 2/2 pairs"]
+
+
+def test_verdict_needs_runs_that_pair_up():
+    with pytest.raises(ValueError, match="do not pair up"):
+        bench_record.verdict(_runs("bands", [1.0, 2.0]), _runs("panel_equal", [1.0, 2.0]), OPS)
+    with pytest.raises(ValueError):
+        bench_record.verdict(_runs("bands", [1.0, 2.0]), _runs("bands", [1.0]), OPS)

@@ -19,11 +19,20 @@ from distnn.estimator import _RowState, _w2sq_table
 
 
 def _block(cells):
-    """A column block (+inf-padded rows, sample counts) holding sorted ``cells``."""
+    """A column block (+inf-padded rows, row starts, sample counts) holding sorted ``cells``."""
     sizes = np.array([c.size for c in cells])
     values = np.array([np.append(np.sort(c), np.full(sizes.max() - c.size, np.inf))
                        for c in cells])
-    return values, sizes
+    return values, np.arange(len(cells)) * sizes.max(), sizes
+
+
+def _flat_block(cells):
+    """The same block with the samples back to back, as a skewed column stores them."""
+    sizes = np.array([c.size for c in cells])
+    return np.concatenate([np.sort(c) for c in cells]), np.cumsum(sizes) - sizes, sizes
+
+
+BLOCKS = (_block, _flat_block)
 
 
 def _searchsorted_grid(ds):
@@ -63,12 +72,12 @@ class TestPairTable:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(cells=ragged_columns())
     def test_batched_pairs_equal_w2sq(self, cells):
-        block = _block(cells)
         ds = [from_samples(c) for c in cells]
-        for i in range(len(cells)):
-            rows = np.array([u for u in range(len(cells)) if u != i])
-            got = _w2sq_pairs(block, rows, i)
-            assert got.tolist() == [w2sq(ds[u], ds[i]) for u in rows.tolist()]
+        for build in BLOCKS:
+            for i in range(len(cells)):
+                rows = np.array([u for u in range(len(cells)) if u != i])
+                got = _w2sq_pairs(build(cells), rows, i)
+                assert got.tolist() == [w2sq(ds[u], ds[i]) for u in rows.tolist()]
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(cells=ragged_columns(max_cells=6, max_n=40), hidden=st.integers(0, 5))
@@ -123,24 +132,28 @@ class TestGather:
         sizes = np.full(members, rng.integers(1, max_n + 1)) if one_count else \
             rng.integers(1, max_n + 1, size=members)
         cells = [_samples(rng, int(n), bool(rng.integers(2))) for n in sizes]
-        edges, widths, take = _block_grid(_block(cells), np.arange(members))
         ref_edges, ref_widths, ref_values = _searchsorted_grid([from_samples(c) for c in cells])
-        assert edges.tobytes() == ref_edges.tobytes()
-        if ref_widths is None:
-            assert widths is None
-        else:
-            assert widths.tobytes() == ref_widths.tobytes()
-        assert take(0, members).tobytes() == ref_values.tobytes()
         cut = data.draw(st.integers(0, members))
-        assert np.concatenate([take(0, cut), take(cut, members)]).tobytes() == ref_values.tobytes()
+        for build in BLOCKS:
+            edges, widths, take = _block_grid(build(cells), np.arange(members))
+            assert edges.tobytes() == ref_edges.tobytes()
+            if ref_widths is None:
+                assert widths is None
+            else:
+                assert widths.tobytes() == ref_widths.tobytes()
+            assert take(0, members).tobytes() == ref_values.tobytes()
+            assert np.concatenate([take(0, cut), take(cut, members)]).tobytes() == \
+                ref_values.tobytes()
 
     def test_rows_of_a_block_in_any_order(self):
         rng = np.random.default_rng(4)
         cells = [rng.normal(size=n) for n in (7, 3, 12, 5, 3)]
-        rows = np.array([3, 0, 4])
-        _, _, take = _block_grid(_block(cells), rows)
-        ref = _searchsorted_grid([from_samples(cells[r]) for r in rows.tolist()])
-        assert take(0, 3).tobytes() == ref[2].tobytes()
+        # the second rows share one count: the equal-count read
+        for rows in (np.array([3, 0, 4]), np.array([1, 4])):
+            ref = _searchsorted_grid([from_samples(cells[r]) for r in rows.tolist()])
+            for build in BLOCKS:
+                _, _, take = _block_grid(build(cells), rows)
+                assert take(0, rows.size).tobytes() == ref[2].tobytes()
 
 
 def _ragged_outcomes(m):
@@ -181,3 +194,34 @@ class TestBoundedMemory:
         # the ragged benchmark panel: 30 rows, n 100-200, about 3,890 pieces
         assert empirical._chunk_rows(3_890) >= 30
         assert empirical._chunk_rows(2 * empirical._GATHER_ELEMENTS) == 1
+
+    def test_skewed_column_stays_proportional_to_its_samples(self):
+        # one cell of 20,000 samples among 300 of 4: +inf-padded rows would
+        # hold 75 times the column's samples
+        rng = np.random.default_rng(31)
+        cells = [rng.normal(size=4) for _ in range(300)] + [rng.normal(size=20_000)]
+        m = DistributionalMatrix([[c, c[:2]] for c in cells])
+        for values, _, sizes in m._blocks:
+            assert values.nbytes <= empirical._PAD_LIMIT * values.itemsize * sizes.sum()
+        assert m._blocks[0][0].nbytes == 8 * sum(c.size for c in cells)
+        for i in (0, 300):
+            others = [u for u in range(m.n_rows) if u != i]
+            table = _w2sq_table(m, i)
+            assert table[others, 0].tolist() == [w2sq(m.entry(u, 0), m.entry(i, 0)) for u in others]
+
+    def test_back_to_back_samples_change_no_bit(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        entries = [[rng.normal(r % 4, 1.0, int(rng.integers(1, 7)))]
+                   + [rng.normal(r % 4, 1.0, n) for n in (3, 2)] for r in range(24)]
+        entries[5][0] = rng.normal(1.0, 1.0, 300)  # one large cell in column 0
+        entries[6][0] = None
+        for r in range(24):
+            if r % 6:
+                entries[r][1] = None  # column 1 observed in four rows, one count
+        m = DistributionalMatrix(entries)
+        assert [values.ndim for values, _, _ in m._blocks] == [1, 1, 2]
+        expected = _ragged_outcomes(m)
+        monkeypatch.setattr(empirical, "_PAD_LIMIT", math.inf)
+        padded = DistributionalMatrix(entries)
+        assert [values.ndim for values, _, _ in padded._blocks] == [2, 2, 2]
+        assert _ragged_outcomes(padded) == expected

@@ -22,9 +22,13 @@ With two checkouts, the first read as the parent and the second as the
 change, the last lines are the A/B verdict: for each workload and each
 end-to-end metric of ``BENCHMARK.json``, both medians, the parent's
 interquartile range, the (workload, seed) pairs in which the change was
-better (ties count for neither side), and ``WORSE`` where the change's
-median is worse than the parent's by more than the metric's bound, a share
-of the parent's median.
+better (ties count for neither side), ``WORSE`` where the change's median
+is worse than the parent's by more than the metric's bound, a share of the
+parent's median, and ``UNRESOLVED`` where the parent's IQR is wider than
+that bound and some change run is no better than some parent run. A pair
+in which either run is not correct is left out of the medians, and its
+workload gets a ``FAILED`` line. Runs pair up by position and must share
+workload and seed.
 """
 
 from __future__ import annotations
@@ -63,10 +67,18 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[d
 
 def verdict(parent: dict, change: dict, end_to_end: list) -> list[str]:
     """The A/B lines for two records whose runs pair up in order."""
+    runs = list(zip(parent["runs"], change["runs"], strict=True))
+    for p, c in runs:
+        if (p["workload"], p["seed"]) != (c["workload"], c["seed"]):
+            raise ValueError(f"runs do not pair up: {p['workload']} at seed {p['seed']} "
+                             f"against {c['workload']} at seed {c['seed']}")
     lines = []
-    for workload in dict.fromkeys(r["workload"] for r in parent["runs"]):
-        pairs = [(p["metrics"], c["metrics"]) for p, c in zip(parent["runs"], change["runs"])
-                 if p["workload"] == workload]
+    for workload in dict.fromkeys(p["workload"] for p, _ in runs):
+        mine = [(p, c) for p, c in runs if p["workload"] == workload]
+        pairs = [(p["metrics"], c["metrics"]) for p, c in mine if p["correct"] and c["correct"]]
+        if len(pairs) < len(mine):
+            lines.append(f"{workload}: {len(mine) - len(pairs)}/{len(mine)} pairs left out, "
+                         "a run not correct FAILED")
         for metric in end_to_end:
             name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
             values = np.array([(p[name]["value"], c[name]["value"])
@@ -76,10 +88,15 @@ def verdict(parent: dict, change: dict, end_to_end: list) -> list[str]:
             q1, base, q3 = np.percentile(values[:, 0], [25, 50, 75])
             median = np.median(values[:, 1])
             won = int(np.sum(sign * (values[:, 1] - values[:, 0]) > 0.0))
-            worse = sign * (median - base) < -metric["bound"] * abs(base)
+            bound = metric["bound"] * abs(base)
+            tags = []
+            if sign * (median - base) < -bound:
+                tags.append(" WORSE")
+            if q3 - q1 > bound and np.min(sign * values[:, 1]) <= np.max(sign * values[:, 0]):
+                tags.append(" UNRESOLVED")
             lines.append(f"{workload} {name}: parent {base:.4g} (IQR {q3 - q1:.3g}), "
                          f"change {median:.4g}, change better in {won}/{len(values)} pairs"
-                         + (" WORSE" if worse else ""))
+                         + "".join(tags))
     return lines
 
 
