@@ -366,23 +366,20 @@ def _merged_grid(ds):
     return edges, widths, take
 
 
-def _running_sums(take, count: int, width: int):
-    """Cumulative sums down ``count`` gathered rows, a chunk of rows at a time.
+def _running_sums(rows, carry=None) -> None:
+    """Turn ``rows[r]`` into ``carry + rows[0] + ... + rows[r]`` in place.
 
-    Yields ``(lo, sums)`` with ``sums[r]`` the sum of rows 0..lo+r, a new
-    array the caller may overwrite. Each chunk's first row takes the
-    running sum before the chunk's ``np.cumsum``, so every row has the bits
-    of one cumulative sum over all rows, in O(chunk * width) memory.
+    One whole-row ``np.add`` per row, over every value of the row at once
+    (a rows x columns x width slab sums all its columns together). These are
+    ``np.cumsum(axis=0)``'s additions in its order, so the bits are the
+    same, without its strided loop. Rows summed a chunk at a time, each
+    chunk passing its last row as the next one's ``carry``, have the bits
+    of one sum over all rows.
     """
-    step = _chunk_rows(width)
-    carry = None
-    for lo in range(0, count, step):
-        sums = take(lo, min(lo + step, count))
-        if carry is not None:
-            sums[0] += carry
-        np.cumsum(sums, axis=0, out=sums)
-        carry = sums[-1].copy()
-        yield lo, sums
+    if carry is not None:
+        rows[0] += carry
+    for r in range(1, rows.shape[0]):
+        np.add(rows[r - 1], rows[r], out=rows[r])
 
 
 def _integral(widths, f) -> np.ndarray:
@@ -396,24 +393,45 @@ def _integral(widths, f) -> np.ndarray:
     return np.sum(f, axis=-1)
 
 
-def _heldout_losses(block, rows) -> np.ndarray:
-    """Loss of the barycenter of block cells rows[:k] against cell rows[-1],
-    the integral of their squared quantile gap, indexed by k (NaN at k = 0).
+def _row_losses(columns) -> list:
+    """Held-out losses of one row, for each ``(block, rows)`` in ``columns``:
+    the loss of the barycenter of cells rows[:k] against cell rows[-1], the
+    integral of their squared quantile gap, indexed by k (NaN at k = 0).
 
-    Every prefix barycenter is one row of a cumulative sum over the cells'
-    merged grid, taken a chunk of rows at a time.
+    Every prefix barycenter is a row of the running sums of the cells. Each
+    column's cells are gathered on its own :func:`_block_grid` grid into one
+    zero-padded rows x columns x width slab, a chunk of rows at a time
+    under the gather budget, in one buffer. The sums, the division by k,
+    the gap and its square then take every column at once, and each column
+    is integrated over its own width.
     """
-    _, widths, take = _block_grid(block, rows)
-    count = len(rows) - 1
-    target = take(count, count + 1)[0]
-    losses = np.empty(count + 1)
-    losses[0] = np.nan
-    for lo, sums in _running_sums(take, count, target.size):
-        hi = lo + sums.shape[0]
-        sums /= np.arange(lo + 1, hi + 1)[:, None]
-        sums -= target
-        sums *= sums
-        losses[lo + 1:hi + 1] = _integral(widths, sums)
+    grids = [_block_grid(block, rows) for block, rows in columns]
+    counts = [rows.shape[0] - 1 for _, rows in columns]
+    sizes = [edges.size for edges, _, _ in grids]
+    losses = [np.full(k + 1, np.nan) for k in counts]
+    depth, width = max(counts, default=0), max(sizes, default=0)
+    step = _chunk_rows(len(columns) * width)
+    slab = np.zeros((min(step, depth), len(columns), width))
+    target = np.zeros(slab.shape[1:])
+    for c, ((_, _, take), k, w) in enumerate(zip(grids, counts, sizes)):
+        target[c, :w] = take(k, k + 1)[0]
+    carry = None
+    for lo in range(0, depth, step):
+        part = slab[:min(step, depth - lo)]
+        # rows of each column in this chunk; the rest of its rows are zero
+        held = [min(max(k - lo, 0), part.shape[0]) for k in counts]
+        for c, ((_, _, take), h, w) in enumerate(zip(grids, held, sizes)):
+            if h:
+                part[:h, c, :w] = take(lo, lo + h)
+            part[h:, c, :w] = 0.0
+        _running_sums(part, carry)
+        carry = part[-1].copy()
+        part /= np.arange(lo + 1, lo + part.shape[0] + 1)[:, None, None]
+        part -= target
+        part *= part
+        for c, ((_, widths, _), h, w) in enumerate(zip(grids, held, sizes)):
+            if h:
+                losses[c][lo + 1:lo + h + 1] = _integral(widths, part[:h, c, :w])
     return losses
 
 
@@ -514,10 +532,14 @@ def step_barycenter(ds) -> StepQuantile:
     if not ds:
         raise EmptyCollectionError("barycenter of an empty collection")
     edges, _, take = _merged_grid(ds)
-    for _, sums in _running_sums(take, len(ds), edges.size):
-        pass
+    step = _chunk_rows(edges.size)
+    total = None
+    for lo in range(0, len(ds), step):
+        sums = take(lo, min(lo + step, len(ds)))
+        _running_sums(sums, total)
+        total = sums[-1]
     # 0.0 + turns an all-zero -0.0 sum into +0.0, as summing from zero does
-    return StepQuantile(edges, (0.0 + sums[-1]) / len(ds))
+    return StepQuantile(edges, (0.0 + total) / len(ds))
 
 
 def summaries(d, var_alpha: float = 0.05) -> dict:

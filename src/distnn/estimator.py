@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .empirical import StepQuantile, _heldout_losses, _w2sq_pairs, barycenter, step_barycenter, summaries, w2sq
+from .empirical import StepQuantile, _row_losses, _w2sq_pairs, barycenter, step_barycenter, summaries, w2sq
 from .errors import NoNeighborsError, OutOfDomainError
 from .matrix import DistributionalMatrix, shared_columns
 
@@ -138,7 +138,8 @@ class _RowState:
 
     Nothing here depends on a target's threshold, so every cell of row i
     shares it: for each left-out column, the ranking of rows and the
-    held-out losses of that column's cell. Stored arrays are read-only and
+    held-out losses of that column's cell, the losses of all the columns a
+    tuning run holds out computed in one pass. Stored arrays are read-only and
     each memo entry is written whole, so threads sharing a matrix can at
     worst compute an entry twice, with the same value.
     """
@@ -164,17 +165,19 @@ class _RowState:
             self._ranked[key] = found
         return found
 
-    def heldout_losses(self, m: DistributionalMatrix, col: int, min_overlap: int) -> np.ndarray:
-        """Loss at row i's held-out cell in ``col`` of the barycenter of the
-        k nearest rows, indexed by k (NaN at k = 0: no neighbor)."""
-        key = (col, min_overlap)
-        found = self._losses.get(key)
-        if found is None:
-            rows = np.append(self.ranked(m, col, min_overlap).rows, self.row)
-            found = _heldout_losses(m._blocks[col], rows)
-            found.setflags(write=False)
-            self._losses[key] = found
-        return found
+    def heldout_losses(self, m: DistributionalMatrix, cols, min_overlap: int) -> list:
+        """For each column in ``cols``, the loss at row i's held-out cell
+        there of the barycenter of the k nearest rows, indexed by k (NaN at
+        k = 0: no neighbor). The columns not yet held are computed in one
+        pass (:func:`empirical._row_losses`)."""
+        todo = [c for c in cols if (c, min_overlap) not in self._losses]
+        if todo:
+            columns = [(m._blocks[c], np.append(self.ranked(m, c, min_overlap).rows, self.row))
+                       for c in todo]
+            for c, found in zip(todo, _row_losses(columns)):
+                found.setflags(write=False)
+                self._losses[c, min_overlap] = found
+        return [self._losses[c, min_overlap] for c in cols]
 
 
 def _row_state(m: DistributionalMatrix, i: int) -> _RowState:

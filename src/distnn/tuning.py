@@ -125,9 +125,9 @@ def tune_eta(m: DistributionalMatrix, i: int, j: int, cfg: TuneConfig | None = N
     candidates = _candidate_etas(cfg, state.ranked(m, j, cfg.min_overlap).sorted_dists)
 
     losses = np.empty((candidates.shape[0], len(held_cols)))
-    for c, v in enumerate(held_cols):
-        ks = state.ranked(m, v, cfg.min_overlap).within(candidates)
-        losses[:, c] = state.heldout_losses(m, v, cfg.min_overlap)[ks]
+    held = state.heldout_losses(m, held_cols, cfg.min_overlap)
+    for c, (v, found) in enumerate(zip(held_cols, held)):
+        losses[:, c] = found[state.ranked(m, v, cfg.min_overlap).within(candidates)]
 
     valid = ~np.isnan(losses)
     n_valid = np.sum(valid, axis=1)

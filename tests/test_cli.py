@@ -488,3 +488,36 @@ class TestGoldenOutputs:
         kept = {"lower": band["lower"], "upper": band["upper"]}
         digest = hashlib.sha256(json.dumps(kept).encode()).hexdigest()
         assert digest == sha
+
+
+class TestGoldenBytes:
+    """sha256 of whole result files, so that indentation, separators, key
+    order and float text are pinned along with the values. Each command runs
+    in the temporary directory on relative paths, so the echoed ``input``
+    is the same on every run. The cases write non-finite numbers as null:
+    the fallback's eta of infinity, and the infinite mean loss of a trial
+    whose eta finds no neighbour."""
+
+    @pytest.mark.parametrize("argv, sha", [
+        ("impute --input ragged.csv --row r1 --col c1 --eta 1e-12 --fallback-nearest "
+         "--output out.json", "7093c2df98db6d1c74e1e32c05e53cd8251fcacec7749888aa3ce42c819a3739"),
+        ("impute --input equal.csv --all-missing --tune --output out.json", "c24f47861c57ee4f179ad269799f84ac055604f88c1cda964faa92017ef4899c"),
+        ("impute --input ragged.csv --all-missing --tune --output out.json", "cc5cda21b5e1ab96b212793c123e276c587f4daa8163883f662dba5d805972fd"),
+        ("tune --input ragged.csv --row r1 --col c1 --eta-min 1e-9 --eta-max 10 --budget 12 "
+         "--output out.json", "ee1cbc6f663240d4eac3651f11882fe98c4495fe72c2de0494979713091008e9"),
+        ("bands --input ragged.csv --row r1 --col c1 --method bootstrap --levels 19 "
+         "--output out.json", "c21bf3a58afca84251f4aec8e2dc52143304bee3d88037e0c8f9dfdb593fa8ea"),
+        ("bands --input equal.csv --row r1 --col c0 --method asymptotic-kde --levels 19 "
+         "--output out.json", "ffdfc003bc8f7af8399b0da816b1663e0e168ebdb3e32f1128caf38ef21cadda"),
+        ("simulate --values 10 30 --trials 3 --rows 10 --cols 6 --budget 8 --seed 1 "
+         "--output-prefix out", "19a345ae7da87ccd284d05aad84cc0eff175130dfa19b182058beeaef2f4bc56"),
+        ("verify uniform-barycenter --trials 200 --output-prefix out", "88d2969264f08d35991266514005eb7b4c6e1f6d0a21e95eda515768c5f31248"),
+    ], ids=["impute", "impute-all-missing-equal-n", "impute-all-missing-ragged", "tune",
+            "bands-bootstrap", "bands-asymptotic-kde", "simulate", "verify"])
+    def test_output_file_bytes(self, argv, sha, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        _golden_panel(tmp_path / "equal.csv", 12, ragged=False)
+        _golden_panel(tmp_path / "ragged.csv", 13, ragged=True)
+        assert main(argv.split()) == 0
+        capsys.readouterr()
+        assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == sha

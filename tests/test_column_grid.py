@@ -156,14 +156,84 @@ class TestGather:
                 assert take(0, rows.size).tobytes() == ref[2].tobytes()
 
 
+def _column_losses(block, rows):
+    """Reference held-out losses of one column: the barycenter of cells
+    rows[:k] against cell rows[-1], from one ``np.cumsum`` down the column's
+    merged grid, NaN at k = 0."""
+    _, widths, take = _block_grid(block, rows)
+    values = take(0, rows.size)
+    sums = np.cumsum(values[:-1], axis=0)
+    sums /= np.arange(1, rows.size)[:, None]
+    sums -= values[-1]
+    sums *= sums
+    return np.concatenate(([np.nan], empirical._integral(widths, sums)))
+
+
+class TestRowLosses:
+    """One row's held-out losses over all its columns at once have the bits
+    of a cumulative sum per column."""
+
+    @staticmethod
+    def _columns():
+        rng = np.random.default_rng(33)
+        equal = [rng.normal(size=8) for _ in range(9)]
+        ragged = [rng.normal(r % 3, 1.0, int(rng.integers(1, 40))) for r in range(9)]
+        return [
+            (_block(equal), np.array([4, 0, 7, 2, 8, 1, 5, 3])),
+            (_block(ragged), np.array([7, 1, 8, 3, 0, 5, 6, 4])),
+            (_flat_block(ragged), np.array([2, 6, 0, 3, 4])),
+            (_flat_block(equal), np.array([1, 3, 6, 8, 5, 2])),
+            (_block(ragged), np.array([3])),  # no ranked row
+            (_block(equal), np.array([6, 0])),  # one ranked row
+        ]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, None])
+    def test_matches_one_cumulative_sum_per_column(self, monkeypatch, chunk):
+        columns = self._columns()
+        expected = [_column_losses(block, rows).tobytes() for block, rows in columns]
+        if chunk is not None:  # rows of the slab per chunk
+            width = max(_block_grid(block, rows)[0].size for block, rows in columns)
+            monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", chunk * len(columns) * width)
+        got = empirical._row_losses(columns)
+        assert [losses.tobytes() for losses in got] == expected
+        assert [losses.size for losses in got] == [rows.size for _, rows in columns]
+
+    def test_columns_without_ranked_rows(self):
+        block = _block([np.arange(3.0), np.arange(5.0)])
+        got = empirical._row_losses([(block, np.array([0])), (block, np.array([1]))])
+        assert [losses.size for losses in got] == [1, 1] and np.isnan(got).all()
+        assert empirical._row_losses([]) == []
+
+    def test_rows_past_a_column_hold_no_stale_values(self, monkeypatch):
+        # one row per chunk: squaring a finished column's last values again
+        # in each later chunk would overflow (a warning, an error here)
+        rng = np.random.default_rng(34)
+        cells = [rng.normal(0.0, 1e30, 6) for _ in range(8)]
+        columns = [(_block(cells), np.array([3, 0])), (_block(cells), np.array([1, 2, 4, 5, 6, 7, 0]))]
+        expected = [_column_losses(block, rows).tobytes() for block, rows in columns]
+        monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", 1)
+        assert [losses.tobytes() for losses in empirical._row_losses(columns)] == expected
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), cells=ragged_columns(max_cells=10, max_n=60))
+    def test_random_columns(self, data, cells):
+        columns = []
+        for build in BLOCKS:
+            for _ in range(2):
+                rows = data.draw(st.permutations(range(len(cells))))
+                cut = data.draw(st.integers(1, len(cells)))
+                columns.append((build(cells), np.array(rows[:cut])))
+        expected = [_column_losses(block, rows).tobytes() for block, rows in columns]
+        assert [losses.tobytes() for losses in empirical._row_losses(columns)] == expected
+
+
 def _ragged_outcomes(m):
     """Every held-out loss array, trial log and estimate of a matrix, and a
     barycenter of all its column-0 cells, as bytes and reprs."""
     out = []
     for i in range(m.n_rows):
-        state = _RowState(m, i)
-        for v in np.flatnonzero(m.mask[i]).tolist():
-            out.append(state.heldout_losses(m, v, 1).tobytes())
+        held = _RowState(m, i).heldout_losses(m, np.flatnonzero(m.mask[i]).tolist(), 1)
+        out += [losses.tobytes() for losses in held]
     for i, j in m.missing_cells():
         report = tune_eta(m, i, j, TuneConfig(budget=8))
         est = impute(m, i, j, report.best_eta).estimate
