@@ -370,7 +370,7 @@ def _running_sums(rows, carry=None) -> None:
     """Turn ``rows[r]`` into ``carry + rows[0] + ... + rows[r]`` in place.
 
     One whole-row ``np.add`` per row, over every value of the row at once
-    (a rows x columns x width slab sums all its columns together). These are
+    (a slab of columns side by side sums all of them together). These are
     ``np.cumsum(axis=0)``'s additions in its order, so the bits are the
     same, without its strided loop. Rows summed a chunk at a time, each
     chunk passing its last row as the next one's ``carry``, have the bits
@@ -398,40 +398,59 @@ def _row_losses(columns) -> list:
     the loss of the barycenter of cells rows[:k] against cell rows[-1], the
     integral of their squared quantile gap, indexed by k (NaN at k = 0).
 
-    Every prefix barycenter is a row of the running sums of the cells. Each
-    column's cells are gathered on its own :func:`_block_grid` grid into one
-    zero-padded rows x columns x width slab, a chunk of rows at a time
-    under the gather budget, in one buffer. The sums, the division by k,
-    the gap and its square then take every column at once, and each column
-    is integrated over its own width.
+    Every prefix barycenter is a row of the running sums of the cells. The
+    columns' grids (:func:`_block_grid`) sit side by side in one slab of
+    rows x (their widths summed), deepest column first, filled a chunk of
+    rows at a time under the gather budget, in one buffer. Slab row r is
+    read only over the columns with more than r ranked rows, a prefix of it,
+    so no value is gathered or computed past a column's own rows and
+    widths. The sums, the division by k, the gap and its square take that
+    prefix of each run of rows at once; each column is integrated over its
+    own span.
     """
-    grids = [_block_grid(block, rows) for block, rows in columns]
-    counts = [rows.shape[0] - 1 for _, rows in columns]
-    sizes = [edges.size for edges, _, _ in grids]
-    losses = [np.full(k + 1, np.nan) for k in counts]
-    depth, width = max(counts, default=0), max(sizes, default=0)
-    step = _chunk_rows(len(columns) * width)
-    slab = np.zeros((min(step, depth), len(columns), width))
-    target = np.zeros(slab.shape[1:])
-    for c, ((_, _, take), k, w) in enumerate(zip(grids, counts, sizes)):
-        target[c, :w] = take(k, k + 1)[0]
+    losses = [np.full(rows.shape[0], np.nan) for _, rows in columns]
+    order = sorted((c for c, (_, rows) in enumerate(columns) if rows.shape[0] > 1),
+                   key=lambda c: -columns[c][1].shape[0])
+    if not order:
+        return losses
+    grids = [_block_grid(*columns[c]) for c in order]
+    counts = [columns[c][1].shape[0] - 1 for c in order]
+    ends = np.cumsum([edges.size for edges, _, _ in grids]).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    # (first row, end row, slab width) of each run of rows that read the same
+    # columns: rows from the (j+1)-th largest count up to the j-th read the
+    # first j columns
+    runs, top = [], 0
+    for k, end in zip(counts[::-1], ends[::-1]):
+        if k > top:
+            runs.append((top, k, end))
+            top = k
+    depth, width = counts[0], ends[-1]
+    step = _chunk_rows(width)
+    slab = np.empty((min(step, depth), width))
+    target = np.empty(width)
+    for (_, _, take), k, (s, e) in zip(grids, counts, spans):
+        target[s:e] = take(k, k + 1)[0]
     carry = None
     for lo in range(0, depth, step):
-        part = slab[:min(step, depth - lo)]
-        # rows of each column in this chunk; the rest of its rows are zero
-        held = [min(max(k - lo, 0), part.shape[0]) for k in counts]
-        for c, ((_, _, take), h, w) in enumerate(zip(grids, held, sizes)):
-            if h:
-                part[:h, c, :w] = take(lo, lo + h)
-            part[h:, c, :w] = 0.0
-        _running_sums(part, carry)
+        hi = min(lo + step, depth)
+        part = slab[:hi - lo]
+        for (_, _, take), k, (s, e) in zip(grids, counts, spans):
+            if k > lo:
+                part[:min(k, hi) - lo, s:e] = take(lo, min(k, hi))
+        pieces = [(max(a, lo) - lo, min(b, hi) - lo, w) for a, b, w in runs if a < hi and b > lo]
+        for a, b, w in pieces:
+            before = part[a - 1] if a else carry
+            _running_sums(part[a:b, :w], None if before is None else before[:w])
         carry = part[-1].copy()
-        part /= np.arange(lo + 1, lo + part.shape[0] + 1)[:, None, None]
-        part -= target
-        part *= part
-        for c, ((_, widths, _), h, w) in enumerate(zip(grids, held, sizes)):
-            if h:
-                losses[c][lo + 1:lo + h + 1] = _integral(widths, part[:h, c, :w])
+        for a, b, w in pieces:
+            sums = part[a:b, :w]
+            sums /= np.arange(lo + a + 1, lo + b + 1)[:, None]
+            sums -= target[:w]
+            sums *= sums
+        for c, (_, widths, _), k, (s, e) in zip(order, grids, counts, spans):
+            if k > lo:
+                losses[c][lo + 1:min(k, hi) + 1] = _integral(widths, part[:min(k, hi) - lo, s:e])
     return losses
 
 

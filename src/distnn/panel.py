@@ -15,6 +15,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DistnnError, IndexOutOfRangeError, PanelParseError
 from .matrix import DistributionalMatrix
@@ -67,6 +68,60 @@ def _open_text(path, mode="r", **kwargs):
         raise PanelParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise PanelParseError(f"file is not UTF-8 text: {exc.reason}") from None
+
+
+def _write_json(path, payload) -> None:
+    """Write ``payload`` as ``json.dump(payload, fh, indent=1, sort_keys=True)``
+    followed by a newline, with every non-finite float written as null.
+
+    One walk encodes the whole payload; a list of plain floats is one join of
+    ``float.__repr__``, the text json writes for a float. Raises TypeError,
+    before the file is opened, for a value json cannot write and for a key
+    that is not a str.
+    """
+    parts = []
+    _encode(payload, "\n", parts)
+    parts.append("\n")
+    with _open_text(path, "w") as fh:
+        fh.write("".join(parts))
+
+
+def _encode(obj, newline, parts) -> None:
+    """Append the JSON text of ``obj`` to ``parts``; ``newline`` starts a
+    line at the depth of ``obj``, and its members sit one space deeper."""
+    if isinstance(obj, str):
+        parts.append(_quote(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True or obj is False:
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        parts.append(float.__repr__(obj) if math.isfinite(obj) else "null")
+    elif isinstance(obj, dict):
+        inner = newline + " "
+        parts.append("{")
+        for k, (key, value) in enumerate(sorted(obj.items())):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts += ("," + inner if k else inner, _quote(key), ": ")
+            _encode(value, inner, parts)
+        parts.append(newline + "}" if obj else "}")
+    elif isinstance(obj, (list, tuple)):
+        inner = newline + " "
+        parts.append("[")
+        floats = obj and all(type(v) is float for v in obj)
+        text = ("," + inner).join(map(float.__repr__, obj)) if floats else ""
+        if floats and "n" not in text:  # the text of inf and of nan holds an n
+            parts += (inner, text)
+        else:
+            for k, value in enumerate(obj):
+                parts.append("," + inner if k else inner)
+                _encode(value, inner, parts)
+        parts.append(newline + "]" if obj else "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def read_panel_csv(path) -> Panel:
@@ -135,9 +190,7 @@ def write_matrix_json(panel: Panel, path) -> None:
             for i, j in panel.matrix.observed_cells()
         ],
     }
-    with _open_text(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def read_matrix_json(path) -> Panel:

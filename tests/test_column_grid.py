@@ -6,6 +6,7 @@ computations they replace.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,8 +193,8 @@ class TestRowLosses:
         columns = self._columns()
         expected = [_column_losses(block, rows).tobytes() for block, rows in columns]
         if chunk is not None:  # rows of the slab per chunk
-            width = max(_block_grid(block, rows)[0].size for block, rows in columns)
-            monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", chunk * len(columns) * width)
+            width = sum(_block_grid(block, rows)[0].size for block, rows in columns if rows.size > 1)
+            monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", chunk * width)
         got = empirical._row_losses(columns)
         assert [losses.tobytes() for losses in got] == expected
         assert [losses.size for losses in got] == [rows.size for _, rows in columns]
@@ -225,6 +226,26 @@ class TestRowLosses:
                 columns.append((build(cells), np.array(rows[:cut])))
         expected = [_column_losses(block, rows).tobytes() for block, rows in columns]
         assert [losses.tobytes() for losses in empirical._row_losses(columns)] == expected
+
+    def test_wide_column_among_narrow_ones_stays_proportional(self, monkeypatch):
+        # 200 columns of 4-sample cells and one whose held-out cell holds
+        # 4,999 samples: padding every column to the wide one's grid would
+        # take 201 x 5,002 values per slab row
+        rng = np.random.default_rng(35)
+        narrow = [_block([rng.normal(size=4) for _ in range(40)]) for _ in range(200)]
+        wide = _flat_block([rng.normal(size=4) for _ in range(39)] + [rng.normal(size=4_999)])
+        columns = [(block, np.arange(40)) for block in narrow + [wide]]
+        samples = sum(int(sizes[rows].sum()) for (_, _, sizes), rows in columns)
+        monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", 1 << 14)
+        tracemalloc.start()
+        try:
+            got = empirical._row_losses(columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * (samples + empirical._GATHER_ELEMENTS)
+        assert [losses.tobytes() for losses in got] == [
+            _column_losses(block, rows).tobytes() for block, rows in columns]
 
 
 def _ragged_outcomes(m):

@@ -1,4 +1,5 @@
-"""The result-file writer against the standard library's ``json.dump``."""
+"""The JSON writer of result files and matrix panels against the standard
+library's ``json.dump``."""
 
 import io
 import json
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distnn.cli import _write_json
+from distnn import DistributionalMatrix
+from distnn.panel import Panel, _write_json, write_matrix_json
 
 
 def oracle(payload) -> str:
@@ -79,3 +81,20 @@ class TestWriteJson:
         with pytest.raises(TypeError):
             _write_json(path, payload)
         assert not path.exists()
+
+
+def test_matrix_panel_bytes_match_json_dump(tmp_path):
+    # ragged and missing cells, keys of several JSON types
+    rng = np.random.default_rng(36)
+    entries = [[rng.normal(size=n) for n in (3, 7)], [None, rng.normal(size=1) * 1e300]]
+    panel = Panel(DistributionalMatrix(entries), ("a", 2), ("é", None))
+    path = tmp_path / "panel.json"
+    write_matrix_json(panel, path)
+    payload = {
+        "rows": ["a", 2],
+        "cols": ["é", None],
+        "entries": [{"row": panel.row_keys[i], "col": panel.col_keys[j],
+                     "samples": panel.matrix.entry(i, j).samples.tolist()}
+                    for i, j in panel.matrix.observed_cells()],
+    }
+    assert path.read_bytes() == (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode("utf-8")
