@@ -12,10 +12,10 @@ of the order statistics.
 
 Both kinds are one class, :class:`StepQuantile`, which computes every
 summary; :class:`EmpiricalDistribution` is its case of the grid k/n. A
-distributional matrix stores each column as one block of sorted samples,
-+inf-padded rows unless that costs more than a few times the samples
-(:func:`_column_block`); only this module reads a block. A reader's path
-follows only the counts of the cells it reads, never a hidden cell's.
+distributional matrix stores each column as one block, its cells' sorted
+samples back to back (:func:`_column_block`); only this module reads a
+block. A reader's path follows only the counts of the cells it reads, never
+a hidden cell's.
 """
 
 from __future__ import annotations
@@ -254,51 +254,38 @@ def _chunk_rows(width: int) -> int:
     return max(1, _GATHER_ELEMENTS // max(width, 1))
 
 
-# Padded rows hold at most this many times a column's samples (see _column_block).
-_PAD_LIMIT = 4
-
-
-def _column_block(cells, padded=False):
+def _column_block(cells):
     """One column's block from its cells' sorted samples (None where missing).
 
-    A block is a read-only triple ``(values, starts, sizes)``: cell r's
-    ``sizes[r]`` sorted samples start at ``values.reshape(-1)[starts[r]]``,
-    and ``sizes[r]`` is 0 where the cell is missing. ``values`` is rows x
-    n_max, row r holding cell r's samples then +inf, so that cells of one
-    count read as whole rows, when ``padded`` or when that is at most
-    ``_PAD_LIMIT`` times the samples. Otherwise (one cell far larger than
-    the rest, or few cells observed) it holds the samples back to back.
+    A block is a read-only triple ``(values, starts, sizes)``: the cells'
+    samples back to back in one 1-D array, cell r's ``sizes[r]`` sorted
+    samples starting at ``values[starts[r]]``, and ``sizes[r]`` 0 where the
+    cell is missing.
     """
     sizes = np.array([0 if s is None else s.shape[0] for s in cells], dtype=np.int64)
-    width = int(sizes.max(initial=0))
-    if not padded and len(cells) * width > _PAD_LIMIT * int(sizes.sum()):
-        values = np.concatenate([s for s in cells if s is not None])
-        return _readonly(values), _readonly(np.cumsum(sizes) - sizes), _readonly(sizes)
-    values = np.full((len(cells), width), np.inf)
-    for r, s in enumerate(cells):
-        if s is not None:
-            values[r, :s.shape[0]] = s
-    return _readonly(values), _readonly(np.arange(len(cells)) * width), _readonly(sizes)
+    values = np.concatenate([np.empty(0), *(s for s in cells if s is not None)])
+    return _readonly(values), _readonly(np.cumsum(sizes) - sizes), _readonly(sizes)
 
 
 def _full_block(values):
     """The block of a C-contiguous rows x n array of sorted samples, without a copy."""
     rows, n = values.shape
-    return _readonly(values), _readonly(np.arange(rows) * n), _readonly(np.full(rows, n))
+    return _readonly(values.reshape(-1)), _readonly(np.arange(rows) * n), _readonly(np.full(rows, n))
 
 
 def _block_cell(block, r) -> EmpiricalDistribution:
     """Cell r of a column block, a view of its samples."""
     values, starts, sizes = block
-    return EmpiricalDistribution(values.reshape(-1)[starts[r]:starts[r] + sizes[r]])
+    return EmpiricalDistribution(values[starts[r]:starts[r] + sizes[r]])
 
 
 def _block_rows(block, rows, n):
-    """The samples of cells ``rows``, which all hold n, as a new len(rows) x n array."""
+    """The samples of cells ``rows``, which all hold n, as a new len(rows) x n
+    array: rows of a read-only window whose row s is values[s:s + n]. numpy
+    raises ValueError if the window does not fit the block, and IndexError
+    for a start past its last row."""
     values, starts, _ = block
-    if values.ndim == 2:  # padded rows: cell r is row r
-        return values[rows, :n]
-    return values[starts[rows, None] + np.arange(n)]
+    return np.ndarray((values.size - n + 1, n), values.dtype, values, 0, values.strides * 2)[starts[rows]]
 
 
 def _block_grid(block, rows):
@@ -310,7 +297,7 @@ def _block_grid(block, rows):
     one sample count n, the grid is k/n, ``widths`` is None (see
     :func:`_integral`) and a member's values are its samples. Otherwise
     member r's value on piece g is its order statistic ceil(mid * n_r), mid
-    the piece's midpoint, gathered from the flattened block. This is exact:
+    the piece's midpoint, gathered from the block. This is exact:
     mid lies half a piece or more from each breakpoint k/n_r, and a piece
     next to k/n_r is at least 1/(n_r * n_max) wide, so mid * n_r lies at
     least 1/(2 * n_max) from every integer, far beyond its rounding.
@@ -328,11 +315,10 @@ def _block_grid(block, rows):
     edges = np.unique(np.concatenate([np.arange(1, n + 1, dtype=float) / n for n in distinct]))
     widths = _widths(edges)
     mids = edges - 0.5 * widths
-    flat = values.reshape(-1)
     starts = starts[rows]
 
     def take(lo, hi):
-        return _gather(flat, starts[lo:hi, None], counts[lo:hi, None], mids)
+        return _gather(values, starts[lo:hi, None], counts[lo:hi, None], mids)
 
     return edges, widths, take
 
@@ -472,9 +458,8 @@ def _w2sq_pairs(block, rows, i) -> np.ndarray:
     values, starts, sizes = block
     n_i = int(sizes[i])
     counts = sizes[rows]
-    flat = values.reshape(-1)
     if (counts == n_i).all():
-        return _integral(None, (_block_rows(block, rows, n_i) - flat[starts[i]:starts[i] + n_i]) ** 2)
+        return _integral(None, (_block_rows(block, rows, n_i) - values[starts[i]:starts[i] + n_i]) ** 2)
     span = n_i * int(counts.max()) + 1
     base = np.arange(rows.size, dtype=np.int64) * span
     mine = base[:, None] + counts[:, None] * np.arange(1, n_i + 1)
@@ -490,7 +475,7 @@ def _w2sq_pairs(block, rows, i) -> np.ndarray:
     widths = _widths(edges)
     widths[first[:-1]] = edges[first[:-1]]
     mids = edges - 0.5 * widths
-    f = (_gather(flat, starts[rows[pair]], n_u, mids) - _gather(flat, starts[i], n_i, mids)) ** 2
+    f = (_gather(values, starts[rows[pair]], n_u, mids) - _gather(values, starts[i], n_i, mids)) ** 2
     weighted = widths * f
     return np.array([
         np.mean(f[lo:hi]) if n == n_i else np.sum(weighted[lo:hi])

@@ -85,12 +85,14 @@ class ExperimentSpec:
     last, each sweep value is a target n*|N| product realized by keeping the
     nearest k = round(value / n) rows out of a pool of
     ``rows_per_neighbor * k`` rows, so the neighborhood width stays constant
-    while the effective sample size grows. ``eta_policy`` is "tuned"
-    (leave-one-out per trial, ``tune_budget`` candidates) or "fixed"
-    (requires ``eta``). ``min_neighbors`` (at least 1) is the estimator's
-    neighbour floor, ``impute(..., min_neighbors=)``: when fewer rows fall
-    inside the threshold, the nearest ``min_neighbors`` rows are used
-    instead.
+    while the effective sample size grows, n being the DGP's largest count.
+    An ``n_samples`` sweep value is the sample count of every entry; the
+    other sweeps keep the DGP's counts, one per column where it gives them.
+    ``eta_policy`` is "tuned" (leave-one-out per trial, ``tune_budget``
+    candidates) or "fixed" (requires ``eta``). ``min_neighbors`` (at least
+    1) is the estimator's neighbour floor, ``impute(..., min_neighbors=)``:
+    when fewer rows fall inside the threshold, the nearest ``min_neighbors``
+    rows are used instead.
     """
 
     dgp: DgpSpec
@@ -146,17 +148,18 @@ class _TrialRecord:
 def _run_trial(spec: ExperimentSpec, value, seed_seq, var_alpha=0.05) -> _TrialRecord:
     rng = np.random.default_rng(seed_seq)
     n_rows = spec.n_rows
-    n = int(np.max(spec.dgp.n_for_columns(spec.n_cols)))
+    n_per_entry = spec.dgp.n_per_entry
     cap = None
     if value is not None:
         if spec.sweep == "n_samples":
-            n = int(value)
+            n_per_entry = int(value)
         elif spec.sweep == "n_rows":
             n_rows = int(value)
         else:
+            n = int(np.max(spec.dgp.n_for_columns(spec.n_cols)))
             cap = max(1, int(round(value / n)))
             n_rows = max(spec.n_rows, spec.rows_per_neighbor * cap)
-    dgp = replace(spec.dgp, n_per_entry=n, seed=int(rng.integers(2**63)))
+    dgp = replace(spec.dgp, n_per_entry=n_per_entry, seed=int(rng.integers(2**63)))
     full, truth = generate(dgp, n_rows, spec.n_cols)
     if spec.target == "random":
         i = int(rng.integers(n_rows))

@@ -224,9 +224,9 @@ def bootstrap_band(
     Replicate r draws from its own generator, spawned from ``seed``: first
     the k chosen neighbor indices, then, in one call, the resample indices
     of every chosen neighbor in the order chosen, the same stream as one
-    call per neighbor. The neighbors' samples form one column block, padded
-    whatever their counts, as one replicate's resamples are: k rows of n_max
-    values, each neighbor's sorted samples then +inf, which sorts after
+    call per neighbor. The neighbors' samples form one block padded whatever
+    their counts, as one replicate's resamples are: k rows of n_max values,
+    each neighbor's sorted samples then +inf, which sorts after
     every sample and above each neighbor's level ranks. So for any mix of
     sample counts a replicate gathers its k resamples, sorts them and reads
     them at the level ranks with one array operation each. The replicates'
@@ -241,13 +241,16 @@ def bootstrap_band(
     _check_seed(seed)
     alpha_eff = _per_level_alpha(alpha, levels.shape[0], simultaneous)
     result = impute(m, i, j, eta, min_overlap=min_overlap, max_neighbors=max_neighbors)
-    values, starts, sizes = empirical._column_block(
-        [m.entry(u, j).samples for u in result.neighbors.rows], padded=True)
-    k, n_max = values.shape
+    cells = [m.entry(u, j).samples for u in result.neighbors.rows]
+    sizes = np.array([s.shape[0] for s in cells])
+    k, n_max = len(cells), int(sizes.max())
+    padded = np.full((k, n_max), np.inf)
+    for u, s in enumerate(cells):
+        padded[u, :s.shape[0]] = s
     slots = np.arange(n_max)
-    flat = values.reshape(-1)
+    flat = padded.reshape(-1)
     ranks = _order_index(levels, sizes[:, None]) - 1
-    offsets = starts[:, None]  # start of each row of the block
+    offsets = np.arange(k)[:, None] * n_max  # start of each row of the block
     equal = sizes.min() == n_max
     n_reps = reps_neighbors * reps_samples
     seeds = np.random.SeedSequence(seed).spawn(n_reps)

@@ -1,8 +1,8 @@
 """Distributional matrix container, observation mask, and MCAR masking.
 
-Each column is one read-only block of sorted samples in the layout of
-``empirical._column_block``. Hiding a cell copies only
-the mask; its samples stay in the shared block, behind the mask.
+Each column is one read-only block, its cells' sorted samples back to back
+(``empirical._column_block``). Hiding a cell copies only the mask; its
+samples stay in the shared block, behind the mask.
 """
 
 from __future__ import annotations

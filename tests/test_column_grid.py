@@ -13,27 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distnn import DistributionalMatrix, TuneConfig, from_samples, impute, step_barycenter, tune_eta, w2sq
+from distnn import (DgpSpec, DistributionalMatrix, TuneConfig, from_samples, generate, impute,
+                    step_barycenter, tune_eta, w2sq)
 from distnn import empirical
 from distnn.empirical import _block_grid, _w2sq_pairs
 from distnn.estimator import _RowState, _w2sq_table
 
 
 def _block(cells):
-    """A column block (+inf-padded rows, row starts, sample counts) holding sorted ``cells``."""
-    sizes = np.array([c.size for c in cells])
-    values = np.array([np.append(np.sort(c), np.full(sizes.max() - c.size, np.inf))
-                       for c in cells])
-    return values, np.arange(len(cells)) * sizes.max(), sizes
-
-
-def _flat_block(cells):
-    """The same block with the samples back to back, as a skewed column stores them."""
-    sizes = np.array([c.size for c in cells])
-    return np.concatenate([np.sort(c) for c in cells]), np.cumsum(sizes) - sizes, sizes
-
-
-BLOCKS = (_block, _flat_block)
+    """A column block (samples back to back, cell starts, sample counts)
+    holding sorted ``cells``, None where a cell is missing."""
+    sizes = np.array([0 if c is None else c.size for c in cells])
+    values = np.concatenate([np.sort(c) for c in cells if c is not None])
+    return values, np.cumsum(sizes) - sizes, sizes
 
 
 def _searchsorted_grid(ds):
@@ -74,11 +66,10 @@ class TestPairTable:
     @given(cells=ragged_columns())
     def test_batched_pairs_equal_w2sq(self, cells):
         ds = [from_samples(c) for c in cells]
-        for build in BLOCKS:
-            for i in range(len(cells)):
-                rows = np.array([u for u in range(len(cells)) if u != i])
-                got = _w2sq_pairs(build(cells), rows, i)
-                assert got.tolist() == [w2sq(ds[u], ds[i]) for u in rows.tolist()]
+        for i in range(len(cells)):
+            rows = np.array([u for u in range(len(cells)) if u != i])
+            got = _w2sq_pairs(_block(cells), rows, i)
+            assert got.tolist() == [w2sq(ds[u], ds[i]) for u in rows.tolist()]
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(cells=ragged_columns(max_cells=6, max_n=40), hidden=st.integers(0, 5))
@@ -135,16 +126,15 @@ class TestGather:
         cells = [_samples(rng, int(n), bool(rng.integers(2))) for n in sizes]
         ref_edges, ref_widths, ref_values = _searchsorted_grid([from_samples(c) for c in cells])
         cut = data.draw(st.integers(0, members))
-        for build in BLOCKS:
-            edges, widths, take = _block_grid(build(cells), np.arange(members))
-            assert edges.tobytes() == ref_edges.tobytes()
-            if ref_widths is None:
-                assert widths is None
-            else:
-                assert widths.tobytes() == ref_widths.tobytes()
-            assert take(0, members).tobytes() == ref_values.tobytes()
-            assert np.concatenate([take(0, cut), take(cut, members)]).tobytes() == \
-                ref_values.tobytes()
+        edges, widths, take = _block_grid(_block(cells), np.arange(members))
+        assert edges.tobytes() == ref_edges.tobytes()
+        if ref_widths is None:
+            assert widths is None
+        else:
+            assert widths.tobytes() == ref_widths.tobytes()
+        assert take(0, members).tobytes() == ref_values.tobytes()
+        assert np.concatenate([take(0, cut), take(cut, members)]).tobytes() == \
+            ref_values.tobytes()
 
     def test_rows_of_a_block_in_any_order(self):
         rng = np.random.default_rng(4)
@@ -152,9 +142,8 @@ class TestGather:
         # the second rows share one count: the equal-count read
         for rows in (np.array([3, 0, 4]), np.array([1, 4])):
             ref = _searchsorted_grid([from_samples(cells[r]) for r in rows.tolist()])
-            for build in BLOCKS:
-                _, _, take = _block_grid(build(cells), rows)
-                assert take(0, rows.size).tobytes() == ref[2].tobytes()
+            _, _, take = _block_grid(_block(cells), rows)
+            assert take(0, rows.size).tobytes() == ref[2].tobytes()
 
 
 def _column_losses(block, rows):
@@ -182,8 +171,8 @@ class TestRowLosses:
         return [
             (_block(equal), np.array([4, 0, 7, 2, 8, 1, 5, 3])),
             (_block(ragged), np.array([7, 1, 8, 3, 0, 5, 6, 4])),
-            (_flat_block(ragged), np.array([2, 6, 0, 3, 4])),
-            (_flat_block(equal), np.array([1, 3, 6, 8, 5, 2])),
+            (_block(ragged), np.array([2, 6, 0, 3, 4])),
+            (_block(equal), np.array([1, 3, 6, 8, 5, 2])),
             (_block(ragged), np.array([3])),  # no ranked row
             (_block(equal), np.array([6, 0])),  # one ranked row
         ]
@@ -219,11 +208,10 @@ class TestRowLosses:
     @given(data=st.data(), cells=ragged_columns(max_cells=10, max_n=60))
     def test_random_columns(self, data, cells):
         columns = []
-        for build in BLOCKS:
-            for _ in range(2):
-                rows = data.draw(st.permutations(range(len(cells))))
-                cut = data.draw(st.integers(1, len(cells)))
-                columns.append((build(cells), np.array(rows[:cut])))
+        for _ in range(4):
+            rows = data.draw(st.permutations(range(len(cells))))
+            cut = data.draw(st.integers(1, len(cells)))
+            columns.append((_block(cells), np.array(rows[:cut])))
         expected = [_column_losses(block, rows).tobytes() for block, rows in columns]
         assert [losses.tobytes() for losses in empirical._row_losses(columns)] == expected
 
@@ -233,7 +221,7 @@ class TestRowLosses:
         # take 201 x 5,002 values per slab row
         rng = np.random.default_rng(35)
         narrow = [_block([rng.normal(size=4) for _ in range(40)]) for _ in range(200)]
-        wide = _flat_block([rng.normal(size=4) for _ in range(39)] + [rng.normal(size=4_999)])
+        wide = _block([rng.normal(size=4) for _ in range(39)] + [rng.normal(size=4_999)])
         columns = [(block, np.arange(40)) for block in narrow + [wide]]
         samples = sum(int(sizes[rows].sum()) for (_, _, sizes), rows in columns)
         monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", 1 << 14)
@@ -292,15 +280,18 @@ class TestBoundedMemory:
         rng = np.random.default_rng(31)
         cells = [rng.normal(size=4) for _ in range(300)] + [rng.normal(size=20_000)]
         m = DistributionalMatrix([[c, c[:2]] for c in cells])
-        for values, _, sizes in m._blocks:
-            assert values.nbytes <= empirical._PAD_LIMIT * values.itemsize * sizes.sum()
-        assert m._blocks[0][0].nbytes == 8 * sum(c.size for c in cells)
+        generated, _ = generate(DgpSpec(n_per_entry=(3, 40, 7)), 5, 3)
+        for values, _, sizes in m._blocks + generated._blocks:
+            assert values.ndim == 1 and values.nbytes == 8 * sizes.sum()
         for i in (0, 300):
             others = [u for u in range(m.n_rows) if u != i]
             table = _w2sq_table(m, i)
             assert table[others, 0].tolist() == [w2sq(m.entry(u, 0), m.entry(i, 0)) for u in others]
 
-    def test_back_to_back_samples_change_no_bit(self, monkeypatch):
+    def test_back_to_back_samples_change_no_bit(self):
+        # column 0 skewed by one large cell, column 1 observed in four rows,
+        # column 2 of one count: each read equals the per-pair and
+        # per-member references built from the raw cells
         rng = np.random.default_rng(32)
         entries = [[rng.normal(r % 4, 1.0, int(rng.integers(1, 7)))]
                    + [rng.normal(r % 4, 1.0, n) for n in (3, 2)] for r in range(24)]
@@ -310,9 +301,88 @@ class TestBoundedMemory:
             if r % 6:
                 entries[r][1] = None  # column 1 observed in four rows, one count
         m = DistributionalMatrix(entries)
-        assert [values.ndim for values, _, _ in m._blocks] == [1, 1, 2]
-        expected = _ragged_outcomes(m)
-        monkeypatch.setattr(empirical, "_PAD_LIMIT", math.inf)
-        padded = DistributionalMatrix(entries)
-        assert [values.ndim for values, _, _ in padded._blocks] == [2, 2, 2]
-        assert _ragged_outcomes(padded) == expected
+        ds = [[None if c is None else from_samples(c) for c in row] for row in entries]
+        for i in range(m.n_rows):
+            table = _w2sq_table(m, i)
+            for u in range(m.n_rows):
+                for c in range(m.n_cols):
+                    if u != i and ds[u][c] is not None and ds[i][c] is not None:
+                        assert table[u, c] == _reference_w2sq(ds[u][c], ds[i][c])
+        for c in range(m.n_cols):
+            column = [row[c] for row in ds if row[c] is not None]
+            assert [m.entry(r, c) is None for r in range(m.n_rows)] == [row[c] is None for row in ds]
+            assert all(m.entry(r, c).samples.tobytes() == ds[r][c].samples.tobytes()
+                       for r in range(m.n_rows) if ds[r][c] is not None)
+            edges, _, values = _searchsorted_grid(column)
+            bary = step_barycenter([m.entry(r, c) for r in range(m.n_rows) if m.mask[r, c]])
+            assert bary.edges.tobytes() == edges.tobytes()
+            assert bary.values.tobytes() == ((0.0 + np.cumsum(values, axis=0)[-1]) / len(column)).tobytes()
+
+
+def _reference_w2sq(a, b):
+    """W2² of two empirical distributions from :func:`_searchsorted_grid`:
+    the mean squared order-statistic gap for one count, else the
+    width-weighted sum over the merged grid."""
+    _, widths, (va, vb) = _searchsorted_grid([a, b])
+    gap = (va - vb) ** 2
+    return float(np.mean(gap) if widths is None else np.sum(widths * gap))
+
+
+class TestBlockRows:
+    """Equal-count cells read whole through the strided window are the
+    per-cell slices of the block, and the window never reads past it."""
+
+    @staticmethod
+    def _guarded(block):
+        """The block with its values a view into a NaN-filled buffer, so that
+        a read past either end would show as NaN."""
+        values, starts, sizes = block
+        buffer = np.full(values.size + 20, np.nan)
+        buffer[10:-10] = values
+        view = buffer[10:-10]
+        view.setflags(write=False)
+        return view, starts, sizes
+
+    @staticmethod
+    def _expected(block, rows, n):
+        values, starts, _ = block
+        return np.array([values[starts[r]:starts[r] + n] for r in rows.tolist()]).reshape(rows.size, n)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), cells=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_per_cell_slices(self, data, cells, seed):
+        # counts 0 (missing) to 4, so that cells of one count sit between
+        # missing cells and cells of other counts
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 5, size=cells)
+        counts[rng.integers(cells)] = max(1, counts.max())
+        block = self._guarded(_block([rng.normal(size=n) if n else None for n in counts.tolist()]))
+        sizes = block[2]
+        n = data.draw(st.sampled_from(sorted(set(sizes[sizes > 0].tolist()))))
+        same = np.flatnonzero(sizes == n)
+        rows = np.array(data.draw(st.lists(st.sampled_from(same.tolist()), min_size=1, max_size=8)))
+        got = empirical._block_rows(block, rows, n)
+        assert got.tobytes() == self._expected(block, rows, n).tobytes()
+        assert not np.isnan(got).any()
+
+    @pytest.mark.parametrize("counts", [(3, 5, 3), (5,), (0, 2, 0, 4, 2, 0, 2), (1, 1)])
+    def test_last_cell_single_cell_and_gaps(self, counts):
+        rng = np.random.default_rng(sum(counts))
+        block = self._guarded(_block([rng.normal(size=n) if n else None for n in counts]))
+        sizes = block[2]
+        for n in set(counts) - {0}:
+            rows = np.flatnonzero(sizes == n)[::-1]  # the last cell first
+            assert empirical._block_rows(block, rows, n).tobytes() == \
+                self._expected(block, rows, n).tobytes()
+        last = np.array([len(counts) - 1])
+        assert empirical._block_rows(block, last, counts[-1]).tolist() == [block[0][-counts[-1]:].tolist()]
+
+    def test_window_past_the_block_raises(self):
+        rng = np.random.default_rng(36)
+        block = self._guarded(_block([rng.normal(size=3), None, rng.normal(size=4)]))
+        size = block[0].size
+        with pytest.raises(ValueError):  # wider than the whole block
+            empirical._block_rows(block, np.array([0]), size + 2)
+        for rows, n in (([0], size + 1), ([2], 5), ([0, 2], 5)):
+            with pytest.raises(IndexError):  # a start with too few values after it
+                empirical._block_rows(block, np.array(rows), n)

@@ -308,3 +308,19 @@ class TestSingleEntryBaseline:
             total += truth.w2sq_error(i, j, draw)
         assert record.baseline_error == total / spec.baseline_resamples
         assert record.base_summaries == summaries(first)
+
+
+class TestPerColumnCounts:
+    """A trial keeps the DGP's per-column sample counts; only an
+    ``n_samples`` sweep value replaces them, with one count for every entry."""
+
+    @pytest.mark.parametrize("sweep, value", [
+        ("n_samples", None), ("n_rows", 20), ("n_times_neighbors", 40)])
+    def test_trial_reads_its_target_columns_count(self, sweep, value):
+        spec = small_spec(dgp=DgpSpec(n_per_entry=(5, 9, 13), seed=0), n_cols=3,
+                          target=(2, 1), sweep=sweep, values=(value or 10,))
+        assert _run_trial(spec, value, np.random.SeedSequence(4)).n_j == 9
+
+    def test_n_samples_value_sets_every_count(self):
+        spec = small_spec(dgp=DgpSpec(n_per_entry=(5, 9, 13), seed=0), n_cols=3, target=(2, 1))
+        assert _run_trial(spec, 30, np.random.SeedSequence(4)).n_j == 30

@@ -425,7 +425,7 @@ class TestHiddenCells:
 
 
 class TestUnobservedColumn:
-    """A column that no cell observes is stored as a rows x 0 block, and no
+    """A column that no cell observes is stored as an empty block, and no
     result of the other cells reads it."""
 
     @staticmethod
@@ -441,7 +441,7 @@ class TestUnobservedColumn:
 
     def test_entries_tables_and_other_cells(self):
         base, m = self._panels()
-        assert m._blocks[4][0].shape == (7, 0)
+        assert m._blocks[4][0].shape == (0,)
         for i in range(m.n_rows):
             assert m.entry(i, 4) is None
             assert np.all(np.isnan(_w2sq_table(m, i)[:, 4]))
