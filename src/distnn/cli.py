@@ -20,7 +20,7 @@ import csv
 import sys
 from dataclasses import asdict
 
-from .empirical import EmpiricalDistribution
+from .empirical import EmpiricalDistribution, _check_levels
 from .errors import (
     AllTrialsFailedError,
     DistnnError,
@@ -186,9 +186,10 @@ def _cmd_bands(args) -> int:
                 seed=args.seed, simultaneous=args.simultaneous,
             )
         else:
-            # bad options fail before the neighbour search, as in bootstrap_band
-            _per_level_alpha(args.alpha, levels.shape[0], args.simultaneous)
+            # bad options fail before the neighbour search, in bootstrap_band's order
+            _check_levels(levels)
             _check_reps(args.reps_samples, args.reps_neighbors)
+            _per_level_alpha(args.alpha, levels.shape[0], args.simultaneous)
             result = impute(panel.matrix, cell[0], cell[1], eta)
             sigma = SigmaFunction.from_result(panel.matrix, result)
             n_j = min(

@@ -13,9 +13,10 @@ of the order statistics.
 Both kinds are one class, :class:`StepQuantile`, which computes every
 summary; :class:`EmpiricalDistribution` is its case of the grid k/n. A
 distributional matrix stores each column as one block, its cells' sorted
-samples back to back (:func:`_column_block`); only this module reads a
-block. A reader's path follows only the counts of the cells it reads, never
-a hidden cell's.
+samples back to back (:func:`_column_block`); only this module and
+``inference.bootstrap_band``, which resamples a column's cells in place,
+read a block. A reader's path follows only the counts of the cells it
+reads, never a hidden cell's.
 """
 
 from __future__ import annotations

@@ -85,7 +85,8 @@ class ExperimentSpec:
     last, each sweep value is a target n*|N| product realized by keeping the
     nearest k = round(value / n) rows out of a pool of
     ``rows_per_neighbor * k`` rows, so the neighborhood width stays constant
-    while the effective sample size grows, n being the DGP's largest count.
+    while the effective sample size grows, n being the DGP's largest count;
+    the fit's x is the trials' mean achieved n_j * |N|, n_j the target's.
     An ``n_samples`` sweep value is the sample count of every entry; the
     other sweeps keep the DGP's counts, one per column where it gives them.
     ``eta_policy`` is "tuned" (leave-one-out per trial, ``tune_budget``
@@ -278,8 +279,7 @@ def run_scaling(spec: ExperimentSpec) -> ScalingResult:
         baselines.append(float(np.mean([rec.baseline_error for rec in records])))
         mean_k.append(float(np.mean([rec.n_neighbors for rec in records])))
         if spec.sweep == "n_times_neighbors":
-            n = int(np.max(spec.dgp.n_for_columns(spec.n_cols)))
-            fit_x.append(n * mean_k[-1])
+            fit_x.append(float(np.mean([rec.n_j * rec.n_neighbors for rec in records])))
         else:
             fit_x.append(float(value))
         failed.append(n_failed)

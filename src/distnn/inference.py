@@ -224,12 +224,13 @@ def bootstrap_band(
     Replicate r draws from its own generator, spawned from ``seed``: first
     the k chosen neighbor indices, then, in one call, the resample indices
     of every chosen neighbor in the order chosen, the same stream as one
-    call per neighbor. The neighbors' samples form one block padded whatever
-    their counts, as one replicate's resamples are: k rows of n_max values,
-    each neighbor's sorted samples then +inf, which sorts after
-    every sample and above each neighbor's level ranks. So for any mix of
-    sample counts a replicate gathers its k resamples, sorts them and reads
-    them at the level ranks with one array operation each. The replicates'
+    call per neighbor. The samples are read in place from the column block,
+    unpadded, so a replicate's work follows the counts it resamples. A
+    cell's samples are sorted, so its sorted resample is the samples at the
+    sorted drawn positions: mixed counts shift each chosen neighbor's
+    positions into a range of its own, sort them all as integers at once and
+    read only the k x levels ranked ones; equal counts gather the values and
+    sort them by rows, which is faster there. The replicates'
     quantile rows are kept in blocks of as many replicates as the gather
     budget holds; each block is summed by k adds of whole rows into zeroed
     curves, in the order chosen, and one division by k ends the loop. A
@@ -241,16 +242,10 @@ def bootstrap_band(
     _check_seed(seed)
     alpha_eff = _per_level_alpha(alpha, levels.shape[0], simultaneous)
     result = impute(m, i, j, eta, min_overlap=min_overlap, max_neighbors=max_neighbors)
-    cells = [m.entry(u, j).samples for u in result.neighbors.rows]
-    sizes = np.array([s.shape[0] for s in cells])
-    k, n_max = len(cells), int(sizes.max())
-    padded = np.full((k, n_max), np.inf)
-    for u, s in enumerate(cells):
-        padded[u, :s.shape[0]] = s
-    slots = np.arange(n_max)
-    flat = padded.reshape(-1)
+    values, starts, sizes = m._blocks[j]
+    starts, sizes = starts[result.neighbors.rows], sizes[result.neighbors.rows]
+    k, n_max = sizes.shape[0], int(sizes.max())
     ranks = _order_index(levels, sizes[:, None]) - 1
-    offsets = np.arange(k)[:, None] * n_max  # start of each row of the block
     equal = sizes.min() == n_max
     n_reps = reps_neighbors * reps_samples
     seeds = np.random.SeedSequence(seed).spawn(n_reps)
@@ -258,6 +253,7 @@ def bootstrap_band(
     block = min(empirical._chunk_rows(k * levels.shape[0]), n_reps)
     rows = np.empty((block, k, levels.shape[0]))
     for r in range(n_reps):
+        b = r % block
         rng = np.random.default_rng(seeds[r])
         chosen = rng.integers(0, k, size=k)
         # One call gives the values and the generator state of one call per
@@ -268,13 +264,13 @@ def bootstrap_band(
         # checks the property.
         if equal:
             picks = rng.integers(0, n_max, size=(k, n_max))
+            picks += starts[chosen, None]
+            rows[b] = np.sort(values[picks], axis=1)[:, ranks[0]]
         else:
             n_chosen = sizes[chosen]
-            picks = np.tile(slots, (k, 1))  # pad slots read the chosen row's +inf
-            picks[slots < n_chosen[:, None]] = rng.integers(0, np.repeat(n_chosen, n_chosen))
-        picks += offsets[chosen]
-        b = r % block
-        rows[b] = np.sort(flat[picks], axis=1).ravel()[ranks[chosen] + offsets]
+            slot = np.cumsum(n_chosen) - n_chosen  # each chosen neighbor's range
+            picks = np.sort(rng.integers(0, np.repeat(n_chosen, n_chosen)) + np.repeat(slot, n_chosen))
+            rows[b] = values[picks[slot[:, None] + ranks[chosen]] + (starts[chosen] - slot)[:, None]]
         if b == block - 1 or r == n_reps - 1:
             # k adds in the order chosen: np.add.reduce would sum pairwise
             done = curves[r - b:r + 1]

@@ -144,3 +144,17 @@ def test_verdict_needs_runs_that_pair_up():
         bench_record.verdict(_runs("bands", [1.0, 2.0]), _runs("panel_equal", [1.0, 2.0]), OPS)
     with pytest.raises(ValueError):
         bench_record.verdict(_runs("bands", [1.0, 2.0]), _runs("bands", [1.0]), OPS)
+
+
+def test_verdict_counts_the_pairs_with_equal_shas():
+    parent = _runs("bands", [10.0, 10.0, 10.0], [True, True, False])
+    change = _runs("bands", [10.0, 10.0, 10.0])
+    for p, c, out, gate in zip(parent["runs"], change["runs"],
+                               [("a", "a"), ("b", "x"), ("c", "c")], [("g", "g")] * 3):
+        p["outputs_sha256"], c["outputs_sha256"] = {"bands": out[0]}, {"bands": out[1]}
+        p["gate_outputs_sha256"], c["gate_outputs_sha256"] = {"bands": gate[0]}, {"bands": gate[1]}
+    # a pair with a failed run still counts: its outputs are compared all the same
+    assert bench_record.verdict(parent, change, OPS) == [
+        "bands: 1/3 pairs left out, a run not correct FAILED",
+        "bands shas: outputs equal in 2/3 pairs, gates equal in 3/3 pairs",
+        "bands ops_per_s: parent 10 (IQR 0), change 10, change better in 0/2 pairs"]

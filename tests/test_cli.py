@@ -322,6 +322,21 @@ class TestBadArguments:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("bad_too", [[], ["--reps-samples", "0", "--alpha", "1.5"]],
+                             ids=["alone", "with-bad-reps-and-alpha"])
+    @pytest.mark.parametrize("levels", ["0", "-3"])
+    @pytest.mark.parametrize("method", ["bootstrap", "asymptotic-kde"])
+    def test_empty_level_grid_exits_one(self, method, levels, bad_too, duplicate_csv,
+                                        tmp_path, capsys):
+        # the level grid is checked first, before the replicates and alpha
+        code = main(["bands", "--input", str(duplicate_csv), "--row", "r3", "--col", "c3",
+                     "--eta", "1e9", "--method", method, f"--levels={levels}", *bad_too,
+                     "--output", str(tmp_path / "o.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: levels must be a non-empty 1-D array")
+        assert "Traceback" not in err and not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

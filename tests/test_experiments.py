@@ -324,3 +324,12 @@ class TestPerColumnCounts:
     def test_n_samples_value_sets_every_count(self):
         spec = small_spec(dgp=DgpSpec(n_per_entry=(5, 9, 13), seed=0), n_cols=3, target=(2, 1))
         assert _run_trial(spec, 30, np.random.SeedSequence(4)).n_j == 30
+
+    def test_neighbor_product_fit_reads_the_target_columns_count(self):
+        # k = round(value / 13) from the largest count; x is the target's 9 * k
+        spec = small_spec(dgp=DgpSpec(n_per_entry=(5, 9, 13), seed=0), n_cols=3,
+                          target=(2, 1), sweep="n_times_neighbors", values=(40, 80),
+                          eta_policy="fixed", eta=1.0, trials=4)
+        r = run_scaling(spec)
+        assert r.mean_neighbors.tolist() == [3.0, 6.0]
+        assert r.fit_x.tolist() == [27.0, 54.0]

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -394,6 +395,33 @@ def test_pinned_stream():
     assert digest == (
         "0ac9f82e528c1aaed995da621db82f4b7a1aafd2ce025ff911546709151807a3"
     )
+
+
+def test_bootstrap_memory_follows_the_resampled_counts(monkeypatch):
+    """A replicate draws, sorts and reads the samples of the neighbours it
+    chose, not k times the largest count: with 11 neighbours of 2 samples
+    and one of 200,000, a k x n_max padded block alone would hold 19.2 MB.
+    The neighbour search runs before tracing, as its barycenter has a
+    budget of its own."""
+    rng = np.random.default_rng(8)
+    sets = [rng.normal(size=2) for _ in range(11)] + [rng.normal(size=200_000)]
+    m = neighbour_panel(sets)
+    result = impute(m, 0, 1, math.inf)
+    assert result.neighbors.rows.tolist() == list(range(1, 13))
+    monkeypatch.setattr(inference, "impute", lambda *a, **k: result)
+    sizes = np.array([s.size for s in sets])
+    k, levels, n_reps, seed = sizes.size, default_levels(9), 4, 0
+    # the largest replicate's resample: its first draw chooses its k neighbours
+    resampled = max(int(sizes[np.random.default_rng(child).integers(0, k, size=k)].sum())
+                    for child in np.random.SeedSequence(seed).spawn(n_reps))
+    tracemalloc.start()
+    try:
+        bootstrap_band(m, 0, 1, math.inf, 0.05, levels, reps_samples=2, reps_neighbors=2,
+                       seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * resampled + 8 * n_reps * k * levels.size
 
 
 class TestKdeMode:

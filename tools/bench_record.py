@@ -27,8 +27,13 @@ is worse than the parent's by more than the metric's bound, a share of the
 parent's median, and ``UNRESOLVED`` where the parent's IQR is wider than
 that bound and some change run is no better than some parent run. A pair
 in which either run is not correct is left out of the medians, and its
-workload gets a ``FAILED`` line. Runs pair up by position and must share
-workload and seed.
+workload gets a ``FAILED`` line. Each workload whose runs recorded
+checksums also gets a line with the count of pairs, of all its pairs, in
+which the parent's and the change's ``outputs_sha256`` are equal, and the
+same for ``gate_outputs_sha256``: the byte-identity gate of a change that
+keeps its outputs. The panel workloads' output and gate checksums echo the
+run directory, so they differ between two checkouts whatever the change.
+Runs pair up by position and must share workload and seed.
 """
 
 from __future__ import annotations
@@ -79,6 +84,11 @@ def verdict(parent: dict, change: dict, end_to_end: list) -> list[str]:
         if len(pairs) < len(mine):
             lines.append(f"{workload}: {len(mine) - len(pairs)}/{len(mine)} pairs left out, "
                          "a run not correct FAILED")
+        if any(p.get("outputs_sha256") or p.get("gate_outputs_sha256") for p, _ in mine):
+            same = [sum(p.get(key) == c.get(key) for p, c in mine)
+                    for key in ("outputs_sha256", "gate_outputs_sha256")]
+            lines.append(f"{workload} shas: outputs equal in {same[0]}/{len(mine)} pairs, "
+                         f"gates equal in {same[1]}/{len(mine)} pairs")
         for metric in end_to_end:
             name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
             values = np.array([(p[name]["value"], c[name]["value"])
