@@ -246,7 +246,8 @@ def _widths(edges) -> np.ndarray:
 
 
 # Gathers and running sums over a merged grid hold at most about this many
-# values at once (see _chunk_rows).
+# values at once (see _chunk_rows). A ragged gather (_gather) holds two such
+# arrays at its peak: the chunk's int64 ranks and the values they read.
 _GATHER_ELEMENTS = 1 << 20
 
 
@@ -327,7 +328,8 @@ def _block_grid(block, rows):
 def _gather(flat, starts, sizes, mids):
     """The order statistic ceil(mid * n) of cells with samples
     ``flat[start:start + n]`` at levels ``mids`` (broadcast together)."""
-    ranks = np.ceil(mids * sizes).astype(np.int64)
+    ranks = mids * sizes
+    ranks = np.ceil(ranks, out=ranks).astype(np.int64)
     ranks += starts - 1
     return flat[ranks]
 
@@ -542,7 +544,8 @@ def step_barycenter(ds) -> StepQuantile:
     for lo in range(0, len(ds), step):
         sums = take(lo, min(lo + step, len(ds)))
         _running_sums(sums, total)
-        total = sums[-1]
+        # a copy, so the chunk is freed before the next one is gathered
+        total, sums = sums[-1].copy(), None
     # 0.0 + turns an all-zero -0.0 sum into +0.0, as summing from zero does
     return StepQuantile(edges, (0.0 + total) / len(ds))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -92,103 +91,76 @@ def _w2sq_table(m: DistributionalMatrix, i: int) -> np.ndarray:
     return table
 
 
-def _leave_out_distances(table: np.ndarray, exclude: int, min_overlap: int):
-    """Distances rho(i, u) and overlap counts for every row u, from row i's table.
-
-    Column ``exclude`` is left out. The kept columns are summed in column
-    order, as :func:`row_distance` does, so both give the same value.
-    """
-    kept = ~np.isnan(table)
-    kept[:, exclude] = False
-    counts = np.sum(kept, axis=1)
-    # cumsum adds left to right, unlike the pairwise np.sum
-    sums = np.cumsum(np.where(kept, table, 0.0), axis=1)[:, -1]
-    dists = np.full(table.shape[0], math.inf)
-    ok = counts >= min_overlap
-    dists[ok] = sums[ok] / counts[ok]
-    return dists, counts
-
-
-def _ranked_rows(m: DistributionalMatrix, dists: np.ndarray, i: int, col: int) -> np.ndarray:
-    """Rows u != i observed in ``col`` at finite distance, nearest first.
-
-    Ties keep row-index order, so any distance cut-off keeps a prefix.
-    """
-    eligible = m.mask[:, col].copy()
-    eligible[i] = False
-    rows = np.nonzero(eligible & np.isfinite(dists))[0]
-    return rows[np.argsort(dists[rows], kind="stable")]
-
-
-class _Ranking(NamedTuple):
-    """Row i's distances with one column left out, and the rows they rank."""
-
-    dists: np.ndarray
-    overlaps: np.ndarray
-    rows: np.ndarray  # as _ranked_rows orders them
-    sorted_dists: np.ndarray  # dists[rows]
-
-    def within(self, eta):
-        """Count of ranked rows, a prefix, at distance <= eta (each of an array of etas)."""
-        return np.searchsorted(self.sorted_dists, eta, side="right")
-
-
 class _RowState:
-    """Row i's W2^2 table and the leave-one-column-out work derived from it.
+    """Row i's leave-one-column-out distances and rankings, for every column
+    at once, at one ``min_overlap``, and the held-out losses derived from them.
 
-    Nothing here depends on a target's threshold, so every cell of row i
-    shares it: for each left-out column, the ranking of rows and the
-    held-out losses of that column's cell, the losses of all the columns a
-    tuning run holds out computed in one pass. Stored arrays are read-only and
-    each memo entry is written whole, so threads sharing a matrix can at
-    worst compute an entry twice, with the same value.
+    ``dists[u, j]`` is rho(i, u) with column j left out and ``overlaps[u, j]``
+    its count of shared columns; ``ranked[j]`` lists the rows u != i observed
+    in column j at finite distance, nearest first (ties in row-index order,
+    so any cut-off keeps a prefix), ``sorted_dists[j]`` their distances.
+    The sums come from one left-to-right pass over row i's observed columns,
+    each adding its W2^2 terms to every column's sum but its own. So each sum
+    adds its terms in column order from zero, as :func:`row_distance` does,
+    and never subtracts one: both give the same bits. Nothing here depends
+    on a target's threshold, so every cell of row i shares it. Stored arrays
+    are read-only and each memo entry is written whole, so threads sharing a
+    matrix can at worst compute an entry twice, with the same value.
     """
 
-    __slots__ = ("row", "table", "_ranked", "_losses")
+    __slots__ = ("row", "min_overlap", "dists", "overlaps", "ranked", "sorted_dists", "_losses")
 
-    def __init__(self, m: DistributionalMatrix, i: int):
-        self.row = i
-        self.table = _w2sq_table(m, i)
-        self.table.setflags(write=False)
-        self._ranked = {}
+    def __init__(self, m: DistributionalMatrix, i: int, min_overlap: int):
+        self.row, self.min_overlap = i, min_overlap
+        table = _w2sq_table(m, i)
+        kept = ~np.isnan(table)
+        self.overlaps = kept.sum(axis=1, keepdims=True) - kept
+        terms = np.where(kept, table, 0.0)
+        sums = np.zeros(table.shape)
+        for v in np.flatnonzero(kept.any(axis=0)).tolist():
+            sums[:, :v] += terms[:, v, None]
+            sums[:, v + 1:] += terms[:, v, None]
+        self.dists = np.divide(sums, self.overlaps, out=np.full(table.shape, math.inf),
+                               where=self.overlaps >= min_overlap)
+        # row i's own table row is NaN, so it is at distance inf and never ranked
+        keys = np.where(m.mask & np.isfinite(self.dists), self.dists, math.inf).T
+        order = np.argsort(keys, axis=1, kind="stable")
+        sorted_keys = np.take_along_axis(keys, order, axis=1)
+        for arr in (self.dists, self.overlaps, order, sorted_keys):
+            arr.setflags(write=False)
+        counts = np.isfinite(keys).sum(axis=1).tolist()
+        self.ranked = [order[j, :k] for j, k in enumerate(counts)]
+        self.sorted_dists = [sorted_keys[j, :k] for j, k in enumerate(counts)]
         self._losses = {}
 
-    def ranked(self, m: DistributionalMatrix, col: int, min_overlap: int) -> _Ranking:
-        key = (col, min_overlap)
-        found = self._ranked.get(key)
-        if found is None:
-            dists, overlaps = _leave_out_distances(self.table, col, min_overlap)
-            rows = _ranked_rows(m, dists, self.row, col)
-            found = _Ranking(dists, overlaps, rows, dists[rows])
-            for arr in found:
-                arr.setflags(write=False)
-            self._ranked[key] = found
-        return found
+    def within(self, col: int, eta):
+        """Count of column ``col``'s ranked rows, a prefix, at distance <= eta (per eta)."""
+        return np.searchsorted(self.sorted_dists[col], eta, side="right")
 
-    def heldout_losses(self, m: DistributionalMatrix, cols, min_overlap: int) -> list:
+    def heldout_losses(self, m: DistributionalMatrix, cols) -> list:
         """For each column in ``cols``, the loss at row i's held-out cell
         there of the barycenter of the k nearest rows, indexed by k (NaN at
         k = 0: no neighbor). The columns not yet held are computed in one
         pass (:func:`empirical._row_losses`)."""
-        todo = [c for c in cols if (c, min_overlap) not in self._losses]
+        todo = [c for c in cols if c not in self._losses]
         if todo:
-            columns = [(m._blocks[c], np.append(self.ranked(m, c, min_overlap).rows, self.row))
-                       for c in todo]
+            columns = [(m._blocks[c], np.append(self.ranked[c], self.row)) for c in todo]
             for c, found in zip(todo, _row_losses(columns)):
                 found.setflags(write=False)
-                self._losses[c, min_overlap] = found
-        return [self._losses[c, min_overlap] for c in cols]
+                self._losses[c] = found
+        return [self._losses[c] for c in cols]
 
 
-def _row_state(m: DistributionalMatrix, i: int) -> _RowState:
-    """Row i's state, kept on the matrix until another row's replaces it.
+def _row_state(m: DistributionalMatrix, i: int, min_overlap: int) -> _RowState:
+    """Row i's state at ``min_overlap``, kept on the matrix until another
+    (row, min_overlap) pair's replaces it.
 
-    The slot holds one row: ``missing_cells()`` runs row by row, so one slot
-    serves every cell of a row in turn without holding tables of past rows.
+    The slot holds one state: ``missing_cells()`` runs row by row, so one slot
+    serves every cell of a row in turn without holding the work of past rows.
     """
     state = m._row_state
-    if state is None or state.row != i:
-        state = _RowState(m, i)
+    if state is None or (state.row, state.min_overlap) != (i, min_overlap):
+        state = _RowState(m, i, min_overlap)
         m._row_state = state
     return state
 
@@ -222,21 +194,22 @@ def find_neighbors(
     if min_neighbors < 0:
         raise OutOfDomainError("min_neighbors must be at least 0")
     i, j = m._check_index(i, j)
-    ranking = _row_state(m, i).ranked(m, j, min_overlap)
-    k = int(ranking.within(eta))
+    state = _row_state(m, i, min_overlap)
+    ranked = state.ranked[j]
+    k = int(state.within(j, eta))
     fallback = k < min_neighbors
     if fallback:
-        k, eta = min(min_neighbors, ranking.rows.shape[0]), math.inf
+        k, eta = min(min_neighbors, ranked.shape[0]), math.inf
     if max_neighbors is not None:
         k = min(k, max_neighbors)
-    rows = np.sort(ranking.rows[:k])
+    rows = np.sort(ranked[:k])
     return NeighborSet(
         target_row=i,
         target_col=j,
         eta=float(eta),
         rows=rows,
-        distances=ranking.dists[rows],
-        overlap_counts=ranking.overlaps[rows],
+        distances=state.dists[rows, j],
+        overlap_counts=state.overlaps[rows, j],
         fallback=fallback,
     )
 

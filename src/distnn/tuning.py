@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import _check_seed, _presorted
+from .empirical import _check_seed, _order_index
 # perfbench/tracing.py wraps tuning.w2sq and tuning.step_barycenter by name
 from .empirical import step_barycenter, w2sq  # noqa: F401
 from .errors import AllTrialsFailedError, NoObservedCellsError, OutOfDomainError
@@ -89,8 +89,8 @@ def _candidate_etas(cfg: TuneConfig, sorted_dists: np.ndarray) -> np.ndarray:
     else:
         if sorted_dists.size == 0:
             return np.array([0.0])
-        ref = _presorted(sorted_dists)
-        lo, hi = ref.quantile(0.01), ref.quantile(0.99)
+        # the 1st and 99th percentiles, as EmpiricalDistribution.quantile reads them
+        lo, hi = sorted_dists[_order_index((0.01, 0.99), sorted_dists.size) - 1].tolist()
         if hi <= 0.0:
             return np.array([0.0])
         if lo >= hi:
@@ -121,13 +121,12 @@ def tune_eta(m: DistributionalMatrix, i: int, j: int, cfg: TuneConfig | None = N
     if not held_cols:
         raise NoObservedCellsError(f"row {i} has no observed entries besides column {j}")
 
-    state = _row_state(m, i)
-    candidates = _candidate_etas(cfg, state.ranked(m, j, cfg.min_overlap).sorted_dists)
+    state = _row_state(m, i, cfg.min_overlap)
+    candidates = _candidate_etas(cfg, state.sorted_dists[j])
 
     losses = np.empty((candidates.shape[0], len(held_cols)))
-    held = state.heldout_losses(m, held_cols, cfg.min_overlap)
-    for c, (v, found) in enumerate(zip(held_cols, held)):
-        losses[:, c] = found[state.ranked(m, v, cfg.min_overlap).within(candidates)]
+    for c, (v, found) in enumerate(zip(held_cols, state.heldout_losses(m, held_cols))):
+        losses[:, c] = found[state.within(v, candidates)]
 
     valid = ~np.isnan(losses)
     n_valid = np.sum(valid, axis=1)

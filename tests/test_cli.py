@@ -270,6 +270,17 @@ class TestVerifyCommand:
         assert len(payload["rows"]) == 9
         assert "z=" in capsys.readouterr().out
 
+    def test_barycenter_rate_summary(self, tmp_path, capsys):
+        prefix = tmp_path / "rate"
+        code = main(["verify", "barycenter-rate", "--seed", "3", "--output-prefix", str(prefix)])
+        assert code == 0
+        payload = strict_json(tmp_path / "rate.json")
+        # the rate check fixes its own trial counts, so --trials is not echoed
+        assert payload["config"] == {"command": "verify", "subject": "barycenter-rate", "seed": 3}
+        assert set(payload["summary"]) == {"k_list", "k_errors", "doubling_ratios", "n_list",
+                                           "n_errors", "slope_exponent"}
+        assert "slope in n:" in capsys.readouterr().out
+
 
 class TestBadArguments:
     @pytest.mark.parametrize(

@@ -241,7 +241,7 @@ def _ragged_outcomes(m):
     barycenter of all its column-0 cells, as bytes and reprs."""
     out = []
     for i in range(m.n_rows):
-        held = _RowState(m, i).heldout_losses(m, np.flatnonzero(m.mask[i]).tolist(), 1)
+        held = _RowState(m, i, 1).heldout_losses(m, np.flatnonzero(m.mask[i]).tolist())
         out += [losses.tobytes() for losses in held]
     for i, j in m.missing_cells():
         report = tune_eta(m, i, j, TuneConfig(budget=8))
@@ -287,6 +287,23 @@ class TestBoundedMemory:
             others = [u for u in range(m.n_rows) if u != i]
             table = _w2sq_table(m, i)
             assert table[others, 0].tolist() == [w2sq(m.entry(u, 0), m.entry(i, 0)) for u in others]
+
+    def test_ragged_barycenter_frees_each_chunk_before_the_next(self):
+        # one cell of 200,000 samples among 11 of 2: a grid of about 200,000
+        # pieces, so the gather budget takes the 12 members in 3 chunks
+        rng = np.random.default_rng(33)
+        ds = [from_samples(rng.normal(size=2)) for _ in range(11)]
+        ds.append(from_samples(rng.normal(size=200_000)))
+        tracemalloc.start()
+        try:
+            bary = step_barycenter(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * empirical._GATHER_ELEMENTS
+        edges, _, values = _searchsorted_grid(ds)
+        assert bary.edges.tobytes() == edges.tobytes()
+        assert bary.values.tobytes() == ((0.0 + np.cumsum(values, axis=0)[-1]) / len(ds)).tobytes()
 
     def test_back_to_back_samples_change_no_bit(self):
         # column 0 skewed by one large cell, column 1 observed in four rows,

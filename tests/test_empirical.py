@@ -232,6 +232,10 @@ class TestStepBarycenter:
         ds = [from_samples([0, 2]), from_samples([1, 5])]
         assert w2sq(step_barycenter(ds), barycenter(ds)) == 0.0
 
+    def test_empty_collection(self):
+        with pytest.raises(EmptyCollectionError):
+            step_barycenter([])
+
     def test_ragged_hand_case(self):
         # members [0] and [0, 2]: mean quantile is 0 on (0, .5] and 1 on (.5, 1]
         b = step_barycenter([from_samples([0]), from_samples([0, 2])])
@@ -284,6 +288,13 @@ class TestStepQuantile:
             StepQuantile(np.array([0.5, 0.9]), np.array([0.0, 1.0]))  # no final 1
         with pytest.raises(OutOfDomainError):
             StepQuantile(np.array([0.5, 1.0]), np.array([1.0, 0.0]))  # decreasing
+        with pytest.raises(SizeMismatchError, match="equal-length"):
+            StepQuantile(np.array([0.5, 1.0]), np.array([0.0]))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_var_at_risk_alpha_domain(self, alpha):
+        with pytest.raises(OutOfDomainError, match="alpha must lie in"):
+            StepQuantile(np.array([0.5, 1.0]), np.array([0.0, 1.0])).var_at_risk(alpha)
 
     def test_step_evaluation(self):
         s = StepQuantile(np.array([0.25, 1.0]), np.array([-1.0, 3.0]))

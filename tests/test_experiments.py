@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from distnn import DgpSpec, experiments, from_samples, generate, summaries
-from distnn.errors import OutOfDomainError
+from distnn.errors import ExperimentAbortedError, OutOfDomainError
 from distnn.experiments import (
     ExperimentSpec,
     _run_trial,
@@ -169,6 +169,14 @@ class TestRunDenoising:
         )
         d = run_denoising(spec)
         assert d.estimator_mean_error < d.baseline_mean_error
+
+    def test_aborts_when_too_many_trials_fail(self):
+        # one row has no other row to borrow from, so every trial fails
+        spec = ExperimentSpec(dgp=DgpSpec(n_per_entry=5), n_rows=1, n_cols=2, eta_policy="fixed",
+                              eta=1.0, trials=3, baseline_resamples=2)
+        with pytest.raises(ExperimentAbortedError,
+                           match=r"^denoising: 3/3 trials failed, above the 20% abort threshold$"):
+            run_denoising(spec)
 
 
 class TestRunQuantityEval:

@@ -138,6 +138,11 @@ class TestAsymptoticBand:
         narrow = asymptotic_band(result, uniform_sigma(1.0), 10, 0.10, levels)
         assert np.all(wide.lower <= narrow.lower) and np.all(narrow.upper <= wide.upper)
 
+    def test_sample_count_domain(self):
+        _, result = simple_result()
+        with pytest.raises(OutOfDomainError, match="n_j must be at least 1"):
+            asymptotic_band(result, uniform_sigma(1.0), 0, 0.05, [0.5])
+
 
 BAD_GRIDS = {
     "empty": ([], "non-empty 1-D"),

@@ -31,6 +31,10 @@ class TestConstruction:
         assert m.entry(0, 1) is None
         assert np.array_equal(m.entry(1, 1).samples, [3])
 
+    def test_repr_counts_observed_cells(self):
+        m = DistributionalMatrix([[[1, 2], None], [None, [3]], [[4], [5]]])
+        assert repr(m) == "DistributionalMatrix(3x2, 4 observed)"
+
     def test_raw_arrays_accepted(self):
         m = DistributionalMatrix([[[3, 1]]])
         assert np.array_equal(m.entry(0, 0).samples, [1, 3])

@@ -32,7 +32,7 @@ from distnn import (
 )
 from distnn.cli import main as cli_main
 from distnn.errors import DistnnError, NoNeighborsError
-from distnn.estimator import _leave_out_distances, _w2sq_table
+from distnn.estimator import _RowState, _w2sq_table
 from distnn.panel import Panel, write_matrix_json
 
 
@@ -227,14 +227,13 @@ class TestDistanceEngine:
     @given(m=masked_matrices(), min_overlap=st.integers(1, 3))
     def test_table_matches_per_pair_reference(self, m, min_overlap):
         for i in range(m.n_rows):
-            table = _w2sq_table(m, i)
+            state = _RowState(m, i, min_overlap)
             for j in range(m.n_cols):
-                dists, counts = _leave_out_distances(table, j, min_overlap)
                 for u in range(m.n_rows):
                     if u == i:
                         continue
-                    assert counts[u] == shared_columns(m, i, u, j).shape[0]
-                    assert_close(dists[u], row_distance(m, i, u, j, min_overlap))
+                    assert state.overlaps[u, j] == shared_columns(m, i, u, j).shape[0]
+                    assert_close(state.dists[u, j], row_distance(m, i, u, j, min_overlap))
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(m=masked_matrices(), min_overlap=st.integers(1, 3))
@@ -263,7 +262,7 @@ class TestDistanceEngine:
             for r in (1, 2)
         ]
         m = DistributionalMatrix(rows)
-        dists, _ = _leave_out_distances(_w2sq_table(m, 0), 3, 1)
+        dists = _RowState(m, 0, 1).dists[:, 3]
         ns = find_neighbors(m, 0, 3, math.inf)
         for u in (1, 2):
             expected = row_distance(m, 0, u, 3)

@@ -191,6 +191,15 @@ class TestSpecChecks:
         with pytest.raises(OutOfDomainError, match=message):
             DgpSpec(**{field: value})
 
+    def test_per_column_counts_must_be_positive(self):
+        with pytest.raises(OutOfDomainError, match="n_per_entry must be positive"):
+            DgpSpec(n_per_entry=(5, 0)).n_for_columns(2)
+
+    def test_density_of_a_zero_scale_cell(self):
+        _, truth = generate(DgpSpec(kind="homoscedastic", sigma=0.0, n_per_entry=3), 2, 2)
+        with pytest.raises(OutOfDomainError, match="degenerate"):
+            truth.density_at_quantile(0, 0, 0.5)
+
     def test_unknown_base_family(self):
         with pytest.raises(OutOfDomainError, match="unknown base family: 'cauchy'"):
             make_base("cauchy")
