@@ -288,6 +288,8 @@ class TestStepQuantile:
             StepQuantile(np.array([0.5, 0.9]), np.array([0.0, 1.0]))  # no final 1
         with pytest.raises(OutOfDomainError):
             StepQuantile(np.array([0.5, 1.0]), np.array([1.0, 0.0]))  # decreasing
+
+    def test_unequal_shapes(self):
         with pytest.raises(SizeMismatchError, match="equal-length"):
             StepQuantile(np.array([0.5, 1.0]), np.array([0.0]))
 
