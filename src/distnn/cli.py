@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .empirical import EmpiricalDistribution, _check_levels
 from .errors import (
@@ -107,15 +107,15 @@ def _no_neighbors(args, config, exc) -> int:
     return EXIT_NO_NEIGHBORS
 
 
+def _tune_config(args) -> TuneConfig:
+    """TuneConfig of the parsed options named as its fields; defaults for the rest."""
+    return TuneConfig(**{f.name: getattr(args, f.name) for f in fields(TuneConfig) if hasattr(args, f.name)})
+
+
 def _resolve_eta(panel, cell, args):
     if args.eta is not None:
         return float(args.eta)
-    cfg = TuneConfig(
-        budget=args.budget,
-        seed=args.seed,
-        min_overlap=getattr(args, "min_overlap", 1),
-    )
-    return tune_eta(panel.matrix, cell[0], cell[1], cfg).best_eta
+    return tune_eta(panel.matrix, cell[0], cell[1], _tune_config(args)).best_eta
 
 
 def _cmd_impute(args) -> int:
@@ -154,15 +154,7 @@ def _cmd_impute(args) -> int:
 def _cmd_tune(args) -> int:
     panel = load_panel(args.input)
     cell = panel.cell_index(args.row, args.col)
-    cfg = TuneConfig(
-        budget=args.budget,
-        search=args.search,
-        eta_min=args.eta_min,
-        eta_max=args.eta_max,
-        seed=args.seed,
-        min_overlap=args.min_overlap,
-    )
-    report = tune_eta(panel.matrix, cell[0], cell[1], cfg)
+    report = tune_eta(panel.matrix, cell[0], cell[1], _tune_config(args))
     _write_json(args.output, {
         "config": _config(args),
         "best_eta": report.best_eta,

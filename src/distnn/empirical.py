@@ -245,9 +245,9 @@ def _widths(edges) -> np.ndarray:
     return widths
 
 
-# Gathers and running sums over a merged grid hold at most about this many
-# values at once (see _chunk_rows). A ragged gather (_gather) holds two such
-# arrays at its peak: the chunk's int64 ranks and the values they read.
+# Every chunked loop (merged-grid gathers and running sums, the row table's
+# ragged pairs) holds at most about this many values at once (_chunk_rows).
+# A ragged gather (_gather) holds two: the chunk's int64 ranks and their values.
 _GATHER_ELEMENTS = 1 << 20
 
 
@@ -448,21 +448,25 @@ def _w2sq_pairs(block, rows, i) -> np.ndarray:
     column block.
 
     When every cell read holds cell i's count n_i, this is the mean squared
-    gap of their samples. Otherwise all pairs' merged grids come from one
-    sort of exact integer keys. Over a pair's common
-    denominator n_i * n_u, cell i's breakpoint k/n_i is k * n_u and cell u's
-    l/n_u is l * n_i; two breakpoints are equal exactly when their keys
-    are, and their floats are then equal too (both are the rounded value of
-    one fraction). Adding pair * span keeps each pair's keys in a run of its
-    own. Widths, midpoints and values then follow :func:`_block_grid`, and
-    each pair is reduced over its own slice as :func:`_integral` reduces its
-    grid: a mean when n_u equals n_i.
+    gap of their samples. Otherwise the pairs go ``_chunk_rows(n_i + n_max)``
+    at a time, since a pair's merged grid has at most n_i + n_u pieces, and
+    a chunk's grids come from one sort of exact integer keys. Over a pair's
+    common denominator n_i * n_u, cell i's breakpoint k/n_i is k * n_u and
+    cell u's l/n_u is l * n_i; two breakpoints are equal exactly when their
+    keys are, and their floats are then equal too (both are the rounded value
+    of one fraction). Adding pair * span keeps each pair's keys in a run of
+    its own. Widths, midpoints and values then follow :func:`_block_grid`,
+    and each pair is reduced over its own slice as :func:`_integral` reduces
+    its grid: a mean when n_u equals n_i.
     """
     values, starts, sizes = block
     n_i = int(sizes[i])
     counts = sizes[rows]
     if (counts == n_i).all():
         return _integral(None, (_block_rows(block, rows, n_i) - values[starts[i]:starts[i] + n_i]) ** 2)
+    step = _chunk_rows(n_i + int(counts.max()))
+    if rows.size > step:
+        return np.concatenate([_w2sq_pairs(block, rows[lo:lo + step], i) for lo in range(0, rows.size, step)])
     span = n_i * int(counts.max()) + 1
     base = np.arange(rows.size, dtype=np.int64) * span
     mine = base[:, None] + counts[:, None] * np.arange(1, n_i + 1)

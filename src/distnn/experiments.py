@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .empirical import _check_seed, _presorted, summaries as distribution_summaries
+from .empirical import _check_seed, _chunk_rows, _presorted, summaries as distribution_summaries
 from .errors import ExperimentAbortedError, NoNeighborsError, OutOfDomainError
 from .estimator import impute
 from .exact import uniform_barycenter_expected_w2_sq
@@ -403,7 +403,7 @@ def _simulate_uniform_barycenter(a, b, n, trials, rng):
     uniform = make_base("uniform")
     edges = np.arange(1, n + 1, dtype=float) / n
     errors = np.empty(trials)
-    chunk = max(1, int(4_000_000 // max(1, m * n)))
+    chunk = _chunk_rows(m * n)
     done = 0
     while done < trials:
         c = min(chunk, trials - done)

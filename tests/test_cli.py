@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from distnn import estimator
-from distnn.cli import main
+from distnn import TuneConfig, estimator
+from distnn.cli import _tune_config, build_parser, main
 
 
 def strict_json(path):
@@ -459,6 +459,25 @@ class TestConfigEcho:
     def test_config_keys(self, argv, keys, duplicate_csv, tmp_path):
         assert main(argv.format(panel=duplicate_csv, tmp=tmp_path).split()) == 0
         assert set(strict_json(tmp_path / "o.json")["config"]) == keys
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ("tune --input p.csv --row r --col c --budget 7 --search random_log_uniform "
+             "--eta-min 1 --eta-max 2 --seed 3 --min-overlap 2",
+             TuneConfig(budget=7, search="random_log_uniform", eta_min=1.0, eta_max=2.0,
+                        seed=3, min_overlap=2)),
+            ("impute --input p.csv --row r --col c --budget 7 --seed 3 --min-overlap 2",
+             TuneConfig(budget=7, seed=3, min_overlap=2)),
+            ("bands --input p.csv --row r --col c --budget 7 --seed 3",
+             TuneConfig(budget=7, seed=3)),
+        ],
+        ids=["tune", "impute", "bands"],
+    )
+    def test_every_tuning_option_reaches_the_config(self, argv, expected):
+        # no option left at a value TuneConfig's default would also give, so
+        # a renamed option cannot fall back to the default unnoticed
+        assert _tune_config(build_parser().parse_args(argv.split())) == expected
 
 
 def _golden_panel(path, seed, ragged):

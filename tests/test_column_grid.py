@@ -276,7 +276,8 @@ class TestBoundedMemory:
 
     def test_skewed_column_stays_proportional_to_its_samples(self):
         # one cell of 20,000 samples among 300 of 4: +inf-padded rows would
-        # hold 75 times the column's samples
+        # hold 75 times the column's samples, and the large cell's 300 pairs
+        # in one pass about 6,000,000 grid pieces in each of a dozen arrays
         rng = np.random.default_rng(31)
         cells = [rng.normal(size=4) for _ in range(300)] + [rng.normal(size=20_000)]
         m = DistributionalMatrix([[c, c[:2]] for c in cells])
@@ -285,7 +286,13 @@ class TestBoundedMemory:
             assert values.ndim == 1 and values.nbytes == 8 * sizes.sum()
         for i in (0, 300):
             others = [u for u in range(m.n_rows) if u != i]
-            table = _w2sq_table(m, i)
+            tracemalloc.start()
+            try:
+                table = _w2sq_table(m, i)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 12 * 8 * empirical._GATHER_ELEMENTS
             assert table[others, 0].tolist() == [w2sq(m.entry(u, 0), m.entry(i, 0)) for u in others]
 
     def test_ragged_barycenter_frees_each_chunk_before_the_next(self):

@@ -1,15 +1,17 @@
 """Simulation harness: power-law fits, sweeps, and Monte-Carlo verification."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from distnn import DgpSpec, experiments, from_samples, generate, summaries
+from distnn import DgpSpec, empirical, experiments, from_samples, generate, summaries
 from distnn.errors import ExperimentAbortedError, OutOfDomainError
 from distnn.experiments import (
     ExperimentSpec,
     _run_trial,
+    _simulate_uniform_barycenter,
     fit_power_law,
     run_denoising,
     run_quantity_eval,
@@ -143,6 +145,10 @@ class TestRunScaling:
         with pytest.raises(ValueError):
             small_spec(target=(1, 2, 3))
 
+    def test_unknown_eta_policy_rejected(self):
+        with pytest.raises(OutOfDomainError, match="unknown eta policy"):
+            small_spec(eta_policy="bogus")
+
     @pytest.mark.parametrize("reps", [0, -1])
     def test_baseline_resamples_below_one_rejected(self, reps):
         with pytest.raises(OutOfDomainError, match="baseline_resamples"):
@@ -227,6 +233,27 @@ class TestVerifyUniformBarycenterError:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             verify_uniform_barycenter_error(trials=10)
+
+    def test_trial_chunks_follow_the_gather_budget(self, monkeypatch):
+        # 2,000 trials of 20 x 100 samples: a chunk of every trial would hold
+        # 4,000,000 values in each of its draws, scaled draws and samples; a
+        # chunk within the budget holds 2**14, and the next chunk's arrays are
+        # drawn before the last one's are freed
+        a = np.linspace(-1.0, 1.0, 20)
+
+        def simulate():
+            return _simulate_uniform_barycenter(a, a + 1.0, 100, 2_000, np.random.default_rng(7))
+
+        expected = simulate()
+        monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", 1 << 14)
+        tracemalloc.start()
+        try:
+            got = simulate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * (2_000 + empirical._GATHER_ELEMENTS)
+        assert got == expected
 
 
 class TestVerifyBarycenterRate:

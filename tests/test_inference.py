@@ -4,6 +4,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from distnn import (
     DgpSpec,
     DistributionalMatrix,
     EmptyInputError,
+    NoNeighborsError,
     NonFiniteSampleError,
     OutOfDomainError,
     SigmaFunction,
@@ -142,6 +144,14 @@ class TestAsymptoticBand:
         _, result = simple_result()
         with pytest.raises(OutOfDomainError, match="n_j must be at least 1"):
             asymptotic_band(result, uniform_sigma(1.0), 0, 0.05, [0.5])
+
+    def test_empty_neighbour_set_has_no_band(self):
+        _, result = simple_result()
+        none = np.empty(0, dtype=np.int64)
+        empty = replace(result, neighbors=replace(result.neighbors, rows=none, distances=none * 1.0,
+                                                  overlap_counts=none))
+        with pytest.raises(NoNeighborsError):
+            asymptotic_band(empty, uniform_sigma(1.0), 2, 0.05, [0.5])
 
 
 BAD_GRIDS = {
