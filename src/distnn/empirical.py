@@ -246,7 +246,7 @@ def _widths(edges) -> np.ndarray:
 
 
 # Every chunked loop (merged-grid gathers and running sums, the row table's
-# ragged pairs) holds at most about this many values at once (_chunk_rows).
+# ragged pairs) builds arrays of at most about this many values (_chunk_rows).
 # A ragged gather (_gather) holds two: the chunk's int64 ranks and their values.
 _GATHER_ELEMENTS = 1 << 20
 

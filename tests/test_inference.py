@@ -147,9 +147,7 @@ class TestAsymptoticBand:
 
     def test_empty_neighbour_set_has_no_band(self):
         _, result = simple_result()
-        none = np.empty(0, dtype=np.int64)
-        empty = replace(result, neighbors=replace(result.neighbors, rows=none, distances=none * 1.0,
-                                                  overlap_counts=none))
+        empty = replace(result, neighbors=replace(result.neighbors, rows=np.empty(0, dtype=np.int64)))
         with pytest.raises(NoNeighborsError):
             asymptotic_band(empty, uniform_sigma(1.0), 2, 0.05, [0.5])
 
