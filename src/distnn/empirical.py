@@ -334,27 +334,6 @@ def _gather(flat, starts, sizes, mids):
     return flat[ranks]
 
 
-def _merged_grid(ds):
-    """The members' step quantile functions on their merged breakpoint grid.
-
-    Returns ``(edges, widths, take)`` as :func:`_block_grid` does; empirical
-    members are read from a column block of their samples, other step
-    quantile functions by ``searchsorted`` on their own edges.
-    """
-    if all(isinstance(d, EmpiricalDistribution) for d in ds):
-        return _block_grid(_column_block([d.samples for d in ds]), np.arange(len(ds)))
-    steps = [d.step_edges() for d in ds]
-    edges = np.unique(np.concatenate(steps))
-    widths = _widths(edges)
-    mids = edges - 0.5 * widths
-
-    def take(lo, hi):
-        return np.array([d.step_values()[np.searchsorted(s, mids, side="left")]
-                         for d, s in zip(ds[lo:hi], steps[lo:hi])])
-
-    return edges, widths, take
-
-
 def _running_sums(rows, carry=None) -> None:
     """Turn ``rows[r]`` into ``carry + rows[0] + ... + rows[r]`` in place.
 
@@ -372,7 +351,7 @@ def _running_sums(rows, carry=None) -> None:
 
 
 def _integral(widths, f) -> np.ndarray:
-    """Integral over (0, 1) of step functions given on a :func:`_merged_grid`
+    """Integral over (0, 1) of step functions given on a :func:`_block_grid`
     grid, one per row of ``f`` (last axis: the grid's pieces). Overwrites
     ``f`` when ``widths`` is given."""
     if widths is None:
@@ -491,14 +470,22 @@ def _w2sq_pairs(block, rows, i) -> np.ndarray:
 
 
 def w2sq(a, b) -> float:
-    """Squared 2-Wasserstein distance between two step-quantile carriers.
+    """Squared 2-Wasserstein distance between two step quantile functions:
+    the integral over (0, 1) of their squared gap.
 
-    Accepts EmpiricalDistribution and StepQuantile in any combination; exact
-    integration over the merged breakpoint grid, with an order-statistic fast
-    path when both are empirical with equal n.
+    Accepts EmpiricalDistribution and StepQuantile in any combination. Two
+    empirical distributions of one count n share the grid k/n, and the
+    integral is their mean squared order-statistic gap. Otherwise the gap is
+    constant on each piece of the merged breakpoints, and each argument is
+    read at the piece's midpoint by ``searchsorted`` on its own breakpoints.
     """
-    _, widths, take = _merged_grid((a, b))
-    va, vb = take(0, 2)
+    if isinstance(a, EmpiricalDistribution) and isinstance(b, EmpiricalDistribution) and a.n == b.n:
+        return float(_integral(None, (a.values - b.values) ** 2))
+    steps = (a.step_edges(), b.step_edges())
+    edges = np.unique(np.concatenate(steps))
+    widths = _widths(edges)
+    mids = edges - 0.5 * widths
+    va, vb = (d.step_values()[np.searchsorted(s, mids, side="left")] for d, s in zip((a, b), steps))
     return float(_integral(widths, (va - vb) ** 2))
 
 
@@ -542,7 +529,9 @@ def step_barycenter(ds) -> StepQuantile:
     ds = list(ds)
     if not ds:
         raise EmptyCollectionError("barycenter of an empty collection")
-    edges, _, take = _merged_grid(ds)
+    if not all(isinstance(d, EmpiricalDistribution) for d in ds):
+        raise OutOfDomainError("step_barycenter takes empirical distributions only")
+    edges, _, take = _block_grid(_column_block([d.samples for d in ds]), np.arange(len(ds)))
     step = _chunk_rows(edges.size)
     total = None
     for lo in range(0, len(ds), step):

@@ -118,6 +118,8 @@ class ExperimentSpec:
             b <= a for a, b in zip(self.values, self.values[1:])
         ):
             raise OutOfDomainError("sweep values must be strictly increasing")
+        if self.sweep != "n_times_neighbors" and np.asarray(self.values).dtype.kind not in "iu":
+            raise OutOfDomainError(f"{self.sweep} sweep values must be integers")
         if self.trials < 1:
             raise OutOfDomainError("trials must be at least 1")
         if min(self.n_rows, self.n_cols) < 1:
@@ -404,16 +406,16 @@ def _simulate_uniform_barycenter(a, b, n, trials, rng):
     edges = np.arange(1, n + 1, dtype=float) / n
     errors = np.empty(trials)
     chunk = _chunk_rows(m * n)
-    done = 0
-    while done < trials:
-        c = min(chunk, trials - done)
-        u = rng.random((c, m, n))
-        x = a[None, :, None] + (b - a)[None, :, None] * u
+    for lo in range(0, trials, chunk):
+        # scaled and shifted in place (the same products and sums), and each
+        # chunk's draws dropped once averaged, so one chunk is held at a time
+        x = rng.random((min(chunk, trials - lo), m, n))
+        x *= (b - a)[None, :, None]
+        x += a[None, :, None]
         x.sort(axis=2)
-        bary = x.mean(axis=1)
-        errors[done : done + c] = _w2sq_steps_to_base(
-            uniform, bary, edges, a_bar, b_bar - a_bar)
-        done += c
+        x = x.mean(axis=1)
+        errors[lo : lo + x.shape[0]] = _w2sq_steps_to_base(uniform, x, edges, a_bar, b_bar - a_bar)
+        x = None
     se = errors.std(ddof=1) / np.sqrt(trials) if trials > 1 else math.inf
     return float(errors.mean()), float(se)
 

@@ -153,9 +153,10 @@ class DgpSpec:
         _check_seed(self.seed)
 
     def n_for_columns(self, n_cols: int) -> np.ndarray:
-        ns = np.asarray(self.n_per_entry, dtype=np.int64)
-        if ns.ndim == 0:
-            ns = np.full(n_cols, int(ns), dtype=np.int64)
+        ns = np.asarray(self.n_per_entry)
+        if ns.dtype.kind not in "iu":
+            raise OutOfDomainError("n_per_entry must hold integer sample counts")
+        ns = np.full(n_cols, ns, dtype=np.int64) if ns.ndim == 0 else ns.astype(np.int64)
         if ns.shape[0] != n_cols or np.any(ns < 1):
             raise OutOfDomainError("n_per_entry must be positive, scalar or one per column")
         return ns

@@ -26,6 +26,7 @@ from distnn import (
     w2_general,
     w2sq,
 )
+from distnn import empirical
 
 
 def quantile_by_enumeration(sorted_samples, t):
@@ -166,6 +167,27 @@ class TestW2General:
         expected = w2sq_by_refinement(x, y)
         assert w2sq(from_samples(x), from_samples(y)) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
+    def test_reads_no_column_block(self, monkeypatch):
+        # the per-pair reference reads each argument on its own breakpoints,
+        # not through the column-block readers of the fast paths it checks
+        rng = np.random.default_rng(7)
+        cell = from_samples(rng.normal(size=137))
+        pairs = [
+            (from_samples(rng.normal(size=200)), from_samples(rng.normal(size=200))),
+            (from_samples(rng.normal(size=150)), from_samples(rng.normal(size=173))),
+            (StepQuantile([0.1, 0.35, 0.5, 0.8, 1.0], [-1.0, -0.2, 0.3, 0.9, 2.0]), cell),
+            (cell, StepQuantile(cell.step_edges(), cell.samples + 0.5)),
+        ]
+        expected = [w2sq(a, b).hex() for a, b in pairs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("w2sq read a column block")
+
+        for name in ("_gather", "_block_grid", "_block_rows", "_column_block"):
+            monkeypatch.setattr(empirical, name, refuse)
+        assert [w2sq(a, b).hex() for a, b in pairs] == expected
+        assert [w2sq(b, a).hex() for a, b in pairs] == expected
+
     @pytest.mark.parametrize("trial", range(20))
     def test_equal_n_agreement(self, trial):
         rng = np.random.default_rng(2000 + trial)
@@ -235,6 +257,11 @@ class TestStepBarycenter:
     def test_empty_collection(self):
         with pytest.raises(EmptyCollectionError):
             step_barycenter([])
+
+    def test_step_quantile_member_rejected(self):
+        step = StepQuantile([0.5, 1.0], [0.0, 1.0])
+        with pytest.raises(OutOfDomainError, match="empirical distributions only"):
+            step_barycenter([from_samples([0.0, 2.0]), step])
 
     def test_ragged_hand_case(self):
         # members [0] and [0, 2]: mean quantile is 0 on (0, .5] and 1 on (.5, 1]

@@ -195,6 +195,16 @@ class TestSpecChecks:
         with pytest.raises(OutOfDomainError, match="n_per_entry must be positive"):
             DgpSpec(n_per_entry=(5, 0)).n_for_columns(2)
 
+    @pytest.mark.parametrize("counts", [2.5, 2.0, "3", True, np.nan, (5, 9.5), ("5", "9")])
+    def test_sample_counts_must_be_integers(self, counts):
+        with pytest.raises(OutOfDomainError, match="n_per_entry must hold integer sample counts"):
+            DgpSpec(n_per_entry=counts).n_for_columns(2)
+
+    @pytest.mark.parametrize("counts", [3, np.int32(3), np.uint8(3), (3, 3), np.array([3, 3])])
+    def test_integer_counts_of_any_width(self, counts):
+        ns = DgpSpec(n_per_entry=counts).n_for_columns(2)
+        assert ns.dtype == np.int64 and ns.tolist() == [3, 3]
+
     def test_density_of_a_zero_scale_cell(self):
         _, truth = generate(DgpSpec(kind="homoscedastic", sigma=0.0, n_per_entry=3), 2, 2)
         with pytest.raises(OutOfDomainError, match="degenerate"):
