@@ -99,16 +99,20 @@ class _RowState:
     its count of shared columns; ``ranked[j]`` lists the rows u != i observed
     in column j at finite distance, nearest first (ties in row-index order,
     so any cut-off keeps a prefix), ``sorted_dists[j]`` their distances.
-    The sums come from one left-to-right pass over row i's observed columns,
-    each adding its W2^2 terms to every column's sum but its own. So each sum
-    adds its terms in column order from zero, as :func:`row_distance` does,
-    and never subtracts one: both give the same bits. Nothing here depends
-    on a target's threshold, so every cell of row i shares it. Stored arrays
-    are read-only and each memo entry is written whole, so threads sharing a
-    matrix can at worst compute an entry twice, with the same value.
+    Each column's sum starts from the running sum of the W2^2 terms of the
+    columns before it, then one left-to-right pass over row i's observed
+    columns adds each one's terms to the sums of the columns before it. So
+    each sum adds its terms in column order from zero, as
+    :func:`row_distance` does, and never subtracts one: both give the same
+    bits. Nothing here depends on a target's threshold, so every cell of row
+    i shares it. ``scores`` holds :func:`tuning.tune_eta`'s scoring of the
+    row's missing cells, by ``TuneConfig``. Stored arrays are read-only and
+    each memo entry is written whole, so threads sharing a matrix can at
+    worst compute an entry twice, with the same value.
     """
 
-    __slots__ = ("row", "min_overlap", "dists", "overlaps", "ranked", "sorted_dists", "_losses")
+    __slots__ = ("row", "min_overlap", "dists", "overlaps", "ranked", "sorted_dists", "scores",
+                 "_losses")
 
     def __init__(self, m: DistributionalMatrix, i: int, min_overlap: int):
         self.row, self.min_overlap = i, min_overlap
@@ -117,9 +121,9 @@ class _RowState:
         self.overlaps = kept.sum(axis=1, keepdims=True) - kept
         terms = np.where(kept, table, 0.0)
         sums = np.zeros(table.shape)
+        np.cumsum(terms[:, :-1], axis=1, out=sums[:, 1:])
         for v in np.flatnonzero(kept.any(axis=0)).tolist():
             sums[:, :v] += terms[:, v, None]
-            sums[:, v + 1:] += terms[:, v, None]
         self.dists = np.divide(sums, self.overlaps, out=np.full(table.shape, math.inf),
                                where=self.overlaps >= min_overlap)
         # row i's own table row is NaN, so it is at distance inf and never ranked
@@ -131,7 +135,7 @@ class _RowState:
         counts = np.isfinite(keys).sum(axis=1).tolist()
         self.ranked = [order[j, :k] for j, k in enumerate(counts)]
         self.sorted_dists = [sorted_keys[j, :k] for j, k in enumerate(counts)]
-        self._losses = {}
+        self.scores, self._losses = {}, {}
 
     def within(self, col: int, eta):
         """Count of column ``col``'s ranked rows, a prefix, at distance <= eta (per eta)."""

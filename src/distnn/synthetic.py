@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
-from .empirical import _check_seed, _full_block
+from .empirical import _check_seed, _full_block, _holds_bool
 from .errors import OutOfDomainError
 from .matrix import DistributionalMatrix
 
@@ -154,8 +154,10 @@ class DgpSpec:
 
     def n_for_columns(self, n_cols: int) -> np.ndarray:
         ns = np.asarray(self.n_per_entry)
-        if ns.dtype.kind not in "iu":
+        if _holds_bool(self.n_per_entry) or ns.dtype.kind not in "iu":
             raise OutOfDomainError("n_per_entry must hold integer sample counts")
+        if np.any(ns > np.iinfo(np.int64).max):
+            raise OutOfDomainError("n_per_entry is out of range: counts must fit in int64")
         ns = np.full(n_cols, ns, dtype=np.int64) if ns.ndim == 0 else ns.astype(np.int64)
         if ns.shape[0] != n_cols or np.any(ns < 1):
             raise OutOfDomainError("n_per_entry must be positive, scalar or one per column")
@@ -273,7 +275,9 @@ def generate(spec: DgpSpec, n_rows: int, n_cols: int):
     for j in range(n_cols):
         u = rng.random((n_rows, int(n_per_col[j])))
         np.maximum(u, 1e-300, out=u)
-        block = loc[:, j : j + 1] + scale[:, j : j + 1] * base.ppf(u)
+        block = base.ppf(u)
+        block *= scale[:, j : j + 1]
+        block += loc[:, j : j + 1]
         block.sort(axis=1)
         columns.append(_full_block(block))
     matrix = DistributionalMatrix._of_blocks(columns, np.ones((n_rows, n_cols), dtype=bool))

@@ -6,16 +6,22 @@ squared Wasserstein distance between the re-imputed estimates and the
 held-out empirical entries. Hold-out is structural: an entry's own samples
 never enter its own estimate, because neighbor distances exclude the target
 column and the barycenter uses other rows only.
+
+The missing cells of a row hold out the same entries, so they are scored
+in one pass over the row, the first time one of them is asked, and each
+gets the bits of scoring it alone. The trial log is held as arrays;
+:class:`TuneTrial` objects are built only when read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .empirical import _check_seed, _order_index
+from .empirical import _check_seed, _chunk_rows, _order_index
 # perfbench/tracing.py wraps tuning.w2sq and tuning.step_barycenter by name
 from .empirical import step_barycenter, w2sq  # noqa: F401
 from .errors import AllTrialsFailedError, NoObservedCellsError, OutOfDomainError
@@ -63,24 +69,55 @@ class TuneTrial:
     n_no_neighbor_cells: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TuneReport:
-    """Best threshold and the full trial log that produced it."""
+    """Best threshold and the full trial log that produced it.
 
-    best_eta: float
-    trials: tuple
+    The log is held as arrays, one entry per candidate in ascending order:
+    ``etas``, their ``mean_losses`` and ``n_valid`` counts of held-out cells
+    with a neighbour, of ``n_held``. ``trials`` builds it as
+    :class:`TuneTrial` objects when first read. The best trial is the
+    first least mean loss among those with a valid cell, as ``min`` over
+    the trials in order finds it: ties go to the smaller eta, and a NaN loss
+    neither replaces the best so far nor, once first, is replaced.
+    """
+
+    etas: np.ndarray
+    mean_losses: np.ndarray
+    n_valid: np.ndarray
+    n_held: int
+
+    @cached_property
+    def _best(self) -> int:
+        valid = np.flatnonzero(self.n_valid)
+        losses = self.mean_losses[valid]
+        return int(valid[0] if np.isnan(losses[0]) else valid[np.nanargmin(losses)])
+
+    @property
+    def best_eta(self) -> float:
+        return float(self.etas[self._best])
+
+    @cached_property
+    def trials(self) -> tuple:
+        return tuple(
+            TuneTrial(eta=eta, mean_loss=loss, n_valid_cells=k, n_no_neighbor_cells=self.n_held - k)
+            for eta, loss, k in zip(self.etas.tolist(), self.mean_losses.tolist(),
+                                    self.n_valid.tolist())
+        )
 
     def best_trial(self) -> TuneTrial:
-        return _best(self.trials)
+        return self.trials[self._best]
 
+    def __repr__(self) -> str:
+        return f"TuneReport(best_eta={self.best_eta!r}, trials={self.trials!r})"
 
-def _best(trials) -> TuneTrial:
-    """The trial with the least mean loss among those with a valid cell;
-    ties go to the smaller eta."""
-    return min(
-        (t for t in trials if t.n_valid_cells >= 1),
-        key=lambda t: (t.mean_loss, t.eta),
-    )
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.best_eta, self.trials) == (other.best_eta, other.trials)
+
+    def __hash__(self):
+        return hash((self.best_eta, self.trials))
 
 
 def _candidate_etas(cfg: TuneConfig, sorted_dists: np.ndarray) -> np.ndarray:
@@ -106,40 +143,71 @@ def _candidate_etas(cfg: TuneConfig, sorted_dists: np.ndarray) -> np.ndarray:
     return np.sort(draws)
 
 
+def _score(m: DistributionalMatrix, state, cols: list, cfg: TuneConfig) -> dict:
+    """For each target column in ``cols`` of the state's row: its candidate
+    etas, their mean losses and counts of valid held-out cells. The held-out
+    cells, which every target shares, are the row's observed columns not in
+    ``cols``.
+
+    All the targets' candidates are scored together, a chunk of them at a
+    time under the gather budget: each held-out column ranks them in one
+    call, and each candidate's losses are reduced as one row of a
+    (candidates x held) table, so a target's slice has the bits of scoring
+    it alone.
+    """
+    held = [v for v in np.flatnonzero(m.mask[state.row]).tolist() if v not in cols]
+    per_col = [_candidate_etas(cfg, state.sorted_dists[c]) for c in cols]
+    candidates = np.concatenate(per_col, dtype=float)
+    found = list(zip(held, state.heldout_losses(m, held)))
+    mean_loss = np.empty(candidates.shape[0])
+    n_valid = np.empty(candidates.shape[0], dtype=np.int64)
+    step = _chunk_rows(len(held))
+    for lo in range(0, candidates.shape[0], step):
+        part = candidates[lo:lo + step]
+        losses = np.empty((part.shape[0], len(held)))
+        for c, (v, col_losses) in enumerate(found):
+            losses[:, c] = col_losses[state.within(v, part)]
+        valid = ~np.isnan(losses)
+        n_valid[lo:lo + step] = np.sum(valid, axis=1)
+        worst = np.max(losses, axis=1, where=valid, initial=-np.inf)
+        mean_loss[lo:lo + step] = np.mean(np.where(valid, losses, worst[:, None]), axis=1)
+    mean_loss[n_valid == 0] = math.inf
+    for arr in (candidates, mean_loss, n_valid):
+        arr.setflags(write=False)
+    ends = np.cumsum([etas.shape[0] for etas in per_col]).tolist()
+    return {c: (candidates[a:b], mean_loss[a:b], n_valid[a:b])
+            for c, a, b in zip(cols, [0] + ends[:-1], ends)}
+
+
 def tune_eta(m: DistributionalMatrix, i: int, j: int, cfg: TuneConfig | None = None) -> TuneReport:
     """Choose eta by leave-one-out validation over row i's observed entries.
 
     Candidate losses are means over held-out cells; a cell where no neighbor
     exists at a candidate eta is penalized with the worst finite loss seen at
     that eta (infinite if none), so a tiny eta cannot win by abstaining.
-    Ties break toward the smaller eta.
+    Ties break toward the smaller eta. The first call for a missing cell
+    scores every missing cell of row i in one pass (they hold out the same
+    cells) and keeps the scores with the row's state, by ``cfg``; an
+    observed target, whose own cell is not held out, is scored alone.
     """
     if cfg is None:
         cfg = TuneConfig()
     i, j = m._check_index(i, j)
-    held_cols = [v for v in range(m.n_cols) if v != j and m.mask[i, v]]
-    if not held_cols:
+    observed = m.mask[i]
+    n_held = int(np.count_nonzero(observed)) - int(observed[j])
+    if not n_held:
         raise NoObservedCellsError(f"row {i} has no observed entries besides column {j}")
 
     state = _row_state(m, i, cfg.min_overlap)
-    candidates = _candidate_etas(cfg, state.sorted_dists[j])
-
-    losses = np.empty((candidates.shape[0], len(held_cols)))
-    for c, (v, found) in enumerate(zip(held_cols, state.heldout_losses(m, held_cols))):
-        losses[:, c] = found[state.within(v, candidates)]
-
-    valid = ~np.isnan(losses)
-    n_valid = np.sum(valid, axis=1)
+    if observed[j]:
+        scores = _score(m, state, [j], cfg)
+    else:
+        scores = state.scores.get(cfg)
+        if scores is None:
+            scores = state.scores[cfg] = _score(m, state, np.flatnonzero(~observed).tolist(), cfg)
+    etas, mean_loss, n_valid = scores[j]
     if not n_valid.any():
         raise AllTrialsFailedError(
             f"every candidate eta produced no neighbors for all held-out cells of row {i}"
         )
-    worst = np.max(losses, axis=1, where=valid, initial=-np.inf)
-    mean_loss = np.mean(np.where(valid, losses, worst[:, None]), axis=1)
-    mean_loss[n_valid == 0] = math.inf
-    trials = tuple(
-        TuneTrial(eta=float(eta), mean_loss=float(loss), n_valid_cells=int(k),
-                  n_no_neighbor_cells=len(held_cols) - int(k))
-        for eta, loss, k in zip(candidates, mean_loss, n_valid)
-    )
-    return TuneReport(best_eta=_best(trials).eta, trials=trials)
+    return TuneReport(etas, mean_loss, n_valid, n_held)

@@ -195,9 +195,15 @@ class TestSpecChecks:
         with pytest.raises(OutOfDomainError, match="n_per_entry must be positive"):
             DgpSpec(n_per_entry=(5, 0)).n_for_columns(2)
 
-    @pytest.mark.parametrize("counts", [2.5, 2.0, "3", True, np.nan, (5, 9.5), ("5", "9")])
+    @pytest.mark.parametrize("counts", [2.5, 2.0, "3", True, np.nan, (5, 9.5), ("5", "9"),
+                                        (3, True), [4, np.True_]])
     def test_sample_counts_must_be_integers(self, counts):
         with pytest.raises(OutOfDomainError, match="n_per_entry must hold integer sample counts"):
+            DgpSpec(n_per_entry=counts).n_for_columns(2)
+
+    @pytest.mark.parametrize("counts", [2**63, np.uint64(2**63), (np.uint64(2**63), np.uint64(3))])
+    def test_counts_beyond_int64_are_out_of_range(self, counts):
+        with pytest.raises(OutOfDomainError, match="n_per_entry is out of range"):
             DgpSpec(n_per_entry=counts).n_for_columns(2)
 
     @pytest.mark.parametrize("counts", [3, np.int32(3), np.uint8(3), (3, 3), np.array([3, 3])])

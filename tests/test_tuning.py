@@ -11,10 +11,15 @@ from distnn import (
     NoObservedCellsError,
     OutOfDomainError,
     TuneConfig,
+    TuneReport,
+    TuneTrial,
+    estimator,
     impute,
     tune_eta,
+    tuning,
     w2sq,
 )
+from distnn.cli import main
 from distnn.errors import NoNeighborsError
 
 
@@ -171,3 +176,191 @@ class TestTuneEta:
         for lo, hi in [(1.0, math.inf), (math.inf, math.inf), (-math.inf, 1.0), (1.0, math.nan)]:
             with pytest.raises(OutOfDomainError):
                 TuneConfig(eta_min=lo, eta_max=hi)
+
+
+def reference_tune(m, i, j, cfg):
+    """One cell scored alone, as tune_eta scored each cell before it scored
+    a row's missing cells together: the cell's (candidates x held) loss
+    table from a cold row state, its trials as objects and the best by
+    Python's ``min``. Returns (best trial, trials)."""
+    held = [v for v in range(m.n_cols) if v != j and m.mask[i, v]]
+    if not held:
+        raise NoObservedCellsError(f"row {i} has no observed entries besides column {j}")
+    state = estimator._RowState(m, i, cfg.min_overlap)
+    candidates = tuning._candidate_etas(cfg, state.sorted_dists[j])
+    losses = np.empty((candidates.shape[0], len(held)))
+    for c, (v, found) in enumerate(zip(held, state.heldout_losses(m, held))):
+        losses[:, c] = found[state.within(v, candidates)]
+    valid = ~np.isnan(losses)
+    n_valid = np.sum(valid, axis=1)
+    if not n_valid.any():
+        raise AllTrialsFailedError(
+            f"every candidate eta produced no neighbors for all held-out cells of row {i}"
+        )
+    worst = np.max(losses, axis=1, where=valid, initial=-np.inf)
+    mean_loss = np.mean(np.where(valid, losses, worst[:, None]), axis=1)
+    mean_loss[n_valid == 0] = math.inf
+    trials = tuple(
+        TuneTrial(eta=float(eta), mean_loss=float(loss), n_valid_cells=int(k),
+                  n_no_neighbor_cells=len(held) - int(k))
+        for eta, loss, k in zip(candidates, mean_loss, n_valid)
+    )
+    best = min((t for t in trials if t.n_valid_cells >= 1), key=lambda t: (t.mean_loss, t.eta))
+    return best, trials
+
+
+def _bits(trials):
+    return [(t.eta.hex(), t.mean_loss.hex(), t.n_valid_cells, t.n_no_neighbor_cells)
+            for t in trials]
+
+
+def _outcome(call):
+    """A tuning's best trial and log as bits, or its error as type and message."""
+    try:
+        best, trials = call()
+    except (NoObservedCellsError, AllTrialsFailedError) as exc:
+        return type(exc), str(exc)
+    return _bits([best]), _bits(trials)
+
+
+def _panel(seed, ragged, n_rows=6, n_cols=4, p_missing=0.3):
+    rng = np.random.default_rng(seed)
+    return [[rng.normal(r % 3, 1.0, int(rng.integers(2, 7)) if ragged else 4)
+             if rng.random() >= p_missing else None for _ in range(n_cols)]
+            for r in range(n_rows)]
+
+
+def _shifted_row_panel():
+    """Row 0 lies at one distance from every other row, which are identical:
+    row 0's candidate range is the single eta [hi]."""
+    rows = identical_rows_matrix(n_rows=5, n_cols=4)
+    entries = [[rows.entry(i, j).samples for j in range(4)] for i in range(5)]
+    entries[0] = [s + 1.0 for s in entries[0]]
+    entries[0][1] = entries[2][3] = entries[3][3] = None
+    return entries
+
+
+def _overflow_panel():
+    """Column 3 holds 1e300 in even rows and -1e300 in odd ones: rows of
+    one sign lie at distance 0 there, rows of two at an overflowing one, so
+    a held-out cell of column 3 whose neighbours mix signs has an infinite
+    loss."""
+    rng = np.random.default_rng(5)
+    missing = {(0, 0), (1, 1), (2, 2), (3, 0), (4, 1), (5, 2), (6, 3)}
+    return [[None if (r, c) in missing else
+             np.full(3, 1e300 if r % 2 == 0 else -1e300) if c == 3 else rng.normal(0.0, 1.0, 3)
+             for c in range(4)] for r in range(8)]
+
+
+PANELS = {
+    "equal": _panel(1, ragged=False),
+    "ragged": _panel(2, ragged=True),
+    "identical": [[None if (r, c) in {(0, 0), (0, 2), (1, 1)} else [float(c), c + 1.0]
+                   for c in range(4)] for r in range(4)],
+    "shifted-row": _shifted_row_panel(),
+    "overflow": _overflow_panel(),
+}
+
+CONFIGS = {
+    "log-grid": TuneConfig(budget=12),
+    "random": TuneConfig(budget=9, search="random_log_uniform", seed=4),
+    "range": TuneConfig(budget=7, eta_min=0.05, eta_max=20.0),
+    "budget-1": TuneConfig(budget=1),
+    "budget-1-range": TuneConfig(budget=1, eta_min=0.5, eta_max=2.0),
+    "min-overlap-2": TuneConfig(budget=10, min_overlap=2),
+}
+
+
+class TestRowPass:
+    """Scoring a row's missing cells together gives each cell the bits of
+    scoring it alone."""
+
+    @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
+    @pytest.mark.parametrize("panel", PANELS.values(), ids=PANELS.keys())
+    @pytest.mark.parametrize("reverse", [False, True], ids=["row-major", "reversed"])
+    def test_every_cell_matches_the_per_cell_reference(self, panel, cfg, reverse):
+        m = DistributionalMatrix(panel)
+        cold = DistributionalMatrix(panel)
+        cells = [(i, j) for i in range(m.n_rows) for j in range(m.n_cols)]
+        for i, j in cells[::-1] if reverse else cells:
+            def tuned():
+                report = tune_eta(m, i, j, cfg)
+                assert report.best_eta == report.best_trial().eta
+                return report.best_trial(), report.trials
+            # the overflow panel's squared gaps overflow on both sides alike
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _outcome(tuned) == _outcome(lambda: reference_tune(cold, i, j, cfg))
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["equal", "ragged"])
+    def test_configs_take_turns_on_one_matrix(self, ragged):
+        panel = PANELS["ragged" if ragged else "equal"]
+        m, cold = DistributionalMatrix(panel), DistributionalMatrix(panel)
+        for i, j in m.missing_cells():
+            for cfg in CONFIGS.values():
+                assert (_outcome(lambda: (tune_eta(m, i, j, cfg).best_trial(),
+                                          tune_eta(m, i, j, cfg).trials))
+                        == _outcome(lambda: reference_tune(cold, i, j, cfg)))
+
+    def test_degenerate_ranges_are_reached(self):
+        m = DistributionalMatrix(PANELS["identical"])
+        assert [t.eta for t in tune_eta(m, 0, 0).trials] == [0.0]
+        m = DistributionalMatrix(PANELS["shifted-row"])
+        (trial,) = tune_eta(m, 0, 1).trials
+        assert trial.eta == 1.0
+
+    def test_overflowing_losses_are_reached(self):
+        m = DistributionalMatrix(PANELS["overflow"])
+        losses = []
+        for i, j in m.missing_cells():
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    losses += [t.mean_loss for t in tune_eta(m, i, j, TuneConfig(budget=12)).trials]
+                except AllTrialsFailedError:
+                    pass
+        assert math.inf in losses
+
+    @pytest.mark.parametrize("losses, n_valid", [
+        ([math.inf, 2.0, 2.0, 1.0], [1, 1, 1, 0]),
+        ([math.inf, math.inf, math.inf], [0, 1, 1]),
+        ([math.nan, 1.0, 0.5], [1, 1, 1]),
+        ([math.nan, 1.0, 0.5], [0, 1, 1]),
+        ([1.0, math.nan, 0.5], [1, 1, 1]),
+        ([2.0, math.nan, 2.0, math.inf], [1, 1, 1, 1]),
+    ])
+    def test_best_trial_is_min_over_the_trials(self, losses, n_valid):
+        """Ties, infinite and NaN losses resolve as ``min`` over the trials in
+        ascending eta, keyed by (loss, eta), resolves them."""
+        report = TuneReport(np.arange(1.0, len(losses) + 1), np.array(losses),
+                            np.array(n_valid), 3)
+        expected = min((t for t in report.trials if t.n_valid_cells >= 1),
+                       key=lambda t: (t.mean_loss, t.eta))
+        assert report.best_trial() is expected
+        assert report.best_eta == expected.eta
+
+    def test_report_reads_as_its_trials(self):
+        m = DistributionalMatrix(PANELS["equal"])
+        report = tune_eta(m, *m.missing_cells()[0], TuneConfig(budget=5))
+        assert report.trials is report.trials
+        assert repr(report) == f"TuneReport(best_eta={report.best_eta!r}, trials={report.trials!r})"
+        assert report == tune_eta(DistributionalMatrix(PANELS["equal"]),
+                                  *m.missing_cells()[0], TuneConfig(budget=5))
+        assert [t.eta for t in report.trials] == report.etas.tolist()
+
+    def test_one_pass_per_row_under_all_missing_tune(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        missing = {1: (1,), 2: (0, 2, 4), 3: (3,)}
+        lines = ["row,col,value"]
+        for r in range(6):
+            for c in range(6):
+                if c not in missing.get(r, ()):
+                    lines += [f"r{r},c{c},{v!r}" for v in rng.normal(r, 1.0, 4).tolist()]
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        passes = []
+        score = tuning._score
+        monkeypatch.setattr(tuning, "_score", lambda m, state, cols, cfg:
+                            passes.append((state.row, tuple(cols))) or score(m, state, cols, cfg))
+        code = main(["impute", "--input", str(path), "--all-missing", "--tune",
+                     "--budget", "8", "--output", str(tmp_path / "o.json")])
+        assert code == 0
+        assert passes == sorted(missing.items())
