@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import StepQuantile, _row_losses, _w2sq_pairs, barycenter, step_barycenter, summaries, w2sq
+from .empirical import StepQuantile, _w2sq_pairs, barycenter, step_barycenter, summaries, w2sq
 from .errors import NoNeighborsError, OutOfDomainError
 from .matrix import DistributionalMatrix, shared_columns
 
@@ -75,6 +75,8 @@ def row_distance(m: DistributionalMatrix, i: int, u: int, exclude: int, min_over
     return total / cols.shape[0]
 
 
+# samples near the float limits give infinite distances, which are handled as such
+@np.errstate(over="ignore", invalid="ignore")
 def _w2sq_table(m: DistributionalMatrix, i: int) -> np.ndarray:
     """W2^2 between row i's entry and every other row's entry, per column.
 
@@ -93,7 +95,7 @@ def _w2sq_table(m: DistributionalMatrix, i: int) -> np.ndarray:
 
 class _RowState:
     """Row i's leave-one-column-out distances and rankings, for every column
-    at once, at one ``min_overlap``, and the held-out losses derived from them.
+    at once, at one ``min_overlap``.
 
     ``dists[u, j]`` is rho(i, u) with column j left out and ``overlaps[u, j]``
     its count of shared columns; ``ranked[j]`` lists the rows u != i observed
@@ -111,8 +113,7 @@ class _RowState:
     worst compute an entry twice, with the same value.
     """
 
-    __slots__ = ("row", "min_overlap", "dists", "overlaps", "ranked", "sorted_dists", "scores",
-                 "_losses")
+    __slots__ = ("row", "min_overlap", "dists", "overlaps", "ranked", "sorted_dists", "scores")
 
     def __init__(self, m: DistributionalMatrix, i: int, min_overlap: int):
         self.row, self.min_overlap = i, min_overlap
@@ -135,24 +136,11 @@ class _RowState:
         counts = np.isfinite(keys).sum(axis=1).tolist()
         self.ranked = [order[j, :k] for j, k in enumerate(counts)]
         self.sorted_dists = [sorted_keys[j, :k] for j, k in enumerate(counts)]
-        self.scores, self._losses = {}, {}
+        self.scores = {}
 
     def within(self, col: int, eta):
         """Count of column ``col``'s ranked rows, a prefix, at distance <= eta (per eta)."""
         return np.searchsorted(self.sorted_dists[col], eta, side="right")
-
-    def heldout_losses(self, m: DistributionalMatrix, cols) -> list:
-        """For each column in ``cols``, the loss at row i's held-out cell
-        there of the barycenter of the k nearest rows, indexed by k (NaN at
-        k = 0: no neighbor). The columns not yet held are computed in one
-        pass (:func:`empirical._row_losses`)."""
-        todo = [c for c in cols if c not in self._losses]
-        if todo:
-            columns = [(m._blocks[c], np.append(self.ranked[c], self.row)) for c in todo]
-            for c, found in zip(todo, _row_losses(columns)):
-                found.setflags(write=False)
-                self._losses[c] = found
-        return [self._losses[c] for c in cols]
 
 
 def _row_state(m: DistributionalMatrix, i: int, min_overlap: int) -> _RowState:
@@ -218,6 +206,8 @@ def find_neighbors(
     )
 
 
+# samples near the float limits give infinite quantiles and summaries (JSON null)
+@np.errstate(over="ignore", invalid="ignore")
 def impute(
     m: DistributionalMatrix,
     i: int,

@@ -198,6 +198,8 @@ def _check_reps(reps_samples: int, reps_neighbors: int) -> None:
         raise OutOfDomainError("need at least one bootstrap replicate")
 
 
+# samples near the float limits give infinite quantiles (JSON null)
+@np.errstate(over="ignore", invalid="ignore")
 def bootstrap_band(
     m: DistributionalMatrix,
     i: int,

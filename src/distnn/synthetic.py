@@ -14,13 +14,14 @@ from the base's partial moments, for all three bases.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
-from .empirical import _check_seed, _full_block, _holds_bool
+from .empirical import _check_seed, _full_block
 from .errors import OutOfDomainError
 from .matrix import DistributionalMatrix
 
@@ -153,15 +154,15 @@ class DgpSpec:
         _check_seed(self.seed)
 
     def n_for_columns(self, n_cols: int) -> np.ndarray:
-        ns = np.asarray(self.n_per_entry)
-        if _holds_bool(self.n_per_entry) or ns.dtype.kind not in "iu":
+        # as objects, so that no count is cast to float or wrapped before it is checked
+        counts = np.asarray(self.n_per_entry, dtype=object)
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in counts.flat):
             raise OutOfDomainError("n_per_entry must hold integer sample counts")
-        if np.any(ns > np.iinfo(np.int64).max):
+        if any(n > np.iinfo(np.int64).max for n in counts.flat):
             raise OutOfDomainError("n_per_entry is out of range: counts must fit in int64")
-        ns = np.full(n_cols, ns, dtype=np.int64) if ns.ndim == 0 else ns.astype(np.int64)
-        if ns.shape[0] != n_cols or np.any(ns < 1):
+        if counts.shape not in ((), (n_cols,)) or any(n < 1 for n in counts.flat):
             raise OutOfDomainError("n_per_entry must be positive, scalar or one per column")
-        return ns
+        return np.full(n_cols, counts, dtype=np.int64)
 
 
 class TrueDistributions:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .empirical import _check_seed, _chunk_rows, _order_index
+from .empirical import _check_seed, _chunk_rows, _order_index, _row_losses
 # perfbench/tracing.py wraps tuning.w2sq and tuning.step_barycenter by name
 from .empirical import step_barycenter, w2sq  # noqa: F401
 from .errors import AllTrialsFailedError, NoObservedCellsError, OutOfDomainError
@@ -143,6 +143,8 @@ def _candidate_etas(cfg: TuneConfig, sorted_dists: np.ndarray) -> np.ndarray:
     return np.sort(draws)
 
 
+# samples near the float limits give infinite losses, which are scored as such
+@np.errstate(over="ignore", invalid="ignore")
 def _score(m: DistributionalMatrix, state, cols: list, cfg: TuneConfig) -> dict:
     """For each target column in ``cols`` of the state's row: its candidate
     etas, their mean losses and counts of valid held-out cells. The held-out
@@ -158,14 +160,14 @@ def _score(m: DistributionalMatrix, state, cols: list, cfg: TuneConfig) -> dict:
     held = [v for v in np.flatnonzero(m.mask[state.row]).tolist() if v not in cols]
     per_col = [_candidate_etas(cfg, state.sorted_dists[c]) for c in cols]
     candidates = np.concatenate(per_col, dtype=float)
-    found = list(zip(held, state.heldout_losses(m, held)))
+    found = _row_losses([(m._blocks[v], np.append(state.ranked[v], state.row)) for v in held])
     mean_loss = np.empty(candidates.shape[0])
     n_valid = np.empty(candidates.shape[0], dtype=np.int64)
     step = _chunk_rows(len(held))
     for lo in range(0, candidates.shape[0], step):
         part = candidates[lo:lo + step]
         losses = np.empty((part.shape[0], len(held)))
-        for c, (v, col_losses) in enumerate(found):
+        for c, (v, col_losses) in enumerate(zip(held, found)):
             losses[:, c] = col_losses[state.within(v, part)]
         valid = ~np.isnan(losses)
         n_valid[lo:lo + step] = np.sum(valid, axis=1)

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from distnn import TuneConfig, estimator
 from distnn.cli import _tune_config, build_parser, main
+from test_tuning import _overflow_panel
 
 
 def strict_json(path):
@@ -243,6 +245,44 @@ class TestBandsCommand:
                      "--row", "r3", "--col", "c3", "--eta", "1e-9",
                      "--output", str(tmp_path / "b.json")])
         assert code == 2
+
+
+def _limit_panel():
+    """Ragged cells of one value, -1.7e308 in even columns and 1.7e308 in odd
+    ones: rows lie at distance 0, and any sum of two cells overflows."""
+    missing = {(0, 0), (1, 1), (2, 2)}
+    return [[None if (r, c) in missing else np.full(1 + (r + c) % 3, (-1.0) ** (c + 1) * 1.7e308)
+             for c in range(3)] for r in range(6)]
+
+
+class TestNoNumpyWarnings:
+    """Samples near the float limits give infinite distances, losses and
+    quantiles, written as null, and no command warns on the way. A
+    neighbour of the limit panel has an infinite variance, so the KDE band
+    refuses it."""
+
+    @pytest.mark.parametrize("panel, codes", [
+        (_overflow_panel(), (0, 0, 0, 0)),
+        (_limit_panel(), (0, 0, 0, 1)),
+    ], ids=["1e300", "1.7e308-ragged"])
+    def test_commands_run_under_warnings_as_errors(self, panel, codes, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(["row,col,value"] + [
+            f"r{r},c{c},{v!r}" for r, row in enumerate(panel) for c, cell in enumerate(row)
+            if cell is not None for v in cell.tolist()]) + "\n", encoding="utf-8")
+        target = ["--input", str(path), "--row", "r0", "--col", "c0", "--budget", "8"]
+        commands = [["impute", "--input", str(path), "--all-missing", "--tune", "--budget", "8"],
+                    ["tune", *target],
+                    ["bands", *target, "--levels", "9"],
+                    ["bands", *target, "--levels", "9", "--method", "asymptotic-kde"]]
+        for argv, code in zip(commands, codes):
+            out = tmp_path / f"{argv[0]}.json"
+            out.unlink(missing_ok=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([*argv, "--output", str(out)]) == code
+            if code == 0:
+                strict_json(out)
 
 
 class TestSimulateCommand:

@@ -241,8 +241,9 @@ def _ragged_outcomes(m):
     barycenter of all its column-0 cells, as bytes and reprs."""
     out = []
     for i in range(m.n_rows):
-        held = _RowState(m, i, 1).heldout_losses(m, np.flatnonzero(m.mask[i]).tolist())
-        out += [losses.tobytes() for losses in held]
+        state = _RowState(m, i, 1)
+        columns = [(m._blocks[v], np.append(state.ranked[v], i)) for v in np.flatnonzero(m.mask[i])]
+        out += [losses.tobytes() for losses in empirical._row_losses(columns)]
     for i, j in m.missing_cells():
         report = tune_eta(m, i, j, TuneConfig(budget=8))
         est = impute(m, i, j, report.best_eta).estimate

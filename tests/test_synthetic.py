@@ -192,8 +192,9 @@ class TestSpecChecks:
             DgpSpec(**{field: value})
 
     def test_per_column_counts_must_be_positive(self):
-        with pytest.raises(OutOfDomainError, match="n_per_entry must be positive"):
-            DgpSpec(n_per_entry=(5, 0)).n_for_columns(2)
+        for counts in [(5, 0), -2**64, (3, 3, 3), [[3], [3]]]:
+            with pytest.raises(OutOfDomainError, match="n_per_entry must be positive"):
+                DgpSpec(n_per_entry=counts).n_for_columns(2)
 
     @pytest.mark.parametrize("counts", [2.5, 2.0, "3", True, np.nan, (5, 9.5), ("5", "9"),
                                         (3, True), [4, np.True_]])
@@ -201,7 +202,8 @@ class TestSpecChecks:
         with pytest.raises(OutOfDomainError, match="n_per_entry must hold integer sample counts"):
             DgpSpec(n_per_entry=counts).n_for_columns(2)
 
-    @pytest.mark.parametrize("counts", [2**63, np.uint64(2**63), (np.uint64(2**63), np.uint64(3))])
+    @pytest.mark.parametrize("counts", [2**63, np.uint64(2**63), (np.uint64(2**63), np.uint64(3)),
+                                        2**64, (3, 2**63), (-1, 2**63)])
     def test_counts_beyond_int64_are_out_of_range(self, counts):
         with pytest.raises(OutOfDomainError, match="n_per_entry is out of range"):
             DgpSpec(n_per_entry=counts).n_for_columns(2)

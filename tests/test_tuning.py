@@ -13,6 +13,7 @@ from distnn import (
     TuneConfig,
     TuneReport,
     TuneTrial,
+    empirical,
     estimator,
     impute,
     tune_eta,
@@ -189,7 +190,8 @@ def reference_tune(m, i, j, cfg):
     state = estimator._RowState(m, i, cfg.min_overlap)
     candidates = tuning._candidate_etas(cfg, state.sorted_dists[j])
     losses = np.empty((candidates.shape[0], len(held)))
-    for c, (v, found) in enumerate(zip(held, state.heldout_losses(m, held))):
+    columns = [(m._blocks[v], np.append(state.ranked[v], i)) for v in held]
+    for c, (v, found) in enumerate(zip(held, empirical._row_losses(columns))):
         losses[:, c] = found[state.within(v, candidates)]
     valid = ~np.isnan(losses)
     n_valid = np.sum(valid, axis=1)
@@ -312,11 +314,10 @@ class TestRowPass:
         m = DistributionalMatrix(PANELS["overflow"])
         losses = []
         for i, j in m.missing_cells():
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    losses += [t.mean_loss for t in tune_eta(m, i, j, TuneConfig(budget=12)).trials]
-                except AllTrialsFailedError:
-                    pass
+            try:
+                losses += [t.mean_loss for t in tune_eta(m, i, j, TuneConfig(budget=12)).trials]
+            except AllTrialsFailedError:
+                pass
         assert math.inf in losses
 
     @pytest.mark.parametrize("losses, n_valid", [
@@ -342,8 +343,10 @@ class TestRowPass:
         report = tune_eta(m, *m.missing_cells()[0], TuneConfig(budget=5))
         assert report.trials is report.trials
         assert repr(report) == f"TuneReport(best_eta={report.best_eta!r}, trials={report.trials!r})"
-        assert report == tune_eta(DistributionalMatrix(PANELS["equal"]),
-                                  *m.missing_cells()[0], TuneConfig(budget=5))
+        twin = tune_eta(DistributionalMatrix(PANELS["equal"]), *m.missing_cells()[0],
+                        TuneConfig(budget=5))
+        assert report == twin and hash(report) == hash(twin) and len({report, twin}) == 1
+        assert report.__eq__(report.trials) is NotImplemented and report != report.trials
         assert [t.eta for t in report.trials] == report.etas.tolist()
 
     def test_one_pass_per_row_under_all_missing_tune(self, tmp_path, monkeypatch):
