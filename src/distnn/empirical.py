@@ -501,6 +501,24 @@ def w2_general(a, b) -> float:
     return float(np.sqrt(w2sq(a, b)))
 
 
+def _refit_overflow(mean, k, chunks):
+    """``mean``, k members' sum over k, where every entry that is not finite
+    while its members are is taken again as the sum of member / k: the sum
+    overflowed below the float limit. ``chunks()`` yields the members'
+    values, a run of rows at a time, one column per entry. Finite entries
+    keep their bits."""
+    redo = np.flatnonzero(~np.isfinite(mean))
+    if redo.size:
+        sums, finite = 0.0, True
+        for rows in chunks():
+            rows = rows[:, redo]
+            finite = finite & np.isfinite(rows).all(axis=0)
+            sums = sums + np.sum(rows / k, axis=0)
+        mean[redo[finite]] = sums[finite]
+    return mean
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def barycenter(ds) -> EmpiricalDistribution:
     """Wasserstein barycenter of equal-size empirical distributions.
 
@@ -517,9 +535,10 @@ def barycenter(ds) -> EmpiricalDistribution:
             "use step_barycenter for ragged collections"
         )
     stacked = np.vstack([d.samples for d in ds])
-    return _presorted(stacked.mean(axis=0))
+    return _presorted(_refit_overflow(stacked.mean(axis=0), len(ds), lambda: [stacked]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step_barycenter(ds) -> StepQuantile:
     """Exact Wasserstein barycenter of empirical distributions of any sizes.
 
@@ -540,7 +559,9 @@ def step_barycenter(ds) -> StepQuantile:
         # a copy, so the chunk is freed before the next one is gathered
         total, sums = sums[-1].copy(), None
     # 0.0 + turns an all-zero -0.0 sum into +0.0, as summing from zero does
-    return StepQuantile(edges, (0.0 + total) / len(ds))
+    mean = _refit_overflow((0.0 + total) / len(ds), len(ds), lambda: (
+        take(lo, min(lo + step, len(ds))) for lo in range(0, len(ds), step)))
+    return StepQuantile(edges, mean)
 
 
 def summaries(d, var_alpha: float = 0.05) -> dict:

@@ -15,6 +15,8 @@ from the base's partial moments, for all three bases.
 from __future__ import annotations
 
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,6 +247,35 @@ def _w2sq_steps_to_base(base: BaseFamily, values, edges, loc, s):
     return term.sum(axis=-1)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, read at each call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _finish_in_order(finish, draws) -> list:
+    """``[finish(j, u) for j, u in enumerate(draws)]``, with the draws taken
+    in order in this thread while a second thread finishes the draw before.
+
+    Generator fills, sorts and ufuncs on large arrays release the GIL, so
+    the two stages overlap, and at most one drawn array waits at a time.
+    With one usable CPU each draw is finished here, in turn. The thread
+    lives only inside the call, and an exception raised by ``finish``
+    propagates from it.
+    """
+    if _usable_cpus() < 2:
+        return [finish(j, u) for j, u in enumerate(draws)]
+    done, pending = [], []
+    with ThreadPoolExecutor(1) as pool:
+        for j, u in enumerate(draws):
+            pending.append(pool.submit(finish, j, u))
+            if len(pending) == 2:
+                done.append(pending.pop(0).result())
+        done.extend(f.result() for f in pending)
+    return done
+
+
 def generate(spec: DgpSpec, n_rows: int, n_cols: int):
     """Draw a fully observed distributional matrix and its exact truths.
 
@@ -272,15 +303,17 @@ def generate(spec: DgpSpec, n_rows: int, n_cols: int):
         scale = np.full((n_rows, n_cols), spec.sigma**2)
 
     n_per_col = spec.n_for_columns(n_cols)
-    columns = []
-    for j in range(n_cols):
-        u = rng.random((n_rows, int(n_per_col[j])))
+
+    def finish(j, u):
         np.maximum(u, 1e-300, out=u)
         block = base.ppf(u)
         block *= scale[:, j : j + 1]
         block += loc[:, j : j + 1]
         block.sort(axis=1)
-        columns.append(_full_block(block))
+        return _full_block(block)
+
+    draws = (rng.random((n_rows, int(n))) for n in n_per_col)
+    columns = _finish_in_order(finish, draws)
     matrix = DistributionalMatrix._of_blocks(columns, np.ones((n_rows, n_cols), dtype=bool))
     truth = TrueDistributions(base, loc, scale, n_per_col, factors, spec)
     return matrix, truth

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import operator
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distnn import TuneConfig, estimator
 from distnn.cli import _tune_config, build_parser, main
@@ -256,8 +261,8 @@ def _limit_panel():
 
 
 class TestNoNumpyWarnings:
-    """Samples near the float limits give infinite distances, losses and
-    quantiles, written as null, and no command warns on the way. A
+    """Samples near the float limits give infinite distances and losses,
+    written as null, and no command warns on the way. A
     neighbour of the limit panel has an infinite variance, so the KDE band
     refuses it."""
 
@@ -283,6 +288,62 @@ class TestNoNumpyWarnings:
                 assert main([*argv, "--output", str(out)]) == code
             if code == 0:
                 strict_json(out)
+
+
+_MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-308, 1e-150, 1.0, 1e150, 1e300, 1e308, 1.7e308]),
+    st.floats(min_value=5e-324, max_value=1.7e308),
+)
+_VALUES = st.builds(operator.mul, st.sampled_from([1.0, -1.0]), _MAGNITUDES)
+
+
+@st.composite
+def _small_panels(draw):
+    """A 4-6 x 3-4 panel, its cells of one sample count or of 1 to 3
+    each, a quarter of them missing. Its values span the finite floats of
+    either sign, 5e-324 to 1.7e308 in size, or are steps of one such size."""
+    rows, cols = draw(st.integers(4, 6)), draw(st.integers(3, 4))
+    ragged, n = draw(st.booleans()), draw(st.integers(1, 3))
+    values = _VALUES if draw(st.booleans()) else st.builds(
+        operator.mul, st.sampled_from([-1.0, -0.75, -0.5, 0.0, 0.25, 0.5, 1.0]),
+        st.just(draw(_MAGNITUDES)))
+    sizes = st.integers(1, 3) if ragged else st.just(n)
+    return [[None if draw(st.integers(0, 3)) == 0 else
+             draw(st.lists(values, min_size=k, max_size=k)) if (k := draw(sizes)) else None
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def _write_csv(panel, path):
+    path.write_text("\n".join(["row,col,value"] + [
+        f"r{r},c{c},{v!r}" for r, row in enumerate(panel) for c, cell in enumerate(row)
+        if cell is not None for v in cell]) + "\n", encoding="utf-8")
+
+
+class TestNoWarningAtAnyMagnitude:
+    """Every panel command, on any small panel whose values span the finite
+    floats, exits 0, 1 or 2 without a warning, and writes strict JSON or
+    no file."""
+
+    @given(panel=_small_panels())
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_commands_exit_cleanly(self, panel):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "panel.csv"
+            _write_csv(panel, path)
+            target = ["--input", str(path), "--row", "r0", "--col", "c0", "--budget", "8"]
+            commands = [["impute", "--input", str(path), "--all-missing", "--tune", "--budget", "8"],
+                        ["tune", *target],
+                        ["bands", *target, "--levels", "9"],
+                        ["bands", *target, "--levels", "9", "--method", "asymptotic-kde"]]
+            for argv in commands:
+                out = Path(tmp) / f"{argv[0]}.json"
+                out.unlink(missing_ok=True)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main([*argv, "--output", str(out)])
+                assert code in (0, 1, 2)
+                if out.exists():
+                    strict_json(out)
 
 
 class TestSimulateCommand:

@@ -6,6 +6,7 @@ refinement to a common atom count, permutation search).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,52 @@ class TestBarycenter:
         assert w2_equal_n(a, b) ** 2 == pytest.approx(
             brute_force_w2_sq(a, b), rel=1e-12, abs=1e-15
         )
+
+
+class TestBarycenterNearTheFloatLimit:
+    """The members' sum overflows where their mean does not: those entries
+    are the sum of member / k, and every finite mean keeps its bits."""
+
+    def test_equal_members_return_their_samples(self):
+        a = from_samples([1e308, 1.5e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(barycenter([a, a]).samples, a.samples)
+
+    def test_only_the_overflowing_entries_are_taken_again(self):
+        a, b = from_samples([0.1, 1.5e308]), from_samples([0.7, 1.7e308])
+        c, d = from_samples([-0.3, 1.7e308]), from_samples([0.2, 1e307])
+        got = barycenter([a, b, c, d]).samples
+        stacked = np.vstack([a.samples, b.samples, c.samples, d.samples])
+        assert got[0] == stacked[:, 0].mean()
+        assert got[1] == np.sum(stacked[:, 1] / 4)
+        assert np.isfinite(got).all()
+
+    def test_an_entry_with_a_non_finite_member_keeps_its_mean(self):
+        # only the library builds such a member: from_samples refuses it
+        a, b = from_samples([1e308]), empirical._presorted([-np.inf])
+        assert np.isnan(barycenter([a, a, b]).samples).all()
+
+    @pytest.mark.parametrize("budget", [1, 1 << 20])
+    def test_ragged_members_are_finite_without_a_warning(self, budget, monkeypatch):
+        # the merged grid is 1/3, 1/2, 2/3, 1: the first member's order
+        # statistics 1, 1, 2, 2 on it, the second one's 1, 2, 2, 3
+        monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", budget)
+        a, b = from_samples([1e308, 1.5e308]), from_samples([1.2e308, 1.6e308, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = step_barycenter([a, b, a])
+        on_grid = [np.array([1e308, 1e308, 1.5e308, 1.5e308]),
+                   np.array([1.2e308, 1.6e308, 1.6e308, 1.7e308])]
+        assert np.array_equal(got.edges, [1 / 3, 0.5, 2 / 3, 1.0])
+        assert np.array_equal(got.values, on_grid[0] / 3 + on_grid[1] / 3 + on_grid[0] / 3)
+
+    def test_finite_ragged_means_keep_their_bits(self):
+        ds = [from_samples([0.1, 0.2]), from_samples([0.3, 0.5, 0.9]), from_samples([0.4])]
+        got = step_barycenter(ds).values
+        edges, _, take = empirical._block_grid(
+            empirical._column_block([d.samples for d in ds]), np.arange(3))
+        assert np.array_equal(got, np.cumsum(take(0, 3), axis=0)[-1] / 3)
 
 
 class TestStepBarycenter:

@@ -1,5 +1,10 @@
 """Synthetic data-generating processes and their exact scoring."""
 
+import dataclasses
+import os
+import pickle
+import threading
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -8,6 +13,8 @@ from distnn import DgpSpec, DistributionalMatrix, from_samples, generate, true_w
 from distnn.empirical import StepQuantile
 from distnn.errors import OutOfDomainError
 from distnn.exact import uniform_empirical_expected_w2_sq
+from distnn.experiments import ExperimentSpec, run_scaling
+from distnn import synthetic
 from distnn.synthetic import TrueDistributions, make_base
 
 
@@ -80,6 +87,94 @@ class TestGenerate:
         expected = np.asarray(expected)
         z = (errors.mean() - expected.mean()) / (errors.std(ddof=1) / np.sqrt(errors.size))
         assert abs(z) < 3.0
+
+
+def _generated_bytes(spec, n_rows, n_cols):
+    m, truth = generate(spec, n_rows, n_cols)
+    arrays = [a for block in m._blocks for a in block] + [m._mask, truth.loc, truth.scale]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestWorkerCount:
+    """``generate`` finishes each column on a second thread when the process
+    may use two CPUs or more, and in the calling thread on one. The bytes
+    are the same at every CPU count."""
+
+    SPECS = [
+        DgpSpec(base_family=base, kind=kind, n_per_entry=n, seed=5, latent_dim=2)
+        for base in ("uniform", "gaussian", "truncated_gaussian")
+        for kind in ("heteroscedastic", "homoscedastic")
+        for n in (7, [1, 4, 9, 2, 30])
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.base_family}-{s.kind}-{s.n_per_entry}")
+    def test_blocks_and_masks_match_at_every_cpu_count(self, spec, monkeypatch):
+        own = _generated_bytes(spec, 6, 5)
+        for count in (1, 2, 4):
+            _use_cpus(monkeypatch, count)
+            assert _generated_bytes(spec, 6, 5) == own
+
+    def test_scaling_result_matches_at_every_cpu_count(self, monkeypatch):
+        spec = ExperimentSpec(dgp=DgpSpec(n_per_entry=10, seed=2), values=(10, 20), trials=2,
+                              n_rows=12, n_cols=5, tune_budget=6, baseline_resamples=3,
+                              min_neighbors=1, seed=4)
+        results = []
+        for count in (1, 2, 4):
+            _use_cpus(monkeypatch, count)
+            results.append(pickle.dumps(run_scaling(spec)))
+        assert results == results[:1] * 3
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_columns_are_finished_off_the_calling_thread_from_two_cpus(self, count, monkeypatch):
+        uniform = make_base("uniform")
+        threads = []
+
+        def ppf(u):
+            threads.append(threading.current_thread())
+            return uniform.ppf(u)
+
+        monkeypatch.setattr(synthetic, "make_base",
+                            lambda name, cut: dataclasses.replace(uniform, ppf=ppf))
+        _use_cpus(monkeypatch, count)
+        generate(DgpSpec(n_per_entry=5), 3, 4)
+        on_caller = [t is threading.main_thread() for t in threads]
+        assert on_caller == [count == 1] * 4
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    @pytest.mark.parametrize("failing", [0, 2, 5])
+    def test_an_error_in_a_column_propagates_and_no_thread_outlives_the_call(
+            self, count, failing, monkeypatch):
+        uniform = make_base("uniform")
+        error = ArithmeticError("column failed")
+        calls = []
+
+        def ppf(u):
+            calls.append(None)
+            if len(calls) == failing + 1:
+                raise error
+            return uniform.ppf(u)
+
+        monkeypatch.setattr(synthetic, "make_base",
+                            lambda name, cut: dataclasses.replace(uniform, ppf=ppf))
+        _use_cpus(monkeypatch, count)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as raised:
+            generate(DgpSpec(n_per_entry=5), 3, 6)
+        assert raised.value is error
+        # the column after the failing one may have been handed off already
+        assert failing + 1 <= len(calls) <= failing + 2
+        assert threading.active_count() == before
+
+    def test_affinity_is_read_at_each_call(self, monkeypatch):
+        _use_cpus(monkeypatch, 3)
+        assert synthetic._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert synthetic._usable_cpus() == 1
 
 
 class TestTrueW2:

@@ -347,6 +347,10 @@ class TestRowPass:
                         TuneConfig(budget=5))
         assert report == twin and hash(report) == hash(twin) and len({report, twin}) == 1
         assert report.__eq__(report.trials) is NotImplemented and report != report.trials
+        other = object()
+        assert report.__eq__(other) is NotImplemented and (report == other) is False
+        rebuilt = TuneReport(report.etas, report.mean_losses, report.n_valid, report.n_held)
+        assert rebuilt == report and hash(rebuilt) == hash(report) and len({report, rebuilt}) == 1
         assert [t.eta for t in report.trials] == report.etas.tolist()
 
     def test_one_pass_per_row_under_all_missing_tune(self, tmp_path, monkeypatch):
