@@ -504,17 +504,19 @@ def w2_general(a, b) -> float:
 def _refit_overflow(mean, k, chunks):
     """``mean``, k members' sum over k, where every entry that is not finite
     while its members are is taken again as the sum of member / k: the sum
-    overflowed below the float limit. ``chunks()`` yields the members'
-    values, a run of rows at a time, one column per entry. Finite entries
-    keep their bits."""
+    overflowed below the float limit. That sum is held within the members'
+    least and greatest values, as a mean is, which its rounding can pass
+    at the float limit. ``chunks()`` yields the members' values, a run of
+    rows at a time, one column per entry. Finite entries keep their bits."""
     redo = np.flatnonzero(~np.isfinite(mean))
     if redo.size:
-        sums, finite = 0.0, True
+        sums, lo, hi = 0.0, np.inf, -np.inf
         for rows in chunks():
             rows = rows[:, redo]
-            finite = finite & np.isfinite(rows).all(axis=0)
             sums = sums + np.sum(rows / k, axis=0)
-        mean[redo[finite]] = sums[finite]
+            lo, hi = np.minimum(lo, rows.min(axis=0)), np.maximum(hi, rows.max(axis=0))
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        mean[redo[finite]] = np.clip(sums, lo, hi)[finite]
     return mean
 
 

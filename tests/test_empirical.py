@@ -254,11 +254,15 @@ class TestBarycenterNearTheFloatLimit:
     """The members' sum overflows where their mean does not: those entries
     are the sum of member / k, and every finite mean keeps its bits."""
 
-    def test_equal_members_return_their_samples(self):
-        a = from_samples([1e308, 1.5e308])
+    @pytest.mark.parametrize("top", [1.5e308, np.finfo(float).max])
+    @pytest.mark.parametrize("k", [2, 3, 9, 11])
+    def test_equal_members_return_their_samples(self, top, k):
+        # at the largest double, the sum of three of its thirds rounds past it
+        a = from_samples([1e308, top])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.array_equal(barycenter([a, a]).samples, a.samples)
+            assert np.array_equal(barycenter([a] * k).samples, a.samples)
+            assert np.array_equal(step_barycenter([a] * k).values, a.samples)
 
     def test_only_the_overflowing_entries_are_taken_again(self):
         a, b = from_samples([0.1, 1.5e308]), from_samples([0.7, 1.7e308])
