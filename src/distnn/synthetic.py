@@ -14,6 +14,7 @@ from the base's partial moments, for all three bases.
 
 from __future__ import annotations
 
+import contextvars
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -261,15 +262,19 @@ def _finish_in_order(finish, draws) -> list:
     Generator fills, sorts and ufuncs on large arrays release the GIL, so
     the two stages overlap, and at most one drawn array waits at a time.
     With one usable CPU each draw is finished here, in turn. The thread
-    lives only inside the call, and an exception raised by ``finish``
-    propagates from it.
+    lives only inside the call and runs ``finish`` in a copy of the caller's
+    context, so numpy's error state there is the caller's; an exception
+    raised by ``finish`` propagates from it.
     """
+    # on one CPU a one-thread pool ran scaling_sweep about 6% slower than
+    # this loop (2-core x86-64 host, numpy 2.4)
     if _usable_cpus() < 2:
         return [finish(j, u) for j, u in enumerate(draws)]
+    run = contextvars.copy_context().run
     done, pending = [], []
     with ThreadPoolExecutor(1) as pool:
         for j, u in enumerate(draws):
-            pending.append(pool.submit(finish, j, u))
+            pending.append(pool.submit(run, finish, j, u))
             if len(pending) == 2:
                 done.append(pending.pop(0).result())
         done.extend(f.result() for f in pending)

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import pickle
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ class TestWorkerCount:
         # the column after the failing one may have been handed off already
         assert failing + 1 <= len(calls) <= failing + 2
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_columns_are_finished_under_the_callers_error_state(self, count, monkeypatch):
+        _use_cpus(monkeypatch, count)
+        # loc + scale * u passes the largest double wherever u > 0.46
+        spec = DgpSpec(location_range=(1e308, 1e308), scale_range=(1.7e308, 1.7e308),
+                       n_per_entry=20)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            generate(spec, 3, 4)
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, _ = generate(spec, 3, 4)
+        assert np.isinf(m._blocks[0][0]).any()
 
     def test_affinity_is_read_at_each_call(self, monkeypatch):
         _use_cpus(monkeypatch, 3)

@@ -345,12 +345,10 @@ class TestRowPass:
         assert repr(report) == f"TuneReport(best_eta={report.best_eta!r}, trials={report.trials!r})"
         twin = tune_eta(DistributionalMatrix(PANELS["equal"]), *m.missing_cells()[0],
                         TuneConfig(budget=5))
-        assert report == twin and hash(report) == hash(twin) and len({report, twin}) == 1
-        assert report.__eq__(report.trials) is NotImplemented and report != report.trials
-        other = object()
-        assert report.__eq__(other) is NotImplemented and (report == other) is False
         rebuilt = TuneReport(report.etas, report.mean_losses, report.n_valid, report.n_held)
-        assert rebuilt == report and hash(rebuilt) == hash(report) and len({report, rebuilt}) == 1
+        assert report == twin == rebuilt and hash(report) == hash(twin) == hash(rebuilt)
+        assert len({report, twin, rebuilt}) == 1
+        assert report.__eq__(report.trials) is NotImplemented and report != report.trials
         assert [t.eta for t in report.trials] == report.etas.tolist()
 
     def test_one_pass_per_row_under_all_missing_tune(self, tmp_path, monkeypatch):
