@@ -330,8 +330,59 @@ def _gather(flat, starts, sizes, mids):
     ``flat[start:start + n]`` at levels ``mids`` (broadcast together)."""
     ranks = mids * sizes
     ranks = np.ceil(ranks, out=ranks).astype(np.int64)
-    ranks += starts - 1
+    ranks += starts
+    ranks -= 1
     return flat[ranks]
+
+
+class _ColumnGrids:
+    """One matrix's ragged merged grids, each gathered once for every row.
+
+    An entry, keyed by (column, the sorted distinct counts of the cells
+    read), holds the :func:`_block_grid` grid of those counts and the values
+    on it of every observed cell of the column whose count is among them,
+    one row per cell, gathered a chunk of cells at a time. A read of any
+    cells of that key is then a row gather from the entry, with the bits of
+    gathering from the block: a value is the same order statistic of the
+    same cell. The entries hold at most ``_GATHER_ELEMENTS`` values in all;
+    a column that does not fit is gathered per read. A hidden cell is not
+    observed, so its samples and its count enter no entry. Entries are
+    read-only and the mapping is replaced whole, so threads sharing it can
+    at worst build an entry twice, with the same bits.
+    """
+
+    __slots__ = ("blocks", "mask", "entries")
+
+    def __init__(self, blocks, mask):
+        self.blocks, self.mask, self.entries = blocks, mask, {}
+
+    def grid(self, v: int, rows):
+        """:func:`_block_grid` of cells ``rows`` of column v."""
+        block = self.blocks[v]
+        values, starts, sizes = block
+        key = v, tuple(sorted(set(sizes[rows].tolist())))
+        entries = self.entries
+        if key not in entries:
+            edges, widths, take = grid = _block_grid(block, rows)
+            if widths is None:
+                return grid
+            cells = np.flatnonzero(self.mask[:, v] & np.isin(sizes, key[1]))
+            used = sum(kept.size for _, _, kept, _ in entries.values())
+            if used + cells.size * edges.size > _GATHER_ELEMENTS:
+                return grid
+            mids = edges - 0.5 * widths
+            kept = np.empty((cells.size, edges.size))
+            step = _chunk_rows(edges.size)
+            for lo in range(0, cells.size, step):
+                part = cells[lo:lo + step, None]
+                kept[lo:lo + step] = _gather(values, starts[part], sizes[part], mids)
+            at = np.zeros(sizes.size, dtype=np.int64)
+            at[cells] = np.arange(cells.size)
+            entry = tuple(map(_readonly, (edges, widths, kept, at)))
+            self.entries = entries = {**entries, key: entry}
+        edges, widths, kept, at = entries[key]
+        at = at[rows]
+        return edges, widths, lambda lo, hi: kept[at[lo:hi]]
 
 
 def _running_sums(rows, carry=None) -> None:
@@ -361,10 +412,12 @@ def _integral(widths, f) -> np.ndarray:
     return np.sum(f, axis=-1)
 
 
-def _row_losses(columns) -> list:
+def _row_losses(columns, grid=None) -> list:
     """Held-out losses of one row, for each ``(block, rows)`` in ``columns``:
     the loss of the barycenter of cells rows[:k] against cell rows[-1], the
     integral of their squared quantile gap, indexed by k (NaN at k = 0).
+    ``grid(c)``, where given, is column c's :func:`_block_grid`, as tuning
+    reads it from a matrix's :class:`_ColumnGrids`.
 
     Every prefix barycenter is a row of the running sums of the cells. The
     columns' grids (:func:`_block_grid`) sit side by side in one slab of
@@ -381,7 +434,7 @@ def _row_losses(columns) -> list:
                    key=lambda c: -columns[c][1].shape[0])
     if not order:
         return losses
-    grids = [_block_grid(*columns[c]) for c in order]
+    grids = [_block_grid(*columns[c]) if grid is None else grid(c) for c in order]
     counts = [columns[c][1].shape[0] - 1 for c in order]
     ends = np.cumsum([edges.size for edges, _, _ in grids]).tolist()
     spans = list(zip([0] + ends[:-1], ends))
@@ -449,22 +502,36 @@ def _w2sq_pairs(block, rows, i) -> np.ndarray:
     span = n_i * int(counts.max()) + 1
     base = np.arange(rows.size, dtype=np.int64) * span
     mine = base[:, None] + counts[:, None] * np.arange(1, n_i + 1)
-    theirs = np.arange(1, int(counts.sum()) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-    theirs = theirs * n_i + np.repeat(base, counts)
-    # both runs are sorted, so the stable sort merges them
-    keys = np.sort(np.concatenate((mine.ravel(), theirs)), kind="stable")
+    theirs = np.arange(1, int(counts.sum()) + 1)
+    theirs -= np.repeat(np.cumsum(counts) - counts, counts)
+    theirs *= n_i
+    theirs += np.repeat(base, counts)
+    # both runs are sorted, so the stable sort merges them. Each array is
+    # dropped after its last read, and rewritten in place where the bits
+    # allow, so a chunk holds about six arrays of its size at once
+    keys = np.concatenate((mine.ravel(), theirs))
+    del mine, theirs
+    keys.sort(kind="stable")
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     pair = keys // span
+    keys -= pair * span
     n_u = counts[pair]
-    edges = (keys - pair * span) / (n_i * n_u)
+    edges = keys / (n_i * n_u)
+    del keys
     first = np.searchsorted(pair, np.arange(rows.size + 1))
     widths = _widths(edges)
     widths[first[:-1]] = edges[first[:-1]]
-    mids = edges - 0.5 * widths
-    f = (_gather(values, starts[rows[pair]], n_u, mids) - _gather(values, starts[i], n_i, mids)) ** 2
-    weighted = widths * f
+    edges -= 0.5 * widths
+    theirs = starts[rows[pair]]
+    del pair
+    f = _gather(values, theirs, n_u, edges)
+    del theirs, n_u
+    f -= _gather(values, starts[i], n_i, edges)
+    del edges
+    f *= f
+    widths *= f
     return np.array([
-        np.mean(f[lo:hi]) if n == n_i else np.sum(weighted[lo:hi])
+        np.mean(f[lo:hi]) if n == n_i else np.sum(widths[lo:hi])
         for lo, hi, n in zip(first[:-1].tolist(), first[1:].tolist(), counts.tolist())
     ])
 

@@ -28,7 +28,8 @@ class DistributionalMatrix:
     helpers return new matrices that share every block.
     """
 
-    # the estimator's work for the row it last served (see estimator._row_state)
+    # the estimator's work for the row it last served, holding the ragged
+    # held-out grids that every row shares (see estimator._row_state)
     _row_state = None
 
     def __init__(self, entries):

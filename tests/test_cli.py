@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distnn import TuneConfig, estimator
+from distnn import DistributionalMatrix, Panel, TuneConfig, estimator
 from distnn.cli import _tune_config, build_parser, main
+from distnn.panel import write_matrix_json
 from test_tuning import _overflow_panel
 
 
@@ -344,6 +345,45 @@ class TestNoWarningAtAnyMagnitude:
                 assert code in (0, 1, 2)
                 if out.exists():
                     strict_json(out)
+
+
+@st.composite
+def _ragged_json_panels(draw):
+    """A 4-7 x 3-4 panel of cells of 1 to 6 samples, a quarter of them
+    missing; the samples come from a drawn seed, whole numbers (ties) in
+    some panels."""
+    rows, cols = draw(st.integers(4, 7)), draw(st.integers(3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tied = draw(st.booleans())
+    return [[None if draw(st.integers(0, 3)) == 0 else
+             rng.integers(-2, 3, n).astype(float) if tied else rng.normal(r % 3, 1.0, n)
+             for n in draw(st.lists(st.integers(1, 6), min_size=cols, max_size=cols))]
+            for r in range(rows)]
+
+
+class TestKeptGridsAcrossRows:
+    """``impute --all-missing --tune`` reads one panel's ragged held-out
+    grids in every row; each of its results equals that of a single-cell
+    run, which loads the panel afresh."""
+
+    @given(panel=_ragged_json_panels())
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_each_result_equals_a_single_cell_run(self, panel):
+        m = DistributionalMatrix(panel)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out, one = (Path(tmp) / name for name in ("panel.json", "all.json", "one.json"))
+            write_matrix_json(Panel(m, tuple(f"r{i}" for i in range(m.n_rows)),
+                                    tuple(f"c{j}" for j in range(m.n_cols))), path)
+            tuned = ["--input", str(path), "--tune", "--budget", "8"]
+            assert main(["impute", *tuned, "--all-missing", "--output", str(out)]) == 0
+            payload = strict_json(out)
+            for res in payload["results"]:
+                cell = ["--row", res["row"], "--col", res["col"]]
+                assert main(["impute", *tuned, *cell, "--output", str(one)]) == 0
+                assert strict_json(one)["result"] == res
+            for failure in payload["failures"]:
+                cell = ["--row", failure["row"], "--col", failure["col"]]
+                assert main(["impute", *tuned, *cell, "--output", str(one)]) in (1, 2)
 
 
 class TestSimulateCommand:

@@ -1,11 +1,13 @@
 """Merged breakpoint grids read straight from a column block.
 
-The row table's batched pairs, the gather of members' values and the
-chunked running sums must give the bits of the per-pair and per-member
-computations they replace.
+The row table's batched pairs, the gather of members' values, the chunked
+running sums and the matrix's kept ragged grids must give the bits of the
+per-pair and per-member computations they replace.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distnn import (DgpSpec, DistributionalMatrix, TuneConfig, from_samples, generate, impute,
-                    step_barycenter, tune_eta, w2sq)
+from distnn import (DgpSpec, DistnnError, DistributionalMatrix, TuneConfig, from_samples, generate,
+                    impute, step_barycenter, tune_eta, w2sq)
 from distnn import empirical
 from distnn.empirical import _block_grid, _w2sq_pairs
 from distnn.estimator import _RowState, _w2sq_table
@@ -296,6 +298,23 @@ class TestBoundedMemory:
             assert peak <= 12 * 8 * empirical._GATHER_ELEMENTS
             assert table[others, 0].tolist() == [w2sq(m.entry(u, 0), m.entry(i, 0)) for u in others]
 
+    def test_pair_table_drops_each_array_after_its_last_read(self):
+        # one cell of 20,000 samples among 1,000 of 4: each chunk of its
+        # pairs fills the budget, and the table holds at most seven arrays
+        # of a chunk's size at once
+        rng = np.random.default_rng(31)
+        cells = [rng.normal(size=4) for _ in range(1_000)] + [rng.normal(size=20_000)]
+        m = DistributionalMatrix([[c, c[:2]] for c in cells])
+        tracemalloc.start()
+        try:
+            table = _w2sq_table(m, 1_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 8 * empirical._GATHER_ELEMENTS
+        big = m.entry(1_000, 0)
+        assert table[:1_000, 0].tolist() == [w2sq(m.entry(u, 0), big) for u in range(1_000)]
+
     def test_ragged_barycenter_frees_each_chunk_before_the_next(self):
         # one cell of 200,000 samples among 11 of 2: a grid of about 200,000
         # pieces, so the gather budget takes the 12 members in 3 chunks
@@ -411,3 +430,146 @@ class TestBlockRows:
         for rows, n in (([0], size + 1), ([2], 5), ([0, 2], 5)):
             with pytest.raises(IndexError):  # a start with too few values after it
                 empirical._block_rows(block, np.array(rows), n)
+
+
+def _tuned_cells(m, cells, cfg):
+    """Each cell's trial log and its estimate at the best eta, tuned in
+    the order given on ``m``, as reprs and bytes; an error as its type."""
+    out = []
+    for i, j in cells:
+        try:
+            report = tune_eta(m, i, j, cfg)
+            est = impute(m, i, j, report.best_eta, min_overlap=cfg.min_overlap).estimate
+        except DistnnError as exc:
+            out.append(type(exc).__name__)
+            continue
+        quantiles = est.samples if hasattr(est, "samples") else np.append(est.edges, est.values)
+        out.append((repr(report), quantiles.tobytes()))
+    return out
+
+
+def _cold_cells(entries, cells, cfg):
+    """:func:`_tuned_cells` of each cell on a new matrix of ``entries``."""
+    return [_tuned_cells(DistributionalMatrix(entries), [cell], cfg)[0] for cell in cells]
+
+
+def _kept_entries(m):
+    """The matrix's kept ragged grids, each checked against the searchsorted
+    grid of the observed cells whose counts it merges, one row per cell."""
+    entries = m._row_state.grids.entries
+    for (v, counts), (edges, widths, kept, at) in entries.items():
+        cells = [r for r in range(m.n_rows) if m.mask[r, v] and m.entry(r, v).n in counts]
+        assert {m.entry(r, v).n for r in cells} == set(counts) and len(counts) > 1
+        ref_edges, ref_widths, ref_values = _searchsorted_grid([m.entry(r, v) for r in cells])
+        assert edges.tobytes() == ref_edges.tobytes()
+        assert widths.tobytes() == ref_widths.tobytes()
+        assert kept.tobytes() == ref_values.tobytes()
+        assert at[cells].tolist() == list(range(len(cells)))
+    assert sum(kept.size for _, _, kept, _ in entries.values()) <= empirical._GATHER_ELEMENTS
+    return entries
+
+
+def _ragged_panel(seed, n_rows=8, n_cols=5):
+    """Cells of 2 to 9 samples, about a quarter of them missing."""
+    rng = np.random.default_rng(seed)
+    return [[rng.normal(r % 3, 1.0, int(rng.integers(2, 10))) if rng.random() >= 0.25 else None
+             for _ in range(n_cols)] for r in range(n_rows)]
+
+
+def _far_row_panel():
+    """Row 5 observes columns 0 and 1 only, so it lies at infinite distance
+    from row 1, which misses column 1, when column 0 is held out, and at a
+    finite one from row 2: column 0 is read with two count sets."""
+    entries = _ragged_panel(40, n_rows=6, n_cols=4)
+    for r in range(6):
+        entries[r] = [e if e is not None else np.arange(float(r + c + 2)) for c, e in enumerate(entries[r])]
+    entries[5][2] = entries[5][3] = entries[1][1] = entries[2][3] = None
+    entries[5][0] = np.arange(11.0)  # a count no other cell of column 0 has
+    return entries
+
+
+def _all_cells(m):
+    return [(i, j) for i in range(m.n_rows) for j in range(m.n_cols)]
+
+
+class TestColumnGrids:
+    """Held-out grids kept on a matrix across rows give the bits of a cold
+    matrix, hold only observed cells and stay within the gather budget."""
+
+    @pytest.mark.parametrize("panel, min_overlap", [
+        (_far_row_panel(), 1), (_ragged_panel(41), 2), (_ragged_panel(42), 3),
+    ], ids=["far-row", "min-overlap-2", "min-overlap-3"])
+    def test_a_column_read_with_two_count_sets(self, panel, min_overlap):
+        cfg = TuneConfig(budget=9, min_overlap=min_overlap)
+        m = DistributionalMatrix(panel)
+        cells = _all_cells(m)
+        assert _tuned_cells(m, cells, cfg) == _cold_cells(panel, cells, cfg)
+        columns = [v for v, _ in _kept_entries(m)]
+        assert len(columns) > len(set(columns))
+
+    def test_columns_past_the_budget_are_gathered_per_read(self, monkeypatch):
+        panel = _ragged_panel(43, n_rows=10)
+        cfg = TuneConfig(budget=9)
+        m = DistributionalMatrix(panel)
+        cells = _all_cells(m)
+        expected = _tuned_cells(m, cells, cfg)
+        sizes = [kept.size for _, _, kept, _ in _kept_entries(m).values()]
+        assert len(sizes) > 2
+        # a few rows' worth: room for the first two entries only
+        budget = sizes[0] + sizes[1]
+        monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", budget)
+        m = DistributionalMatrix(panel)
+        assert _tuned_cells(m, cells, cfg) == expected
+        assert 2 <= len(_kept_entries(m)) < len(sizes)
+
+    def test_a_hidden_cell_enters_no_grid(self):
+        panel = _ragged_panel(44)
+        panel[3][0] = np.arange(97.0)  # no other cell of column 0 holds 97
+        panel[0][0], panel[6][0] = np.arange(5.0), np.arange(1.0, 6.0)  # row 0 observes 5
+        cfg = TuneConfig(budget=9)
+        m = DistributionalMatrix(panel).mask_cell(3, 0).mask_cell(6, 0)
+        without = [list(row) for row in panel]
+        without[3][0] = without[6][0] = None
+        cells = _all_cells(m)
+        assert _tuned_cells(m, cells, cfg) == _cold_cells(without, cells, cfg)
+        hidden = np.arange(1, 97) / 97
+        entries = _kept_entries(m)
+        assert any(v == 0 for v, _ in entries)
+        assert not any(np.isin(hidden, edges).any() for edges, _, _, _ in entries.values())
+
+    def test_threads_sharing_a_matrix_keep_the_budget(self, monkeypatch):
+        panel = _ragged_panel(45, n_rows=10)
+        cfg = TuneConfig(budget=9)
+        m = DistributionalMatrix(panel)
+        cells = _all_cells(m)
+        expected = _tuned_cells(m, cells, cfg)
+        sizes = [kept.size for _, _, kept, _ in _kept_entries(m).values()]
+        # room for the largest entry: two built at once cannot both be kept
+        monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", max(sizes))
+        m = DistributionalMatrix(panel)
+        n_threads = 4
+        got, errors = [None] * n_threads, []
+
+        def work(k):
+            # each thread starts at another row, so the threads race to
+            # build and replace the matrix's kept grids
+            start = k * len(cells) // n_threads
+            try:
+                got[k] = _tuned_cells(m, cells[start:] + cells[:start], cfg)
+                got[k] = got[k][len(cells) - start:] + got[k][:len(cells) - start]
+            except Exception as exc:  # reported below, with the thread's result
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert got == [expected] * n_threads
+        _kept_entries(m)
