@@ -360,13 +360,14 @@ class _ColumnGrids:
         """:func:`_block_grid` of cells ``rows`` of column v."""
         block = self.blocks[v]
         values, starts, sizes = block
-        key = v, tuple(sorted(set(sizes[rows].tolist())))
+        counts = tuple(sorted(set(sizes[rows].tolist())))
+        key = v, counts
         entries = self.entries
         if key not in entries:
-            edges, widths, take = grid = _block_grid(block, rows)
+            edges, widths, _ = grid = _block_grid(block, rows)
             if widths is None:
                 return grid
-            cells = np.flatnonzero(self.mask[:, v] & np.isin(sizes, key[1]))
+            cells = np.flatnonzero(self.mask[:, v] & np.isin(sizes, counts))
             used = sum(kept.size for _, _, kept, _ in entries.values())
             if used + cells.size * edges.size > _GATHER_ELEMENTS:
                 return grid

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distnn import (DgpSpec, DistnnError, DistributionalMatrix, TuneConfig, from_samples, generate,
-                    impute, step_barycenter, tune_eta, w2sq)
+from distnn import (DgpSpec, DistributionalMatrix, TuneConfig, from_samples, generate, impute,
+                    step_barycenter, tune_eta, w2sq)
 from distnn import empirical
 from distnn.empirical import _block_grid, _w2sq_pairs
 from distnn.estimator import _RowState, _w2sq_table
+from test_properties import _cell_outcome, _cold_copy
 
 
 def _block(cells):
@@ -432,25 +433,11 @@ class TestBlockRows:
                 empirical._block_rows(block, np.array(rows), n)
 
 
-def _tuned_cells(m, cells, cfg):
-    """Each cell's trial log and its estimate at the best eta, tuned in
-    the order given on ``m``, as reprs and bytes; an error as its type."""
-    out = []
-    for i, j in cells:
-        try:
-            report = tune_eta(m, i, j, cfg)
-            est = impute(m, i, j, report.best_eta, min_overlap=cfg.min_overlap).estimate
-        except DistnnError as exc:
-            out.append(type(exc).__name__)
-            continue
-        quantiles = est.samples if hasattr(est, "samples") else np.append(est.edges, est.values)
-        out.append((repr(report), quantiles.tobytes()))
-    return out
-
-
-def _cold_cells(entries, cells, cfg):
-    """:func:`_tuned_cells` of each cell on a new matrix of ``entries``."""
-    return [_tuned_cells(DistributionalMatrix(entries), [cell], cfg)[0] for cell in cells]
+def _outcomes(m, min_overlap=1, cold=False):
+    """Every cell's tuning, neighbours and estimate in row-major order: on
+    ``m``, whose kept grids fill as the rows go, or each on a new copy."""
+    return [_cell_outcome(_cold_copy(m) if cold else m, i, j, min_overlap)
+            for i in range(m.n_rows) for j in range(m.n_cols)]
 
 
 def _kept_entries(m):
@@ -488,10 +475,6 @@ def _far_row_panel():
     return entries
 
 
-def _all_cells(m):
-    return [(i, j) for i in range(m.n_rows) for j in range(m.n_cols)]
-
-
 class TestColumnGrids:
     """Held-out grids kept on a matrix across rows give the bits of a cold
     matrix, hold only observed cells and stay within the gather budget."""
@@ -500,38 +483,31 @@ class TestColumnGrids:
         (_far_row_panel(), 1), (_ragged_panel(41), 2), (_ragged_panel(42), 3),
     ], ids=["far-row", "min-overlap-2", "min-overlap-3"])
     def test_a_column_read_with_two_count_sets(self, panel, min_overlap):
-        cfg = TuneConfig(budget=9, min_overlap=min_overlap)
         m = DistributionalMatrix(panel)
-        cells = _all_cells(m)
-        assert _tuned_cells(m, cells, cfg) == _cold_cells(panel, cells, cfg)
+        assert _outcomes(m, min_overlap) == _outcomes(m, min_overlap, cold=True)
         columns = [v for v, _ in _kept_entries(m)]
         assert len(columns) > len(set(columns))
 
     def test_columns_past_the_budget_are_gathered_per_read(self, monkeypatch):
         panel = _ragged_panel(43, n_rows=10)
-        cfg = TuneConfig(budget=9)
         m = DistributionalMatrix(panel)
-        cells = _all_cells(m)
-        expected = _tuned_cells(m, cells, cfg)
+        expected = _outcomes(m, cold=True)
+        assert _outcomes(m) == expected
         sizes = [kept.size for _, _, kept, _ in _kept_entries(m).values()]
         assert len(sizes) > 2
         # a few rows' worth: room for the first two entries only
-        budget = sizes[0] + sizes[1]
-        monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", budget)
+        monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", sizes[0] + sizes[1])
         m = DistributionalMatrix(panel)
-        assert _tuned_cells(m, cells, cfg) == expected
+        assert _outcomes(m) == expected
         assert 2 <= len(_kept_entries(m)) < len(sizes)
 
     def test_a_hidden_cell_enters_no_grid(self):
         panel = _ragged_panel(44)
         panel[3][0] = np.arange(97.0)  # no other cell of column 0 holds 97
         panel[0][0], panel[6][0] = np.arange(5.0), np.arange(1.0, 6.0)  # row 0 observes 5
-        cfg = TuneConfig(budget=9)
         m = DistributionalMatrix(panel).mask_cell(3, 0).mask_cell(6, 0)
-        without = [list(row) for row in panel]
-        without[3][0] = without[6][0] = None
-        cells = _all_cells(m)
-        assert _tuned_cells(m, cells, cfg) == _cold_cells(without, cells, cfg)
+        # a cold copy is built from the visible cells, without the hidden ones
+        assert _outcomes(m) == _outcomes(m, cold=True)
         hidden = np.arange(1, 97) / 97
         entries = _kept_entries(m)
         assert any(v == 0 for v, _ in entries)
@@ -539,14 +515,13 @@ class TestColumnGrids:
 
     def test_threads_sharing_a_matrix_keep_the_budget(self, monkeypatch):
         panel = _ragged_panel(45, n_rows=10)
-        cfg = TuneConfig(budget=9)
         m = DistributionalMatrix(panel)
-        cells = _all_cells(m)
-        expected = _tuned_cells(m, cells, cfg)
+        expected = _outcomes(m)
         sizes = [kept.size for _, _, kept, _ in _kept_entries(m).values()]
         # room for the largest entry: two built at once cannot both be kept
         monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", max(sizes))
         m = DistributionalMatrix(panel)
+        cells = [(i, j) for i in range(m.n_rows) for j in range(m.n_cols)]
         n_threads = 4
         got, errors = [None] * n_threads, []
 
@@ -555,8 +530,8 @@ class TestColumnGrids:
             # build and replace the matrix's kept grids
             start = k * len(cells) // n_threads
             try:
-                got[k] = _tuned_cells(m, cells[start:] + cells[:start], cfg)
-                got[k] = got[k][len(cells) - start:] + got[k][:len(cells) - start]
+                out = [_cell_outcome(m, i, j, 1) for i, j in cells[start:] + cells[:start]]
+                got[k] = out[len(cells) - start:] + out[:len(cells) - start]
             except Exception as exc:  # reported below, with the thread's result
                 errors.append(exc)
 
