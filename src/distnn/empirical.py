@@ -341,7 +341,7 @@ class _ColumnGrids:
     An entry, keyed by (column, the sorted distinct counts of the cells
     read), holds the :func:`_block_grid` grid of those counts and the values
     on it of every observed cell of the column whose count is among them,
-    one row per cell, gathered a chunk of cells at a time. A read of any
+    one row per cell, in one gather (it fits the budget). A read of any
     cells of that key is then a row gather from the entry, with the bits of
     gathering from the block: a value is the same order statistic of the
     same cell. The entries hold at most ``_GATHER_ELEMENTS`` values in all;
@@ -357,9 +357,9 @@ class _ColumnGrids:
         self.blocks, self.mask, self.entries = blocks, mask, {}
 
     def grid(self, v: int, rows):
-        """:func:`_block_grid` of cells ``rows`` of column v."""
+        """:func:`_block_grid` of observed cells ``rows`` of column v."""
         block = self.blocks[v]
-        values, starts, sizes = block
+        sizes = block[2]
         counts = tuple(sorted(set(sizes[rows].tolist())))
         key = v, counts
         entries = self.entries
@@ -371,12 +371,8 @@ class _ColumnGrids:
             used = sum(kept.size for _, _, kept, _ in entries.values())
             if used + cells.size * edges.size > _GATHER_ELEMENTS:
                 return grid
-            mids = edges - 0.5 * widths
-            kept = np.empty((cells.size, edges.size))
-            step = _chunk_rows(edges.size)
-            for lo in range(0, cells.size, step):
-                part = cells[lo:lo + step, None]
-                kept[lo:lo + step] = _gather(values, starts[part], sizes[part], mids)
+            edges, widths, take = _block_grid(block, cells)
+            kept = take(0, cells.size)
             at = np.zeros(sizes.size, dtype=np.int64)
             at[cells] = np.arange(cells.size)
             entry = tuple(map(_readonly, (edges, widths, kept, at)))

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import (StepQuantile, _ColumnGrids, _w2sq_pairs, barycenter, step_barycenter,
-                        summaries, w2sq)
+from .empirical import StepQuantile, _w2sq_pairs, barycenter, step_barycenter, summaries, w2sq
 from .errors import NoNeighborsError, OutOfDomainError
 from .matrix import DistributionalMatrix, shared_columns
 
@@ -109,18 +108,14 @@ class _RowState:
     :func:`row_distance` does, and never subtracts one: both give the same
     bits. Nothing here depends on a target's threshold, so every cell of row
     i shares it. ``scores`` holds :func:`tuning.tune_eta`'s scoring of the
-    row's missing cells, by ``TuneConfig``. ``grids`` holds the matrix's
-    ragged held-out grids (:class:`empirical._ColumnGrids`), which tuning
-    reads in every row, so a state takes them over from the state it
-    replaces (the ``grids`` argument). Stored arrays are read-only and each
-    memo entry is written whole, so threads sharing a matrix can at worst
-    compute an entry twice, with the same value.
+    row's missing cells, by ``TuneConfig``. Stored arrays are read-only and
+    each memo entry is written whole, so threads sharing a matrix can at
+    worst compute an entry twice, with the same value.
     """
 
-    __slots__ = ("row", "min_overlap", "dists", "overlaps", "ranked", "sorted_dists", "scores",
-                 "grids")
+    __slots__ = ("row", "min_overlap", "dists", "overlaps", "ranked", "sorted_dists", "scores")
 
-    def __init__(self, m: DistributionalMatrix, i: int, min_overlap: int, grids=None):
+    def __init__(self, m: DistributionalMatrix, i: int, min_overlap: int):
         self.row, self.min_overlap = i, min_overlap
         table = _w2sq_table(m, i)
         kept = ~np.isnan(table)
@@ -142,7 +137,6 @@ class _RowState:
         self.ranked = [order[j, :k] for j, k in enumerate(counts)]
         self.sorted_dists = [sorted_keys[j, :k] for j, k in enumerate(counts)]
         self.scores = {}
-        self.grids = _ColumnGrids(m._blocks, m.mask) if grids is None else grids
 
     def within(self, col: int, eta):
         """Count of column ``col``'s ranked rows, a prefix, at distance <= eta (per eta)."""
@@ -155,12 +149,10 @@ def _row_state(m: DistributionalMatrix, i: int, min_overlap: int) -> _RowState:
 
     The slot holds one state: ``missing_cells()`` runs row by row, so one slot
     serves every cell of a row in turn without holding the work of past rows.
-    Each state passes on the matrix's ragged held-out grids (``grids``), which
-    every row reads, to the state that replaces it.
     """
     state = m._row_state
     if state is None or (state.row, state.min_overlap) != (i, min_overlap):
-        state = _RowState(m, i, min_overlap, None if state is None else state.grids)
+        state = _RowState(m, i, min_overlap)
         m._row_state = state
     return state
 

@@ -267,7 +267,10 @@ def _run_trials(spec: ExperimentSpec, value, seeds, what, var_alpha=0.05):
 
 def run_scaling(spec: ExperimentSpec) -> ScalingResult:
     """Sweep one variable, scoring mean squared W2 error per value, then fit
-    a power law to the means on log-log axes."""
+    a power law to the means on log-log axes. Raises OutOfDomainError, before
+    any trial runs, for a sweep of fewer than two values."""
+    if len(spec.values) < 2:
+        raise OutOfDomainError("a sweep needs two or more values to fit a power law")
     root = np.random.SeedSequence(spec.seed)
     children = root.spawn(len(spec.values) * spec.trials)
     mean_errors, std_errors, baselines, mean_k, fit_x, failed = [], [], [], [], [], []

@@ -7,12 +7,14 @@ samples stay in the shared block, behind the mask.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import EmpiricalDistribution, _block_cell, _check_seed, _column_block, _readonly, from_samples
+from .empirical import (EmpiricalDistribution, _block_cell, _check_seed, _column_block, _ColumnGrids,
+                        _readonly, from_samples)
 from .errors import EmptyInputError, IndexOutOfRangeError, OutOfDomainError, SizeMismatchError
 
 __all__ = ["DistributionalMatrix", "MaskSpec", "apply_mcar", "shared_columns"]
@@ -24,13 +26,18 @@ class DistributionalMatrix:
     ``entry(i, j)`` is a read-only :class:`EmpiricalDistribution` view of
     the cell's samples where observed and None where missing; ``mask[i, j]``
     is True exactly where an entry is present. Column j is stored as one
-    block (see the module docstring). Immutable after construction; masking
-    helpers return new matrices that share every block.
+    block (see the module docstring). Its values are immutable and the work
+    it keeps is read-only, replaced whole; masking helpers return new
+    matrices that share every block and none of that work.
     """
 
-    # the estimator's work for the row it last served, holding the ragged
-    # held-out grids that every row shares (see estimator._row_state)
+    # the estimator's work for the row it last served (see estimator._row_state)
     _row_state = None
+
+    @functools.cached_property
+    def _grids(self) -> _ColumnGrids:
+        """The ragged held-out grids that tuning reads in every row."""
+        return _ColumnGrids(self._blocks, self._mask)
 
     def __init__(self, entries):
         rows = []

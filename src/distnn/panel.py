@@ -1,11 +1,13 @@
 """Panel file formats: long-format CSV and a JSON matrix representation.
 
-The CSV format is UTF-8 with header ``row,col,value`` and ``.`` as the
-decimal separator; the sample array of a matrix entry is the group of values
-sharing a (row, col) key pair. Axes are ordered by first appearance of each
-key. Only JSON keeps its axes exactly: a written CSV holds observed cells only,
-so reading it back moves a column the first row misses and drops a key with no
-observed cell; column order sets the order in which row distances are summed.
+Both formats are UTF-8, read past a leading byte-order mark such as
+spreadsheet exports write and written without one. The CSV format has the
+header ``row,col,value`` and ``.`` as the decimal separator; the sample
+array of a matrix entry is the group of values sharing a (row, col) key
+pair. Axes are ordered by first appearance of each key. Only JSON keeps its
+axes exactly: a written CSV holds observed cells only, so reading it back
+moves a column the first row misses and drops a key with no observed cell;
+column order sets the order in which row distances are summed.
 """
 
 from __future__ import annotations
@@ -56,11 +58,12 @@ def _matrix_from_groups(groups, row_keys, col_keys) -> Panel:
 
 @contextmanager
 def _open_text(path, mode="r", **kwargs):
-    """Open ``path`` as UTF-8 text to read or, with mode "w", to write. A file
-    that cannot be read or decoded raises PanelParseError; one that cannot
-    be written raises DistnnError."""
+    """Open ``path`` as UTF-8 text to read, past a leading byte-order mark,
+    or, with mode "w", to write, without one. A file that cannot be read or
+    decoded raises PanelParseError; one that cannot be written raises
+    DistnnError."""
     try:
-        with open(path, mode, encoding="utf-8", **kwargs) as fh:
+        with open(path, mode, encoding="utf-8" if mode == "w" else "utf-8-sig", **kwargs) as fh:
             yield fh
     except OSError as exc:
         if mode == "w":

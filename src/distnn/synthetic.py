@@ -15,6 +15,7 @@ from the base's partial moments, for all three bases.
 from __future__ import annotations
 
 import contextvars
+import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -146,14 +147,15 @@ class DgpSpec:
     def __post_init__(self):
         if self.kind not in ("homoscedastic", "heteroscedastic"):
             raise OutOfDomainError(f"unknown kind: {self.kind!r}")
+        if not all(map(math.isfinite, (self.sigma, *self.location_range, *self.scale_range))):
+            raise OutOfDomainError("sigma, location_range and scale_range must be finite")
         if self.scale_range[0] <= 0.0 or self.scale_range[1] < self.scale_range[0]:
             raise OutOfDomainError("scale_range must be positive and ordered")
         if self.location_range[1] < self.location_range[0]:
             raise OutOfDomainError("location_range must be ordered")
         if self.sigma < 0.0:
             raise OutOfDomainError("sigma must be non-negative")
-        if self.latent_dim < 1:
-            raise OutOfDomainError("latent_dim must be at least 1")
+        _check_count("latent_dim", self.latent_dim)
         _check_seed(self.seed)
 
     def n_for_columns(self, n_cols: int) -> np.ndarray:
@@ -166,6 +168,12 @@ class DgpSpec:
         if counts.shape not in ((), (n_cols,)) or any(n < 1 for n in counts.flat):
             raise OutOfDomainError("n_per_entry must be positive, scalar or one per column")
         return np.full(n_cols, counts, dtype=np.int64)
+
+
+def _check_count(name: str, value) -> None:
+    """OutOfDomainError unless ``value`` is an integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise OutOfDomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class TrueDistributions:
@@ -286,7 +294,10 @@ def generate(spec: DgpSpec, n_rows: int, n_cols: int):
 
     Returns ``(matrix, truth)``; entries are i.i.d. samples pushed through
     each cell's true quantile function. Equal seeds give identical output.
+    Raises OutOfDomainError unless n_rows and n_cols are integers >= 1.
     """
+    _check_count("n_rows", n_rows)
+    _check_count("n_cols", n_cols)
     rng = np.random.default_rng(spec.seed)
     d = 1 if spec.kind == "heteroscedastic" else spec.latent_dim
     row_f = rng.random((n_rows, d))

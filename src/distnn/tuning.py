@@ -161,7 +161,7 @@ def _score(m: DistributionalMatrix, state, cols: list, cfg: TuneConfig) -> dict:
     per_col = [_candidate_etas(cfg, state.sorted_dists[c]) for c in cols]
     candidates = np.concatenate(per_col, dtype=float)
     columns = [(m._blocks[v], np.append(state.ranked[v], state.row)) for v in held]
-    found = _row_losses(columns, lambda c: state.grids.grid(held[c], columns[c][1]))
+    found = _row_losses(columns, lambda c: m._grids.grid(held[c], columns[c][1]))
     mean_loss = np.empty(candidates.shape[0])
     n_valid = np.empty(candidates.shape[0], dtype=np.int64)
     step = _chunk_rows(len(held))

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distnn import DistributionalMatrix, Panel, TuneConfig, estimator
+from distnn import DistributionalMatrix, Panel, TuneConfig, empirical, estimator, experiments
 from distnn.cli import _tune_config, build_parser, main
-from distnn.panel import write_matrix_json
+from distnn.panel import write_matrix_json, write_panel_csv
 from test_tuning import _overflow_panel
 
 
@@ -386,6 +386,27 @@ class TestKeptGridsAcrossRows:
                 assert main(["impute", *tuned, *cell, "--output", str(one)]) in (1, 2)
 
 
+class TestByteOrderMark:
+    @pytest.mark.parametrize("name", ["panel.csv", "panel.json"])
+    def test_marked_panel_gives_the_plain_results(self, tmp_path, name):
+        rng = np.random.default_rng(8)
+        m = DistributionalMatrix([[None if (r + c) % 4 == 0 else
+                                   rng.normal(r % 3, 1.0, 3 + (r * c) % 4) for c in range(4)]
+                                  for r in range(7)])
+        plain, marked = tmp_path / name, tmp_path / f"marked-{name}"
+        panel = Panel(m, tuple(f"r{i}" for i in range(7)), tuple(f"c{j}" for j in range(4)))
+        (write_matrix_json if name.endswith(".json") else write_panel_csv)(panel, plain)
+        marked.write_bytes("\ufeff".encode("utf-8") + plain.read_bytes())
+        payloads = []
+        for path in (plain, marked):
+            out = tmp_path / "o.json"
+            assert main(["impute", "--input", str(path), "--all-missing", "--tune",
+                         "--budget", "8", "--output", str(out)]) == 0
+            payloads.append(strict_json(out))
+        assert payloads[0]["results"] and payloads[0]["failures"] == payloads[1]["failures"]
+        assert payloads[0]["results"] == payloads[1]["results"]
+
+
 class TestSimulateCommand:
     def test_writes_csv_and_json(self, tmp_path):
         prefix = tmp_path / "sim"
@@ -399,6 +420,18 @@ class TestSimulateCommand:
         assert "fit_exponent" in summary["summary"]
         header = (tmp_path / "sim.csv").read_text().splitlines()[0]
         assert "mean_error" in header
+
+
+    def test_one_value_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        trials = []
+        run_trial = experiments._run_trial
+        monkeypatch.setattr(experiments, "_run_trial",
+                            lambda *args, **kw: trials.append(args) or run_trial(*args, **kw))
+        code = main(["simulate", "--values", "10", "--trials", "3", "--rows", "10", "--cols", "6",
+                     "--budget", "8", "--output-prefix", str(tmp_path / "sim")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "two or more values" in err
+        assert trials == [] and list(tmp_path.iterdir()) == []
 
 
 class TestVerifyCommand:
@@ -563,6 +596,40 @@ class TestPerRowReuse:
         payload = strict_json(out)
         assert len(payload["results"]) + len(payload["failures"]) == 7
         assert builds == sorted(missing)
+
+
+class TestKeptGridBuilds:
+    def test_each_kept_grid_is_built_once_per_call(self, tmp_path, monkeypatch):
+        """The ragged counterpart of one table build per row: the rows of
+        one call share the matrix's kept grids, so no entry is built twice."""
+        rng = np.random.default_rng(5)
+        missing = {(0, 1), (1, 3), (2, 0), (3, 2), (5, 1), (6, 3)}
+        m = DistributionalMatrix([
+            [None if (r, c) in missing else rng.normal(r % 3, 1.0, int(rng.integers(2, 9)))
+             for c in range(4)] for r in range(8)
+        ])
+        path = tmp_path / "panel.json"
+        write_matrix_json(Panel(m, tuple(f"r{i}" for i in range(8)), tuple(f"c{j}" for j in range(4))), path)
+        builds, owners = [], []
+        grid = empirical._ColumnGrids.grid
+
+        def counted(grids, v, rows):
+            before = set(grids.entries)
+            out = grid(grids, v, rows)
+            owners.append(grids)
+            builds.extend(set(grids.entries) - before)
+            return out
+
+        monkeypatch.setattr(empirical._ColumnGrids, "grid", counted)
+        out = tmp_path / "o.json"
+        assert main(["impute", "--input", str(path), "--all-missing", "--tune",
+                     "--budget", "8", "--output", str(out)]) == 0
+        payload = strict_json(out)
+        assert len(payload["results"]) + len(payload["failures"]) == len(missing)
+        # every row reads one grids object, and builds each entry it keeps once
+        assert all(grids is owners[0] for grids in owners)
+        assert len(owners) > len(builds) > 1
+        assert sorted(builds) == sorted(owners[0].entries)
 
 
 class TestConfigEcho:

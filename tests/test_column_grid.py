@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distnn import (DgpSpec, DistributionalMatrix, TuneConfig, from_samples, generate, impute,
-                    step_barycenter, tune_eta, w2sq)
+from distnn import (DgpSpec, DistributionalMatrix, MaskSpec, TuneConfig, apply_mcar, from_samples,
+                    generate, impute, step_barycenter, tune_eta, w2sq)
 from distnn import empirical
 from distnn.empirical import _block_grid, _w2sq_pairs
 from distnn.estimator import _RowState, _w2sq_table
@@ -443,7 +443,7 @@ def _outcomes(m, min_overlap=1, cold=False):
 def _kept_entries(m):
     """The matrix's kept ragged grids, each checked against the searchsorted
     grid of the observed cells whose counts it merges, one row per cell."""
-    entries = m._row_state.grids.entries
+    entries = m._grids.entries
     for (v, counts), (edges, widths, kept, at) in entries.items():
         cells = [r for r in range(m.n_rows) if m.mask[r, v] and m.entry(r, v).n in counts]
         assert {m.entry(r, v).n for r in cells} == set(counts) and len(counts) > 1
@@ -548,3 +548,62 @@ class TestColumnGrids:
         assert not any(t.is_alive() for t in threads) and not errors
         assert got == [expected] * n_threads
         _kept_entries(m)
+
+
+class TestKeptGridsOwner:
+    """A matrix owns one kept-grids object, which outlives its row states; a
+    masked copy starts its own, and a read past the budget costs one grid."""
+
+    def test_rows_and_overlaps_share_one_grids_object(self):
+        m = DistributionalMatrix(_ragged_panel(46))
+        seen = []
+        for i, min_overlap in ((0, 1), (0, 2), (1, 1)):
+            for j in range(m.n_cols):
+                _cell_outcome(m, i, j, min_overlap)
+            seen.append((m._grids, dict(m._grids.entries)))
+        assert all(grids is seen[0][0] for grids, _ in seen)
+        for (_, before), (_, after) in zip(seen, seen[1:]):
+            assert all(after[key] is entry for key, entry in before.items())
+        assert len(seen[-1][1]) > len(seen[0][1]) > 0
+
+    def test_copies_start_empty_and_leave_the_parent_entries(self):
+        full = DistributionalMatrix([[np.arange(2.0 + (r * c) % 7) if cell is None else cell
+                                      for c, cell in enumerate(row)]
+                                     for r, row in enumerate(_ragged_panel(47))])
+        for j in range(full.n_cols):
+            _cell_outcome(full, 0, j, 1)
+        entries = dict(full._grids.entries)
+        assert entries
+        for copy in (full.mask_cell(0, 1), apply_mcar(full, MaskSpec(p=0.7, seed=1))):
+            assert copy._grids is not full._grids and copy._grids.entries == {}
+            for j in range(copy.n_cols):
+                _cell_outcome(copy, 0, j, 1)
+            assert copy._grids.entries
+            assert full._grids.entries.keys() == entries.keys()
+            assert all(full._grids.entries[key] is entry for key, entry in entries.items())
+
+    def test_a_read_past_the_budget_makes_one_grid(self, monkeypatch):
+        panel = _ragged_panel(43, n_rows=10)
+        m = DistributionalMatrix(panel)
+        _outcomes(m)
+        sizes = [kept.size for _, _, kept, _ in m._grids.entries.values()]
+        # room for the first two entries only, as in TestColumnGrids
+        monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", sizes[0] + sizes[1])
+        calls, reads = [], []
+        block_grid, grid = empirical._block_grid, empirical._ColumnGrids.grid
+        monkeypatch.setattr(empirical, "_block_grid",
+                            lambda block, rows: calls.append(rows) or block_grid(block, rows))
+
+        def counted(grids, v, rows):
+            before, start = set(grids.entries), len(calls)
+            out = grid(grids, v, rows)
+            key = v, tuple(sorted(set(grids.blocks[v][2][rows].tolist())))
+            reads.append((key in before, key in grids.entries, len(calls) - start))
+            return out
+
+        monkeypatch.setattr(empirical._ColumnGrids, "grid", counted)
+        _outcomes(DistributionalMatrix(panel))
+        # (kept before, kept after, _block_grid calls): a kept read makes
+        # none, a build its rows' grid and its cells', any other read its
+        # rows' grid only
+        assert set(reads) == {(True, True, 0), (False, True, 2), (False, False, 1)}

@@ -159,6 +159,15 @@ class TestRunScaling:
     def test_neighbor_product_sweep_values_may_be_real(self):
         assert small_spec(sweep="n_times_neighbors", values=(40.0, 80.5)).values == (40.0, 80.5)
 
+    def test_one_value_sweep_fails_before_any_trial(self, monkeypatch):
+        trials = []
+        run_trial = experiments._run_trial
+        monkeypatch.setattr(experiments, "_run_trial",
+                            lambda *args, **kw: trials.append(args) or run_trial(*args, **kw))
+        with pytest.raises(OutOfDomainError, match="two or more values"):
+            run_scaling(small_spec(values=(10,), trials=10))
+        assert trials == []
+
     @pytest.mark.parametrize("reps", [0, -1])
     def test_baseline_resamples_below_one_rejected(self, reps):
         with pytest.raises(OutOfDomainError, match="baseline_resamples"):

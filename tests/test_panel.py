@@ -133,6 +133,34 @@ class TestCsvErrors:
             read_panel_csv(path)
 
 
+class TestByteOrderMark:
+    """A leading U+FEFF, as spreadsheet "CSV UTF-8" exports write, is read
+    past; written files never start with one."""
+
+    BOM = "\ufeff".encode("utf-8")
+
+    @pytest.mark.parametrize("name, write", [("panel.csv", write_panel_csv),
+                                             ("panel.json", write_matrix_json)])
+    def test_marked_file_reads_as_the_plain_one(self, tmp_path, name, write):
+        panel = sample_panel()
+        plain, marked = tmp_path / name, tmp_path / f"marked-{name}"
+        write(panel, plain)
+        assert not plain.read_bytes().startswith(self.BOM)
+        marked.write_bytes(self.BOM + plain.read_bytes())
+        assert_panels_equal(load_panel(plain), load_panel(marked))
+
+    def test_marked_quoted_header(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(self.BOM + b'"row","col","value"\na,x,1\n')
+        assert observed_cells(read_panel_csv(path)) == {("a", "x"): [1.0]}
+
+    def test_mark_alone_is_an_empty_file(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(self.BOM)
+        with pytest.raises(PanelParseError, match="file is empty"):
+            read_panel_csv(path)
+
+
 class TestJsonRoundTrip:
     def test_identity(self, tmp_path):
         panel = sample_panel()
