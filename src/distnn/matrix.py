@@ -36,7 +36,8 @@ class DistributionalMatrix:
 
     @functools.cached_property
     def _grids(self) -> _ColumnGrids:
-        """The ragged held-out grids that tuning reads in every row."""
+        """The ragged held-out grids that tuning reads in every row. Threads
+        racing on the first read may each make one; each gives the same bits."""
         return _ColumnGrids(self._blocks, self._mask)
 
     def __init__(self, entries):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distnn import DistributionalMatrix, Panel, TuneConfig, empirical, estimator, experiments
+from distnn import DistributionalMatrix, Panel, TuneConfig, empirical, estimator
 from distnn.cli import _tune_config, build_parser, main
 from distnn.panel import write_matrix_json, write_panel_csv
 from test_tuning import _overflow_panel
@@ -420,18 +420,6 @@ class TestSimulateCommand:
         assert "fit_exponent" in summary["summary"]
         header = (tmp_path / "sim.csv").read_text().splitlines()[0]
         assert "mean_error" in header
-
-
-    def test_one_value_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
-        trials = []
-        run_trial = experiments._run_trial
-        monkeypatch.setattr(experiments, "_run_trial",
-                            lambda *args, **kw: trials.append(args) or run_trial(*args, **kw))
-        code = main(["simulate", "--values", "10", "--trials", "3", "--rows", "10", "--cols", "6",
-                     "--budget", "8", "--output-prefix", str(tmp_path / "sim")])
-        err = capsys.readouterr().err
-        assert code == 1 and err.startswith("error:") and "two or more values" in err
-        assert trials == [] and list(tmp_path.iterdir()) == []
 
 
 class TestVerifyCommand:
