@@ -527,8 +527,9 @@ def _w2sq_pairs(block, rows, i) -> np.ndarray:
     del edges
     f *= f
     widths *= f
+    # np.add.reduce has np.mean's and np.sum's bits, less their overhead
     return np.array([
-        np.mean(f[lo:hi]) if n == n_i else np.sum(widths[lo:hi])
+        np.add.reduce(f[lo:hi]) / n_i if n == n_i else np.add.reduce(widths[lo:hi])
         for lo, hi, n in zip(first[:-1].tolist(), first[1:].tolist(), counts.tolist())
     ])
 

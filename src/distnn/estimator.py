@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import empirical
 from .empirical import StepQuantile, _w2sq_pairs, barycenter, step_barycenter, summaries, w2sq
 from .errors import NoNeighborsError, OutOfDomainError
 from .matrix import DistributionalMatrix, shared_columns
@@ -82,14 +83,28 @@ def _w2sq_table(m: DistributionalMatrix, i: int) -> np.ndarray:
 
     NaN marks pairs where either entry is missing; row i itself is NaN
     throughout. Each column is computed in one pass over its block, with the
-    bits of per-pair w2sq.
+    bits of per-pair w2sq. The pair (i, u) is symmetric, bit for bit, so the
+    row of a table kept on the matrix (``m._tables``) is taken as it is, and
+    only the rows without one are computed. The tables are read-only and the
+    mapping is replaced whole; they hold at most ``_GATHER_ELEMENTS`` values
+    in all, and a table past that is returned but not kept.
     """
+    kept = m._tables
+    if i in kept:
+        return kept[i]
     mask = m.mask
     table = np.full(mask.shape, np.nan)
+    for u, other in kept.items():
+        table[u] = other[i]
+    todo = mask.copy()
+    todo[[i, *kept]] = False
     for c in np.flatnonzero(mask[i]).tolist():
-        rows = np.flatnonzero(mask[:, c])
-        rows = rows[rows != i]
-        table[rows, c] = _w2sq_pairs(m._blocks[c], rows, i)
+        rows = np.flatnonzero(todo[:, c])
+        if rows.size:
+            table[rows, c] = _w2sq_pairs(m._blocks[c], rows, i)
+    table.setflags(write=False)
+    if (len(kept) + 1) * table.size <= empirical._GATHER_ELEMENTS:
+        m._tables = {**kept, i: table}
     return table
 
 

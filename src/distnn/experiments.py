@@ -21,7 +21,7 @@ from .empirical import _check_seed, _chunk_rows, _presorted, summaries as distri
 from .errors import ExperimentAbortedError, NoNeighborsError, OutOfDomainError
 from .estimator import impute
 from .exact import uniform_barycenter_expected_w2_sq
-from .synthetic import DgpSpec, _w2sq_steps_to_base, generate, make_base
+from .synthetic import DgpSpec, _check_count, _w2sq_steps_to_base, generate, make_base
 from .tuning import TuneConfig, tune_eta
 
 __all__ = [
@@ -90,10 +90,12 @@ class ExperimentSpec:
     An ``n_samples`` sweep value is the sample count of every entry; the
     other sweeps keep the DGP's counts, one per column where it gives them.
     ``eta_policy`` is "tuned" (leave-one-out per trial, ``tune_budget``
-    candidates) or "fixed" (requires ``eta``). ``min_neighbors`` (at least
-    1) is the estimator's neighbour floor, ``impute(..., min_neighbors=)``:
-    when fewer rows fall inside the threshold, the nearest ``min_neighbors``
-    rows are used instead.
+    candidates) or "fixed" (requires ``eta``). ``min_neighbors`` is the
+    estimator's neighbour floor, ``impute(..., min_neighbors=)``: when fewer
+    rows fall inside the threshold, the nearest ``min_neighbors`` rows are
+    used instead. ``trials``, ``n_rows``, ``n_cols``, ``tune_budget``,
+    ``min_neighbors``, ``rows_per_neighbor`` and ``baseline_resamples`` must
+    each be an integer >= 1, or construction raises OutOfDomainError.
     """
 
     dgp: DgpSpec
@@ -120,14 +122,9 @@ class ExperimentSpec:
             raise OutOfDomainError("sweep values must be strictly increasing")
         if self.sweep != "n_times_neighbors" and np.asarray(self.values).dtype.kind not in "iu":
             raise OutOfDomainError(f"{self.sweep} sweep values must be integers")
-        if self.trials < 1:
-            raise OutOfDomainError("trials must be at least 1")
-        if min(self.n_rows, self.n_cols) < 1:
-            raise OutOfDomainError("n_rows and n_cols must be at least 1")
-        if self.min_neighbors < 1:
-            raise OutOfDomainError("min_neighbors must be at least 1")
-        if self.baseline_resamples < 1:
-            raise OutOfDomainError("baseline_resamples must be at least 1")
+        for name in ("n_rows", "n_cols", "trials", "tune_budget", "min_neighbors",
+                     "rows_per_neighbor", "baseline_resamples"):
+            _check_count(name, getattr(self, name))
         if self.eta_policy not in ("tuned", "fixed"):
             raise OutOfDomainError(f"unknown eta policy: {self.eta_policy!r}")
         if self.eta_policy == "fixed" and self.eta is None:

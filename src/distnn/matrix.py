@@ -33,6 +33,8 @@ class DistributionalMatrix:
 
     # the estimator's work for the row it last served (see estimator._row_state)
     _row_state = None
+    # row -> its read-only W2^2 table, replaced whole (see estimator._w2sq_table)
+    _tables = {}
 
     @functools.cached_property
     def _grids(self) -> _ColumnGrids:

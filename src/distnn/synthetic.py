@@ -38,6 +38,10 @@ __all__ = [
     "true_w2",
 ]
 
+# |Q0(u)| of the Gaussian base at the smallest draw, 1e-300 (about 37.04)
+_GAUSSIAN_TAIL = -float(ndtri(1e-300))
+
+
 @dataclass(frozen=True, eq=False)
 class BaseFamily:
     """Standardized base distribution with exact quantile and density."""
@@ -131,7 +135,9 @@ class DgpSpec:
     drawn over ``location_range``, column scales over ``scale_range``).
     ``n_per_entry`` is the sample count per entry, a scalar or one value per
     column. Truncated-Gaussian bases cut at ``truncation`` standard
-    deviations.
+    deviations. A spec whose range widths or sample bound (the largest
+    |location| plus the largest scale times the base's largest |quantile|
+    over the draws) overflow raises OutOfDomainError.
     """
 
     kind: str = "heteroscedastic"
@@ -156,6 +162,15 @@ class DgpSpec:
         if self.sigma < 0.0:
             raise OutOfDomainError("sigma must be non-negative")
         _check_count("latent_dim", self.latent_dim)
+        (lo, hi), (s_lo, s_hi) = self.location_range, self.scale_range
+        # |Q0(u)| at most q over the draws' range [1e-300, 1); rounding is
+        # monotone, so a finite bound on |loc| + scale * q keeps every sample finite
+        q = {"uniform": 1.0, "gaussian": _GAUSSIAN_TAIL}.get(
+            self.base_family, min(self.truncation, _GAUSSIAN_TAIL))
+        bound = (max(abs(lo), abs(hi)) + s_hi * q if self.kind == "heteroscedastic"
+                 else self.latent_dim + self.sigma * self.sigma * q)
+        if not all(map(math.isfinite, (hi - lo, s_hi - s_lo, bound))):
+            raise OutOfDomainError("location_range, scale_range and sigma must keep the samples finite")
         _check_seed(self.seed)
 
     def n_for_columns(self, n_cols: int) -> np.ndarray:

@@ -158,3 +158,30 @@ def test_verdict_counts_the_pairs_with_equal_shas():
         "bands: 1/3 pairs left out, a run not correct FAILED",
         "bands shas: outputs equal in 2/3 pairs, gates equal in 3/3 pairs",
         "bands ops_per_s: parent 10 (IQR 0), change 10, change better in 0/2 pairs"]
+
+
+def test_record_holds_the_probe_free_rate_and_the_verdict_compares_it(tmp_path, monkeypatch, capsys):
+    raw = {"parent": {11: 20.0, 12: 22.0, 13: None}, "change": {11: 25.0, 12: 21.0, 13: 30.0}}
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        detail = {"machine": {"cores": 2}, "outputs_sha256": {}, "gate_outputs_sha256": {},
+                  "raw_ops_per_s": raw[checkout.rsplit("/", 1)[1]][seed], "host_slowdown": 1.25}
+        return detail, {"correct": True, "metrics": {"ops_per_s": {"value": 10.0, "unit": "1/s"}}}
+
+    monkeypatch.setattr(bench_record, "git", lambda checkout, *args: "")
+    monkeypatch.setattr(bench_record, "run_once", fake_run_once)
+    assert bench_record.main(["--checkout", "a/parent", "b/change", "--label", "p", "c",
+                              "--workload", "bands", "--seed", "11", "12", "13",
+                              "--seconds", "0.5", "--out-dir", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "BENCH_c.json").read_text(encoding="utf-8"))
+    assert [(r["raw_ops_per_s"], r["host_slowdown"]) for r in record["runs"]] == [
+        (25.0, 1.25), (21.0, 1.25), (30.0, 1.25)]
+    # seed 13's parent run lacks the rate, so its pair is left out of that line
+    # alone; a worse median is not tagged, since the rate has no bound
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "bands ops_per_s: parent 10 (IQR 0), change 10, change better in 0/3 pairs",
+        "bands raw_ops_per_s: parent 21 (IQR 1), change 23, change better in 1/2 pairs",
+    ]
+    worse = {"runs": [dict(r, raw_ops_per_s=1.0) for r in record["runs"]]}
+    assert bench_record.verdict(record, worse, OPS)[-1] == (
+        "bands raw_ops_per_s: parent 25 (IQR 4.5), change 1, change better in 0/3 pairs")

@@ -620,6 +620,59 @@ class TestKeptGridBuilds:
         assert sorted(builds) == sorted(owners[0].entries)
 
 
+class TestKeptRowTables:
+    """The row tables of one call share their pairs: each (column, unordered
+    row pair) is computed once, the counterpart of one build per row."""
+
+    MISSING = {(0, 1), (1, 3), (2, 0), (3, 2), (5, 1), (6, 3)}
+
+    def _counted_call(self, tmp_path, monkeypatch):
+        """One call on a ragged 9 x 4 panel: its output, every pair computed,
+        the matrices read, and the pair counts of one computation per
+        (column, unordered pair) and of one per table row."""
+        rng = np.random.default_rng(7)
+        m = DistributionalMatrix([
+            [None if (r, c) in self.MISSING else rng.normal(r % 3, 1.0, int(rng.integers(2, 9)))
+             for c in range(4)] for r in range(9)
+        ])
+        path = tmp_path / "panel.json"
+        write_matrix_json(Panel(m, tuple(f"r{i}" for i in range(9)), tuple(f"c{j}" for j in range(4))), path)
+        pairs, matrices = [], []
+        compute, table = estimator._w2sq_pairs, estimator._w2sq_table
+
+        def counted(block, rows, i):
+            pairs.extend((id(block), frozenset((i, u))) for u in rows.tolist())
+            return compute(block, rows, i)
+
+        monkeypatch.setattr(estimator, "_w2sq_pairs", counted)
+        monkeypatch.setattr(estimator, "_w2sq_table", lambda m, i: matrices.append(m) or table(m, i))
+        out = tmp_path / "o.json"
+        assert main(["impute", "--input", str(path), "--all-missing", "--tune",
+                     "--budget", "8", "--output", str(out)]) == 0
+        # the rows with a missing cell build the tables; rows 4, 7 and 8 build none
+        rows = {r for r, _ in self.MISSING}
+        once = sum(int(m.mask[i, c] and m.mask[u, c] and (i in rows or u in rows))
+                   for c in range(4) for i in range(9) for u in range(i + 1, 9))
+        per_row = sum(int(m.mask[:, c].sum()) - 1 for i in rows for c in range(4) if m.mask[i, c])
+        return out.read_bytes(), pairs, matrices, once, per_row
+
+    def test_each_pair_is_computed_once_per_call(self, tmp_path, monkeypatch):
+        _, pairs, matrices, once, per_row = self._counted_call(tmp_path, monkeypatch)
+        assert len(pairs) == len(set(pairs)) == once < per_row
+        assert all(m is matrices[0] for m in matrices)
+        assert len(matrices[0]._tables) == len({r for r, _ in self.MISSING})
+
+    def test_tables_past_the_budget_are_not_kept(self, tmp_path, monkeypatch):
+        with pytest.MonkeyPatch.context() as patch:
+            kept = self._counted_call(tmp_path, patch)[0]
+        # one value short of one 9 x 4 table
+        monkeypatch.setattr(empirical, "_GATHER_ELEMENTS", 35)
+        out, pairs, matrices, _, per_row = self._counted_call(tmp_path, monkeypatch)
+        assert len(pairs) == per_row
+        assert matrices and all(m._tables == {} for m in matrices)
+        assert out == kept
+
+
 class TestConfigEcho:
     """Each command echoes exactly its computing options; output paths and
     the separate row/col arguments never appear."""

@@ -168,6 +168,13 @@ class TestRunScaling:
             run_scaling(small_spec(values=(10,), trials=10))
         assert trials == []
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_rows", 10.5), ("n_cols", 0), ("trials", 2.5), ("tune_budget", 0),
+        ("min_neighbors", 1.5), ("rows_per_neighbor", 0), ("baseline_resamples", 1.5)])
+    def test_counts_must_be_positive_integers(self, field, value):
+        with pytest.raises(OutOfDomainError, match=f"{field} must be an integer >= 1"):
+            small_spec(**{field: value})
+
     @pytest.mark.parametrize("reps", [0, -1])
     def test_baseline_resamples_below_one_rejected(self, reps):
         with pytest.raises(OutOfDomainError, match="baseline_resamples"):

@@ -20,6 +20,7 @@ from distnn import (
     MaskSpec,
     TuneConfig,
     apply_mcar,
+    empirical,
     find_neighbors,
     from_samples,
     impute,
@@ -345,6 +346,48 @@ class TestPerRowReuse:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert got == {cell: [out] * n_threads for cell, out in expected.items()}
+
+
+class TestKeptRowTables:
+    """A row table takes the pairs of the tables kept before it, by symmetry."""
+
+    @pytest.mark.parametrize("budget", [None, 16])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(m=masked_matrices())
+    def test_each_pair_is_symmetric_bit_for_bit(self, budget, m):
+        # a budget of 16 values keeps no table and takes a ragged column's
+        # pairs one or a few at a time
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(empirical, "_GATHER_ELEMENTS", budget)
+            tables = [_w2sq_table(_cold_copy(m), i) for i in range(m.n_rows)]
+        for i in range(m.n_rows):
+            for u in range(m.n_rows):
+                assert tables[i][u].tobytes() == tables[u][i].tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(m=masked_matrices(max_rows=7, max_cols=6, seeded_values=True), data=st.data())
+    def test_tables_in_any_row_order_match_cold_tables(self, m, data):
+        order = data.draw(st.lists(st.integers(0, m.n_rows - 1), min_size=1, max_size=2 * m.n_rows))
+        for i in order:
+            table = _w2sq_table(m, i)
+            assert not table.flags.writeable
+            assert table.tobytes() == _w2sq_table(_cold_copy(m), i).tobytes()
+        assert sorted(m._tables) == sorted(set(order))
+        assert all(m._tables[i] is _w2sq_table(m, i) for i in order)
+        observed = m.observed_cells()
+        if not observed:
+            return
+        i, j = data.draw(st.sampled_from(observed))
+        kept = dict(m._tables)
+        masked = m.mask_cell(i, j)
+        assert masked._tables == {}
+        for r in data.draw(st.permutations(range(m.n_rows))):
+            table = _w2sq_table(masked, r)
+            assert table.tobytes() == _w2sq_table(_cold_copy(masked), r).tobytes()
+            assert np.all(np.isnan(table[:, j] if r == i else table[i, j]))
+        assert m._tables.keys() == kept.keys()
+        assert all(m._tables[r] is table for r, table in kept.items())
 
 
 @st.composite

@@ -173,15 +173,14 @@ class TestWorkerCount:
     @pytest.mark.parametrize("count", [1, 2])
     def test_columns_are_finished_under_the_callers_error_state(self, count, monkeypatch):
         _use_cpus(monkeypatch, count)
-        # loc + scale * u passes the largest double wherever u > 0.46
-        spec = DgpSpec(location_range=(1e308, 1e308), scale_range=(1.7e308, 1.7e308),
-                       n_per_entry=20)
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        # scale * u is subnormal, an underflow, which numpy ignores unless
+        # told otherwise (DgpSpec refuses a spec whose samples overflow)
+        spec = DgpSpec(location_range=(0.0, 0.0), scale_range=(1e-310, 1e-310), n_per_entry=20)
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
             generate(spec, 3, 4)
-        with np.errstate(over="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with np.errstate(under="warn"), pytest.warns(RuntimeWarning, match="underflow"):
             m, _ = generate(spec, 3, 4)
-        assert np.isinf(m._blocks[0][0]).any()
+        assert np.all((m._blocks[0][0] > 0.0) & (m._blocks[0][0] < 1e-300))
 
     def test_affinity_is_read_at_each_call(self, monkeypatch):
         _use_cpus(monkeypatch, 3)
@@ -305,6 +304,27 @@ class TestSpecChecks:
     def test_bad_field_is_out_of_domain(self, field, value, message):
         with pytest.raises(OutOfDomainError, match=message):
             DgpSpec(**{field: value})
+
+    @pytest.mark.parametrize("fields", [
+        dict(location_range=(-1e308, 1e308)),
+        dict(scale_range=(1.0, 1e308), base_family="gaussian"),
+        dict(kind="homoscedastic", sigma=1e200),
+        dict(scale_range=(1.0, 1e307), base_family="truncated_gaussian", truncation=40.0),
+    ], ids=["location-width", "gaussian-scale", "homoscedastic-sigma", "truncated-scale"])
+    def test_overflowing_samples_are_out_of_domain(self, fields):
+        with pytest.raises(OutOfDomainError, match="must keep the samples finite"):
+            DgpSpec(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        dict(scale_range=(1.0, 1e308)),
+        dict(scale_range=(1.0, 1e307), base_family="truncated_gaussian", truncation=4.0),
+        dict(kind="homoscedastic", sigma=1e154),
+    ], ids=["uniform-scale", "truncated-scale", "homoscedastic-sigma"])
+    def test_largest_finite_samples_are_kept(self, fields):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, _ = generate(DgpSpec(**fields), 3, 2)
+        assert all(np.isfinite(values).all() for values, _, _ in m._blocks)
 
     @pytest.mark.parametrize("shape, message", [
         ((0, 3), "n_rows"), ((2.5, 3), "n_rows"), ((3, 0), "n_cols"), ((3, np.int64(-1)), "n_cols"),

@@ -9,12 +9,14 @@ Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 in each checkout for every workload and seed given, and writes one JSON file
 per checkout (into ``--out-dir``, default the current directory) holding its
 commit, the machine record of the harness's detail line, and for each run
-its workload, seed, seconds, ``correct`` flag, metrics and output and gate
-checksums. ``uncommitted_changes`` is true when tracked files differ from the
-commit. With several checkouts, one label each, the runs alternate: every
-(workload, seed) runs once in each checkout before the next starts, and the
-order of the checkouts reverses from one (workload, seed) to the next, so
-that a drift in the host's speed falls on both sides alike.
+its workload, seed, seconds, ``correct`` flag, metrics, output and gate
+checksums, and the detail line's ``raw_ops_per_s`` (the rate without the
+host probe's scaling) and ``host_slowdown``. ``uncommitted_changes`` is
+true when tracked files differ from the commit. With several checkouts,
+one label each, the runs alternate: every (workload, seed) runs once in
+each checkout before the next starts, and the order of the checkouts
+reverses from one (workload, seed) to the next, so that a drift in the
+host's speed falls on both sides alike.
 The harness's exit code is recorded, not raised, so a run whose output check
 failed is still kept, with ``correct`` false.
 
@@ -33,7 +35,10 @@ which the parent's and the change's ``outputs_sha256`` are equal, and the
 same for ``gate_outputs_sha256``: the byte-identity gate of a change that
 keeps its outputs. The panel workloads' output and gate checksums echo the
 run directory, so they differ between two checkouts whatever the change.
-Runs pair up by position and must share workload and seed.
+Each workload's last line compares ``raw_ops_per_s`` in the same format,
+over the pairs whose runs both recorded it, with no ``WORSE`` or
+``UNRESOLVED`` tag: the harness has no bound for it. Runs pair up by
+position and must share workload and seed.
 """
 
 from __future__ import annotations
@@ -70,6 +75,13 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[d
     return json.loads(lines[-2])["detail"], json.loads(lines[-1])
 
 
+def _metrics(run: dict) -> dict:
+    """A run's end-to-end metrics, with its probe-free rate where it was recorded."""
+    if run.get("raw_ops_per_s") is None:
+        return run["metrics"]
+    return {**run["metrics"], "raw_ops_per_s": {"value": run["raw_ops_per_s"]}}
+
+
 def verdict(parent: dict, change: dict, end_to_end: list) -> list[str]:
     """The A/B lines for two records whose runs pair up in order."""
     runs = list(zip(parent["runs"], change["runs"], strict=True))
@@ -77,10 +89,12 @@ def verdict(parent: dict, change: dict, end_to_end: list) -> list[str]:
         if (p["workload"], p["seed"]) != (c["workload"], c["seed"]):
             raise ValueError(f"runs do not pair up: {p['workload']} at seed {p['seed']} "
                              f"against {c['workload']} at seed {c['seed']}")
+    # the probe-free rate: judged, but never WORSE or UNRESOLVED, having no bound
+    metrics = [*end_to_end, {"name": "raw_ops_per_s", "better": "higher", "bound": None}]
     lines = []
     for workload in dict.fromkeys(p["workload"] for p, _ in runs):
         mine = [(p, c) for p, c in runs if p["workload"] == workload]
-        pairs = [(p["metrics"], c["metrics"]) for p, c in mine if p["correct"] and c["correct"]]
+        pairs = [(_metrics(p), _metrics(c)) for p, c in mine if p["correct"] and c["correct"]]
         if len(pairs) < len(mine):
             lines.append(f"{workload}: {len(mine) - len(pairs)}/{len(mine)} pairs left out, "
                          "a run not correct FAILED")
@@ -89,7 +103,7 @@ def verdict(parent: dict, change: dict, end_to_end: list) -> list[str]:
                     for key in ("outputs_sha256", "gate_outputs_sha256")]
             lines.append(f"{workload} shas: outputs equal in {same[0]}/{len(mine)} pairs, "
                          f"gates equal in {same[1]}/{len(mine)} pairs")
-        for metric in end_to_end:
+        for metric in metrics:
             name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
             values = np.array([(p[name]["value"], c[name]["value"])
                                for p, c in pairs if name in p and name in c])
@@ -98,12 +112,13 @@ def verdict(parent: dict, change: dict, end_to_end: list) -> list[str]:
             q1, base, q3 = np.percentile(values[:, 0], [25, 50, 75])
             median = np.median(values[:, 1])
             won = int(np.sum(sign * (values[:, 1] - values[:, 0]) > 0.0))
-            bound = metric["bound"] * abs(base)
             tags = []
-            if sign * (median - base) < -bound:
-                tags.append(" WORSE")
-            if q3 - q1 > bound and np.min(sign * values[:, 1]) <= np.max(sign * values[:, 0]):
-                tags.append(" UNRESOLVED")
+            if metric["bound"] is not None:
+                bound = metric["bound"] * abs(base)
+                if sign * (median - base) < -bound:
+                    tags.append(" WORSE")
+                if q3 - q1 > bound and np.min(sign * values[:, 1]) <= np.max(sign * values[:, 0]):
+                    tags.append(" UNRESOLVED")
             lines.append(f"{workload} {name}: parent {base:.4g} (IQR {q3 - q1:.3g}), "
                          f"change {median:.4g}, change better in {won}/{len(values)} pairs"
                          + "".join(tags))
@@ -145,6 +160,7 @@ def main(argv=None) -> int:
                 "metrics": result.get("metrics", {}),
                 "outputs_sha256": detail["outputs_sha256"],
                 "gate_outputs_sha256": detail["gate_outputs_sha256"],
+                **{key: detail[key] for key in ("raw_ops_per_s", "host_slowdown") if key in detail},
             })
     for record in records:
         path = os.path.join(args.out_dir, f"BENCH_{record['label']}.json")
