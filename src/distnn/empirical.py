@@ -74,6 +74,12 @@ def _check_levels(levels):
     return levels
 
 
+def _check_count(name: str, value) -> None:
+    """OutOfDomainError unless ``value`` is an integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise OutOfDomainError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _check_seed(seed):
     """OutOfDomainError unless ``seed`` is a numpy seed: an integer >= 0, not a bool."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -143,9 +149,12 @@ class StepQuantile:
     def step_values(self) -> np.ndarray:
         return self.values
 
+    # values near the float limits give an infinite mean or std
+    @np.errstate(over="ignore", invalid="ignore")
     def mean(self) -> float:
         return float(_integral(self._piece_widths(), self.values.copy()))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def std(self) -> float:
         """Population standard deviation, by the two-pass formula."""
         return float(np.sqrt(_integral(self._piece_widths(), (self.values - self.mean()) ** 2)))
@@ -631,6 +640,7 @@ def step_barycenter(ds) -> StepQuantile:
     return StepQuantile(edges, mean)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def summaries(d, var_alpha: float = 0.05) -> dict:
     """Mean, median, population std, and VaR(alpha) of a distribution.
 

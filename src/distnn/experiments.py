@@ -17,11 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .empirical import _check_seed, _chunk_rows, _presorted, summaries as distribution_summaries
+from .empirical import _check_count, _check_seed, _chunk_rows, _presorted
+from .empirical import summaries as distribution_summaries
 from .errors import ExperimentAbortedError, NoNeighborsError, OutOfDomainError
 from .estimator import impute
 from .exact import uniform_barycenter_expected_w2_sq
-from .synthetic import DgpSpec, _check_count, _w2sq_steps_to_base, generate, make_base
+from .synthetic import DgpSpec, _w2sq_steps_to_base, generate, make_base
 from .tuning import TuneConfig, tune_eta
 
 __all__ = [

@@ -19,10 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from . import empirical
-from .empirical import EmpiricalDistribution, _check_levels, _check_seed, _order_index, from_samples
+from . import empirical, estimator
+from .empirical import (
+    EmpiricalDistribution, _check_count, _check_levels, _check_seed, _order_index, from_samples,
+)
 from .errors import DegenerateDensityError, NoNeighborsError, OutOfDomainError
-from .estimator import ImputationResult, impute
+from .estimator import ImputationResult
+# perfbench/tracing.py wraps inference.impute by name
+from .estimator import impute  # noqa: F401
 from .matrix import DistributionalMatrix
 
 __all__ = [
@@ -37,7 +41,10 @@ __all__ = [
 
 def default_levels(count: int = 99) -> np.ndarray:
     """Evenly spaced interior levels; endpoints are excluded because the
-    normal limit degrades at the support boundary."""
+    normal limit degrades at the support boundary. OutOfDomainError unless
+    ``count`` is an integer >= 1."""
+    # the message of an empty grid, which the CLI reports for --levels 0
+    _check_count("levels must be a non-empty 1-D array: count", count)
     return np.arange(1, count + 1, dtype=float) / (count + 1)
 
 
@@ -194,8 +201,70 @@ def asymptotic_band(
 
 
 def _check_reps(reps_samples: int, reps_neighbors: int) -> None:
-    if min(reps_samples, reps_neighbors) < 1:
-        raise OutOfDomainError("need at least one bootstrap replicate")
+    """OutOfDomainError unless both counts are integers >= 1 whose product,
+    the replicate count, is below 2**32 (one word per spawn key)."""
+    _check_count("reps_samples", reps_samples)
+    _check_count("reps_neighbors", reps_neighbors)
+    n_reps = reps_samples * reps_neighbors
+    if n_reps >= 2**32:
+        raise OutOfDomainError(f"reps_samples * reps_neighbors must be below 2**32, got {n_reps}")
+
+
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hash of a word, a Python int or a uint32 array; its
+    constant ``h`` steps by ``mult`` at every call."""
+    def hash_word(v):
+        nonlocal h
+        v = v ^ h
+        h = h * mult & _MASK32
+        v = v * h & _MASK32
+        return v ^ v >> 16
+    return hash_word
+
+
+def _mix(x, y):
+    v = (0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32) & _MASK32
+    return v ^ v >> 16
+
+
+def _spawn_states(seed: int, n: int) -> list:
+    """``default_rng(c).bit_generator.state`` for each c in
+    ``SeedSequence(seed).spawn(n)``, for 1 <= n < 2**32, in one pass.
+
+    This is numpy's SeedSequence hash (``numpy/random/bit_generator.pyx``)
+    and PCG64's seeding step, both kept stable by NEP 19. A child's entropy
+    is the seed's 32-bit words, padded with zeros to the pool's 4 words,
+    then its index, so the index enters last: the pool before it is
+    computed once on Python ints masked to 32 bits, and the index's mixing
+    and the 8 output words on uint32 arrays over all children, which wrap.
+    """
+    seed = int(seed)
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in [*words[4:], np.arange(n, dtype=np.uint32)]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    # generate_state(4, np.uint64): 8 words, each 64-bit value's low word first
+    output = _hasher(0x8B51F9DD, 0x58F38DED)
+    out = [output(pool[w % 4]).astype(np.uint64) for w in range(8)]
+    s_hi, s_lo, i_hi, i_lo = ((out[w] | out[w + 1] << 32).tolist() for w in range(0, 8, 2))
+    states = []
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 # samples near the float limits give infinite quantiles (JSON null)
@@ -221,42 +290,51 @@ def bootstrap_band(
     column-j samples with replacement, and re-evaluates the barycenter
     quantile on the level grid. The band is the per-level empirical
     (alpha'/2, 1 - alpha'/2) envelope of the replicates; deterministic for a
-    fixed seed, and independent of replicate evaluation order.
+    fixed seed, and independent of replicate evaluation order. Only the
+    neighbor set is searched (:func:`estimator.find_neighbors`); no
+    barycenter or summaries are built.
 
-    Replicate r draws from its own generator, spawned from ``seed``: first
-    the k chosen neighbor indices, then, in one call, the resample indices
-    of every chosen neighbor in the order chosen, the same stream as one
-    call per neighbor. The samples are read in place from the column block,
-    unpadded, so a replicate's work follows the counts it resamples. A
-    cell's samples are sorted, so its sorted resample is the samples at the
-    sorted drawn positions: mixed counts shift each chosen neighbor's
-    positions into a range of its own, sort them all as integers at once and
-    read only the k x levels ranked ones; equal counts gather the values and
-    sort them by rows, which is faster there. The replicates'
-    quantile rows are kept in blocks of as many replicates as the gather
-    budget holds; each block is summed by k adds of whole rows into zeroed
-    curves, in the order chosen, and one division by k ends the loop. A
-    seed gives the same band, bit for bit, as evaluating each resample one
-    at a time and summing from 0.0.
+    Replicate r draws the stream of ``default_rng(c)`` for child c = r of
+    ``SeedSequence(seed).spawn``: every child's PCG64 state is computed in
+    one pass (:func:`_spawn_states`) and set in turn on one generator owned
+    by the call. It draws first the k chosen neighbor indices, then, in one
+    call, the resample indices of every chosen neighbor in the order chosen,
+    the same stream as one call per neighbor. The samples are read in place
+    from the column block, unpadded, so a replicate's work follows the
+    counts it resamples. A cell's samples are sorted, so its sorted resample
+    is the samples at the sorted drawn positions: mixed counts shift each
+    chosen neighbor's positions into a range of its own, sort them all as
+    integers at once and read only the k x levels ranked ones; equal counts
+    gather the values and sort them by rows, which is faster there. The
+    replicates' quantile rows are kept in blocks of as many replicates as
+    the gather budget holds; each block is summed by k adds of whole rows
+    into zeroed curves, in the order chosen, and one division by k ends the
+    loop. A seed gives the same band, bit for bit, as evaluating each
+    resample one at a time and summing from 0.0.
     """
     levels = _check_levels(levels)
     _check_reps(reps_samples, reps_neighbors)
     _check_seed(seed)
     alpha_eff = _per_level_alpha(alpha, levels.shape[0], simultaneous)
-    result = impute(m, i, j, eta, min_overlap=min_overlap, max_neighbors=max_neighbors)
+    # only the neighbour set: impute's barycenter and summaries are not used
+    neighbors = estimator.find_neighbors(m, i, j, eta, min_overlap, max_neighbors)
+    if neighbors.size == 0:
+        raise NoNeighborsError(i, j, eta)
     values, starts, sizes = m._blocks[j]
-    starts, sizes = starts[result.neighbors.rows], sizes[result.neighbors.rows]
+    starts, sizes = starts[neighbors.rows], sizes[neighbors.rows]
     k, n_max = sizes.shape[0], int(sizes.max())
     ranks = _order_index(levels, sizes[:, None]) - 1
     equal = sizes.min() == n_max
     n_reps = reps_neighbors * reps_samples
-    seeds = np.random.SeedSequence(seed).spawn(n_reps)
+    states = _spawn_states(seed, n_reps)
+    rng = np.random.default_rng(0)
+    bit_generator = rng.bit_generator
     curves = np.zeros((n_reps, levels.shape[0]))
     block = min(empirical._chunk_rows(k * levels.shape[0]), n_reps)
     rows = np.empty((block, k, levels.shape[0]))
     for r in range(n_reps):
         b = r % block
-        rng = np.random.default_rng(seeds[r])
+        bit_generator.state = states[r]
         chosen = rng.integers(0, k, size=k)
         # One call gives the values and the generator state of one call per
         # chosen neighbor: bounds under 2**32 draw 32-bit halves, and PCG64

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
-from .empirical import _check_seed, _full_block
+from .empirical import _check_count, _check_seed, _full_block
 from .errors import OutOfDomainError
 from .matrix import DistributionalMatrix
 
@@ -183,12 +183,6 @@ class DgpSpec:
         if counts.shape not in ((), (n_cols,)) or any(n < 1 for n in counts.flat):
             raise OutOfDomainError("n_per_entry must be positive, scalar or one per column")
         return np.full(n_cols, counts, dtype=np.int64)
-
-
-def _check_count(name: str, value) -> None:
-    """OutOfDomainError unless ``value`` is an integer >= 1, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise OutOfDomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class TrueDistributions:

@@ -353,6 +353,16 @@ class TestSummaries:
         with pytest.raises(OutOfDomainError):
             summaries(from_samples([1]), 1.0)
 
+    @pytest.mark.parametrize("samples, key", [([1e308, -1e308], "std"),
+                                              ([1.7e308, 1.7e308], "mean")])
+    def test_overflow_is_infinite_without_warnings(self, samples, key):
+        """Called directly, outside the panel commands' error state."""
+        d = from_samples(samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert summaries(d)[key] == math.inf
+            assert getattr(d, key)() == math.inf
+
     def test_step_quantile_summaries_match_empirical(self):
         rng = np.random.default_rng(11)
         d = from_samples(rng.normal(size=40))

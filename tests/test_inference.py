@@ -28,7 +28,7 @@ from distnn import (
     impute,
     sigma_sq,
 )
-from distnn import empirical, inference
+from distnn import empirical, estimator, inference
 
 
 def uniform_sigma(width):
@@ -223,9 +223,44 @@ class TestBootstrapBand:
     )
     def test_bad_arguments_fail_before_the_neighbour_search(self, kwargs, monkeypatch):
         m, _ = simple_result()
-        monkeypatch.setattr(inference, "impute", lambda *a, **k: pytest.fail("searched"))
+        monkeypatch.setattr(estimator, "find_neighbors", lambda *a, **k: pytest.fail("searched"))
         with pytest.raises(OutOfDomainError):
             bootstrap_band(m, 0, 1, **{"eta": 1.0, "alpha": 0.05, "levels": [0.5], **kwargs})
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"reps_samples": 2.5}, "reps_samples"),
+        ({"reps_neighbors": True}, "reps_neighbors"),
+        ({"reps_samples": "3"}, "reps_samples"),
+        ({"reps_samples": 2**16, "reps_neighbors": 2**16}, r"reps_samples \* reps_neighbors"),
+    ], ids=["float", "bool", "str", "product-2**32"])
+    def test_replicate_counts_are_typed(self, kwargs, name, monkeypatch):
+        """Counts that are not integers, or whose product reaches 2**32, are
+        refused before the search (a 2**32 x levels curve block needs 32 GiB
+        per level)."""
+        m, _ = simple_result()
+        monkeypatch.setattr(estimator, "find_neighbors", lambda *a, **k: pytest.fail("searched"))
+        with pytest.raises(OutOfDomainError, match=name):
+            bootstrap_band(m, 0, 1, 1.0, 0.05, [0.5], **kwargs)
+
+    def test_largest_replicate_product_passes_the_check(self):
+        inference._check_reps(2**16, 2**16 - 1)
+        inference._check_reps(np.int64(3), np.uint8(2))
+
+    def test_no_neighbours_is_typed_error(self):
+        m = DistributionalMatrix([[[0.0], None], [[9.0], [1.0]]])
+        with pytest.raises(NoNeighborsError) as err:
+            bootstrap_band(m, 0, 1, 0.5, 0.05, [0.5])
+        assert (err.value.row, err.value.col, err.value.eta) == (0, 1, 0.5)
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, True, "9", None])
+def test_default_levels_refuses_counts_below_one_and_non_integers(count):
+    with pytest.raises(OutOfDomainError, match="count must be an integer >= 1"):
+        default_levels(count)
+
+
+def test_default_levels_accepts_numpy_integers():
+    assert np.array_equal(default_levels(np.int64(3)), [0.25, 0.5, 0.75])
 
 
 def reference_curves(m, i, j, levels, n_reps, seed):
@@ -398,6 +433,51 @@ class TestOneDrawCallPerReplicate:
             self.check(merged, [gens[1].integers(0, n, size=n) for n in counts.tolist()], gens)
 
 
+class TestSpawnStates:
+    """``bootstrap_band`` sets each replicate's PCG64 state from
+    ``inference._spawn_states``, numpy's seeding computed in one pass; the
+    band keeps its stream only while these are the states of ``default_rng``
+    on ``SeedSequence(seed).spawn(n)``'s children."""
+
+    @staticmethod
+    def spawned(seed, n):
+        return [np.random.default_rng(c).bit_generator.state
+                for c in np.random.SeedSequence(seed).spawn(n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 257])
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 5, 2**200 + 3, np.int64(7)],
+        ids=["0", "1", "2**32-1", "2**32", "2**64+1", "2**128+5", "2**200+3", "int64-7"],
+    )
+    def test_states_of_the_spawned_generators(self, seed, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert inference._spawn_states(seed, n) == self.spawned(seed, n)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**256 - 1), n=st.integers(1, 20))
+    def test_any_seed(self, seed, n):
+        assert inference._spawn_states(seed, n) == self.spawned(seed, n)
+
+
+def test_bootstrap_builds_no_estimate(monkeypatch):
+    """The band reads only the neighbour set: neither ``impute`` nor a
+    barycenter runs, and the band is the per-neighbour loop's."""
+    rng = np.random.default_rng(12)
+    for sets in ([rng.normal(size=9) for _ in range(5)], [rng.normal(size=n) for n in (3, 8, 5)]):
+        m = neighbour_panel(sets)
+        levels = default_levels(9)
+        lower, upper = reference_bootstrap(m, 0, 1, 0.1, levels, 3, 4, 6)
+        with monkeypatch.context() as patched:
+            for owner, name in [(estimator, "barycenter"), (estimator, "step_barycenter"),
+                                (inference, "impute")]:
+                patched.setattr(owner, name, lambda *a, **k: pytest.fail("built an estimate"))
+            band = bootstrap_band(m, 0, 1, math.inf, 0.1, levels, reps_samples=3,
+                                  reps_neighbors=4, seed=6)
+        assert band.lower.tobytes() == lower.tobytes()
+        assert band.upper.tobytes() == upper.tobytes()
+
+
 def test_pinned_stream():
     """A fixed seed keeps giving the same band on a ragged neighbour set."""
     rng = np.random.default_rng(2026)
@@ -414,14 +494,14 @@ def test_bootstrap_memory_follows_the_resampled_counts(monkeypatch):
     """A replicate draws, sorts and reads the samples of the neighbours it
     chose, not k times the largest count: with 11 neighbours of 2 samples
     and one of 200,000, a k x n_max padded block alone would hold 19.2 MB.
-    The neighbour search runs before tracing, as its barycenter has a
-    budget of its own."""
+    The neighbour search runs before tracing, as its row tables have a
+    budget of their own."""
     rng = np.random.default_rng(8)
     sets = [rng.normal(size=2) for _ in range(11)] + [rng.normal(size=200_000)]
     m = neighbour_panel(sets)
-    result = impute(m, 0, 1, math.inf)
-    assert result.neighbors.rows.tolist() == list(range(1, 13))
-    monkeypatch.setattr(inference, "impute", lambda *a, **k: result)
+    neighbors = estimator.find_neighbors(m, 0, 1, math.inf)
+    assert neighbors.rows.tolist() == list(range(1, 13))
+    monkeypatch.setattr(estimator, "find_neighbors", lambda *a, **k: neighbors)
     sizes = np.array([s.size for s in sets])
     k, levels, n_reps, seed = sizes.size, default_levels(9), 4, 0
     # the largest replicate's resample: its first draw chooses its k neighbours
