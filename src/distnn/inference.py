@@ -316,7 +316,6 @@ def bootstrap_band(
     _check_reps(reps_samples, reps_neighbors)
     _check_seed(seed)
     alpha_eff = _per_level_alpha(alpha, levels.shape[0], simultaneous)
-    # only the neighbour set: impute's barycenter and summaries are not used
     neighbors = estimator.find_neighbors(m, i, j, eta, min_overlap, max_neighbors)
     if neighbors.size == 0:
         raise NoNeighborsError(i, j, eta)
