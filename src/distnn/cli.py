@@ -20,7 +20,7 @@ import csv
 import sys
 from dataclasses import asdict, fields
 
-from .empirical import EmpiricalDistribution, _check_levels
+from .empirical import EmpiricalDistribution
 from .errors import (
     AllTrialsFailedError,
     DistnnError,
@@ -179,7 +179,6 @@ def _cmd_bands(args) -> int:
             )
         else:
             # bad options fail before the neighbour search, in bootstrap_band's order
-            _check_levels(levels)
             _check_reps(args.reps_samples, args.reps_neighbors)
             _per_level_alpha(args.alpha, levels.shape[0], args.simultaneous)
             result = impute(panel.matrix, cell[0], cell[1], eta)

@@ -63,21 +63,43 @@ def _order_index(t, n):
     return np.clip(k, 1, n)
 
 
+def _check_count(name: str, value, lo: int = 1) -> int:
+    """``value`` as a Python int, so that no numpy integer wraps in later
+    arithmetic; OutOfDomainError unless it is an integer >= ``lo``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise OutOfDomainError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return int(value)
+
+
+def _check_level(name: str, value, scalar: bool = True, closed: bool = False):
+    """``value`` as a float, or a float array unless ``scalar``; OutOfDomainError
+    unless it holds real numbers, not bools, inside (0, 1), or (0, 1] if ``closed``."""
+    if not scalar:
+        try:
+            t = np.asarray(value)
+        except (TypeError, ValueError):  # ragged nesting
+            t = np.asarray(None)
+        if t.dtype.kind in "iuf" and np.all((t > 0.0) & (t < 1.0)):
+            return t.astype(float, copy=False)
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+            0.0 < value < 1.0 or closed and value == 1.0):
+        return float(value)
+    raise OutOfDomainError(f"{name} must lie in (0, {'1]' if closed else '1)'}")
+
+
+def _check_threshold(name: str, value) -> None:
+    """OutOfDomainError unless ``value`` is a real number >= 0 (inf allowed), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0.0:
+        raise OutOfDomainError(f"{name} must be a non-negative number, got {value!r}")
+
+
 def _check_levels(levels):
-    levels = np.asarray(levels, dtype=float)
+    levels = _check_level("levels", levels, scalar=False)
     if levels.ndim != 1 or levels.size == 0:
         raise OutOfDomainError("levels must be a non-empty 1-D array")
-    if np.any(~np.isfinite(levels)) or np.any((levels <= 0.0) | (levels >= 1.0)):
-        raise OutOfDomainError("levels must lie strictly inside (0, 1)")
     if np.any(np.diff(levels) <= 0.0):
         raise OutOfDomainError("levels must be strictly increasing")
     return levels
-
-
-def _check_count(name: str, value) -> None:
-    """OutOfDomainError unless ``value`` is an integer >= 1, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise OutOfDomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_seed(seed):
@@ -137,10 +159,7 @@ class StepQuantile:
 
     def quantile(self, t):
         """The value of the piece holding t, for levels t in (0, 1)."""
-        t = np.asarray(t, dtype=float)
-        if np.any(~np.isfinite(t)) or np.any((t <= 0.0) | (t >= 1.0)):
-            raise OutOfDomainError("quantile level must lie in (0, 1)")
-        out = self.values[self._pieces(t)]
+        out = self.values[self._pieces(_check_level("quantile level", t, scalar=False))]
         return float(out) if out.ndim == 0 else out
 
     def step_edges(self) -> np.ndarray:
@@ -161,9 +180,7 @@ class StepQuantile:
 
     def var_at_risk(self, alpha: float) -> float:
         """Value-at-risk: the (1 - alpha) quantile of the negated variable."""
-        if not (0.0 < alpha < 1.0):
-            raise OutOfDomainError("alpha must lie in (0, 1)")
-        return self._negated().quantile(1.0 - alpha)
+        return self._negated().quantile(1.0 - _check_level("alpha", alpha))
 
     def __repr__(self):
         return f"StepQuantile(pieces={self.edges.shape[0]})"
@@ -647,8 +664,7 @@ def summaries(d, var_alpha: float = 0.05) -> dict:
     VaR is the (1 - alpha) quantile of the negated variable, so for a
     degenerate distribution at c it equals -c.
     """
-    if not (0.0 < var_alpha < 1.0):
-        raise OutOfDomainError("var_alpha must lie in (0, 1)")
+    _check_level("var_alpha", var_alpha)
     return {
         "mean": d.mean(),
         "median": float(d.quantile(0.5)),

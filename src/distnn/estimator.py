@@ -9,14 +9,14 @@ Wasserstein barycenter of the neighbors' column-j entries.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import empirical
-from .empirical import StepQuantile, _w2sq_pairs, barycenter, step_barycenter, summaries, w2sq
-from .errors import NoNeighborsError, OutOfDomainError
+from .empirical import (StepQuantile, _check_count, _check_threshold, _w2sq_pairs, barycenter,
+                        step_barycenter, summaries, w2sq)
+from .errors import NoNeighborsError
 from .matrix import DistributionalMatrix, shared_columns
 
 __all__ = [
@@ -67,8 +67,9 @@ def row_distance(m: DistributionalMatrix, i: int, u: int, exclude: int, min_over
     Returns math.inf when fewer than ``min_overlap`` shared columns exist
     (in particular when there are none).
     """
+    _check_count("min_overlap", min_overlap)
     cols = shared_columns(m, i, u, exclude)
-    if cols.shape[0] < max(1, min_overlap):
+    if cols.shape[0] < min_overlap:
         return math.inf
     total = 0.0
     for v in cols:
@@ -189,17 +190,14 @@ def find_neighbors(
     math.inf. ``max_neighbors`` optionally keeps only the closest rows (ties
     broken by row index); useful for capping the neighborhood to a fixed
     size. Raises OutOfDomainError unless eta is a number >= 0 (math.inf
-    allowed, NaN not), min_overlap >= 1, max_neighbors is None or >= 1 and
-    min_neighbors >= 0.
+    allowed, NaN not), min_overlap an integer >= 1, max_neighbors None or an
+    integer >= 1 and min_neighbors an integer >= 0.
     """
-    if not (isinstance(eta, numbers.Real) and eta >= 0.0):
-        raise OutOfDomainError(f"eta must be a non-negative number, got {eta!r}")
-    if min_overlap < 1:
-        raise OutOfDomainError("min_overlap must be at least 1")
-    if max_neighbors is not None and max_neighbors < 1:
-        raise OutOfDomainError("max_neighbors must be None or at least 1")
-    if min_neighbors < 0:
-        raise OutOfDomainError("min_neighbors must be at least 0")
+    _check_threshold("eta", eta)
+    _check_count("min_overlap", min_overlap)
+    if max_neighbors is not None:
+        _check_count("max_neighbors", max_neighbors)
+    _check_count("min_neighbors", min_neighbors, lo=0)
     i, j = m._check_index(i, j)
     state = _row_state(m, i, min_overlap)
     ranked = state.ranked[j]

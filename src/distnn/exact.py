@@ -8,7 +8,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .empirical import EmpiricalDistribution
+from .empirical import EmpiricalDistribution, _check_count
 from .errors import OutOfDomainError, SizeMismatchError, TooLargeError
 
 __all__ = [
@@ -51,8 +51,7 @@ def uniform_empirical_expected_w2_sq(a: float, b: float, n: int) -> float:
     """Expected squared W2 between U(a, b) and its n-sample empirical version:
     (b-a)^2 / (6n).
     """
-    if n < 1:
-        raise OutOfDomainError("n must be at least 1")
+    n = _check_count("n", n)
     return (b - a) ** 2 / (6.0 * n)
 
 
@@ -60,8 +59,7 @@ def uniform_pair_empirical_expected_w2_sq(p: UniformPair, n: int) -> float:
     """Expected squared W2 between two independent n-sample empirical uniforms:
     W2^2(U(a,b), U(c,d)) + (b-a)(d-c) / (3(n+1)).
     """
-    if n < 1:
-        raise OutOfDomainError("n must be at least 1")
+    n = _check_count("n", n)
     return uniform_w2_sq(p) + (p.b - p.a) * (p.d - p.c) / (3.0 * (n + 1))
 
 
@@ -79,8 +77,7 @@ def uniform_barycenter_expected_w2_sq(intervals, n: int) -> float:
     intervals = list(intervals)
     if not intervals:
         raise OutOfDomainError("need at least one interval")
-    if n < 1:
-        raise OutOfDomainError("n must be at least 1")
+    n = _check_count("n", n)
     m = len(intervals)
     a_bar = sum(a for a, _ in intervals) / m
     b_bar = sum(b for _, b in intervals) / m

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .empirical import _check_count, _check_seed, _chunk_rows, _presorted
+from .empirical import _check_count, _check_seed, _check_threshold, _chunk_rows, _presorted
 from .empirical import summaries as distribution_summaries
 from .errors import ExperimentAbortedError, NoNeighborsError, OutOfDomainError
 from .estimator import impute
@@ -91,12 +91,13 @@ class ExperimentSpec:
     An ``n_samples`` sweep value is the sample count of every entry; the
     other sweeps keep the DGP's counts, one per column where it gives them.
     ``eta_policy`` is "tuned" (leave-one-out per trial, ``tune_budget``
-    candidates) or "fixed" (requires ``eta``). ``min_neighbors`` is the
+    candidates) or "fixed" (requires ``eta`` >= 0). ``min_neighbors`` is the
     estimator's neighbour floor, ``impute(..., min_neighbors=)``: when fewer
     rows fall inside the threshold, the nearest ``min_neighbors`` rows are
     used instead. ``trials``, ``n_rows``, ``n_cols``, ``tune_budget``,
-    ``min_neighbors``, ``rows_per_neighbor`` and ``baseline_resamples`` must
-    each be an integer >= 1, or construction raises OutOfDomainError.
+    ``min_neighbors``, ``rows_per_neighbor``, ``baseline_resamples`` and an
+    ``n_samples`` or ``n_rows`` sweep's values must each be an integer >= 1,
+    or construction raises OutOfDomainError.
     """
 
     dgp: DgpSpec
@@ -121,15 +122,18 @@ class ExperimentSpec:
             b <= a for a, b in zip(self.values, self.values[1:])
         ):
             raise OutOfDomainError("sweep values must be strictly increasing")
-        if self.sweep != "n_times_neighbors" and np.asarray(self.values).dtype.kind not in "iu":
-            raise OutOfDomainError(f"{self.sweep} sweep values must be integers")
+        if self.sweep != "n_times_neighbors":
+            if np.asarray(self.values).dtype.kind not in "iu":
+                raise OutOfDomainError(f"{self.sweep} sweep values must be integers")
+            _check_count(f"{self.sweep} sweep values", min(self.values))
         for name in ("n_rows", "n_cols", "trials", "tune_budget", "min_neighbors",
                      "rows_per_neighbor", "baseline_resamples"):
-            _check_count(name, getattr(self, name))
+            # kept as Python ints, which the trials' products cannot wrap
+            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
         if self.eta_policy not in ("tuned", "fixed"):
             raise OutOfDomainError(f"unknown eta policy: {self.eta_policy!r}")
-        if self.eta_policy == "fixed" and self.eta is None:
-            raise OutOfDomainError("fixed eta policy requires an eta value")
+        if self.eta_policy == "fixed":
+            _check_threshold("eta", self.eta)
         if self.target != "random" and len(self.target) != 2:
             raise OutOfDomainError('target must be "random" or a (row, col) pair')
         _check_seed(self.seed)
@@ -428,8 +432,10 @@ def verify_uniform_barycenter_error(m_list=(1, 5, 20), n_list=(5, 20, 100), tria
     Collections share a common width with seeded random locations, the
     regime where the closed form is exact.
     """
-    if trials < 100:
-        raise OutOfDomainError("need at least 100 trials for a meaningful z-score")
+    # fewer than 100 trials give no meaningful z-score
+    trials = _check_count("trials", trials, lo=100)
+    m_list = [_check_count("each entry of m_list", m) for m in m_list]
+    n_list = [_check_count("each entry of n_list", n) for n in n_list]
     _check_seed(seed)
     root = np.random.SeedSequence(seed)
     rows = []
@@ -443,8 +449,8 @@ def verify_uniform_barycenter_error(m_list=(1, 5, 20), n_list=(5, 20, 100), tria
             z = (sim_mean - closed) / sim_se
             rows.append(
                 MonteCarloRow(
-                    m=int(m), n=int(n), simulated_mean=sim_mean,
-                    closed_form=closed, z_score=float(z), trials=int(trials),
+                    m=m, n=n, simulated_mean=sim_mean,
+                    closed_form=closed, z_score=float(z), trials=trials,
                 )
             )
     return rows
@@ -490,10 +496,14 @@ def verify_barycenter_rate(
     sits between the 1/n and 1/n^2 regimes. Unit-width uniform intervals at
     seeded random locations keep the closed-form target constant across k.
     """
+    trials_k, trials_n = _check_count("trials_k", trials_k), _check_count("trials_n", trials_n)
+    n_fixed, k_fixed = _check_count("n_fixed", n_fixed), _check_count("k_fixed", k_fixed)
+    k_list = [_check_count("each entry of k_list", k) for k in k_list]
+    n_list = [_check_count("each entry of n_list", n) for n in n_list]
     _check_seed(seed)
     root = np.random.SeedSequence(seed)
     settings = ([(k, n_fixed, trials_k) for k in k_list]
-                + [(k_fixed, int(n), trials_n) for n in n_list])
+                + [(k_fixed, n, trials_n) for n in n_list])
     errors, closed = [], []
     for k, n, trials in settings:
         rng = np.random.default_rng(root.spawn(1)[0])
@@ -506,11 +516,11 @@ def verify_barycenter_rate(
     k_errors = np.asarray(errors[:n_k])
     n_errors = np.asarray(errors[n_k:])
     return RateResult(
-        k_list=tuple(int(k) for k in k_list),
+        k_list=tuple(k_list),
         k_errors=k_errors,
         k_closed=np.asarray(closed[:n_k]),
         doubling_ratios=k_errors[1:] / k_errors[:-1],
-        n_list=tuple(int(n) for n in n_list),
+        n_list=tuple(n_list),
         n_errors=n_errors,
         n_closed=np.asarray(closed[n_k:]),
         slope_fit=fit_power_law(np.asarray(n_list, dtype=float), n_errors),

@@ -21,7 +21,8 @@ from scipy.special import ndtri
 
 from . import empirical, estimator
 from .empirical import (
-    EmpiricalDistribution, _check_count, _check_levels, _check_seed, _order_index, from_samples,
+    EmpiricalDistribution, _check_count, _check_level, _check_levels, _check_seed, _order_index,
+    from_samples,
 )
 from .errors import DegenerateDensityError, NoNeighborsError, OutOfDomainError
 from .estimator import ImputationResult
@@ -44,7 +45,7 @@ def default_levels(count: int = 99) -> np.ndarray:
     normal limit degrades at the support boundary. OutOfDomainError unless
     ``count`` is an integer >= 1."""
     # the message of an empty grid, which the CLI reports for --levels 0
-    _check_count("levels must be a non-empty 1-D array: count", count)
+    count = _check_count("levels must be a non-empty 1-D array: count", count)
     return np.arange(1, count + 1, dtype=float) / (count + 1)
 
 
@@ -126,9 +127,7 @@ def _kde_at_quantile(emp: EmpiricalDistribution, scale: float, norm: float, t) -
 
 def sigma_sq(sigma: SigmaFunction, t):
     """Variance analog: mean over neighbors of (t - t^2) / f^2(Q(t))."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(~np.isfinite(t)) or np.any((t <= 0.0) | (t >= 1.0)):
-        raise OutOfDomainError("sigma_sq levels must lie in (0, 1)")
+    t = np.atleast_1d(_check_level("sigma_sq levels", t, scalar=False))
     total = np.zeros_like(t)
     for fn in sigma.density_at_quantile_fns:
         dens = np.asarray(fn(t), dtype=float)
@@ -160,8 +159,7 @@ class ConfidenceBand:
 
 
 def _per_level_alpha(alpha: float, n_levels: int, simultaneous: bool) -> float:
-    if not (0.0 < alpha < 1.0):
-        raise OutOfDomainError("alpha must lie in (0, 1)")
+    alpha = _check_level("alpha", alpha)
     return alpha / n_levels if simultaneous else alpha
 
 
@@ -183,8 +181,7 @@ def asymptotic_band(
         raise NoNeighborsError(
             result.neighbors.target_row, result.neighbors.target_col, result.neighbors.eta
         )
-    if n_j < 1:
-        raise OutOfDomainError("n_j must be at least 1")
+    n_j = _check_count("n_j", n_j)
     alpha_eff = _per_level_alpha(alpha, levels.shape[0], simultaneous)
     z = float(ndtri(1.0 - alpha_eff / 2.0))
     centers = np.asarray(result.estimate.quantile(levels), dtype=float)
@@ -200,14 +197,13 @@ def asymptotic_band(
     )
 
 
-def _check_reps(reps_samples: int, reps_neighbors: int) -> None:
-    """OutOfDomainError unless both counts are integers >= 1 whose product,
-    the replicate count, is below 2**32 (one word per spawn key)."""
-    _check_count("reps_samples", reps_samples)
-    _check_count("reps_neighbors", reps_neighbors)
-    n_reps = reps_samples * reps_neighbors
+def _check_reps(reps_samples: int, reps_neighbors: int) -> int:
+    """The replicate count, the counts' product; OutOfDomainError unless both
+    are integers >= 1 and it is below 2**32 (one word per spawn key)."""
+    n_reps = _check_count("reps_samples", reps_samples) * _check_count("reps_neighbors", reps_neighbors)
     if n_reps >= 2**32:
         raise OutOfDomainError(f"reps_samples * reps_neighbors must be below 2**32, got {n_reps}")
+    return n_reps
 
 
 _MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
@@ -313,7 +309,7 @@ def bootstrap_band(
     resample one at a time and summing from 0.0.
     """
     levels = _check_levels(levels)
-    _check_reps(reps_samples, reps_neighbors)
+    n_reps = _check_reps(reps_samples, reps_neighbors)
     _check_seed(seed)
     alpha_eff = _per_level_alpha(alpha, levels.shape[0], simultaneous)
     neighbors = estimator.find_neighbors(m, i, j, eta, min_overlap, max_neighbors)
@@ -324,7 +320,6 @@ def bootstrap_band(
     k, n_max = sizes.shape[0], int(sizes.max())
     ranks = _order_index(levels, sizes[:, None]) - 1
     equal = sizes.min() == n_max
-    n_reps = reps_neighbors * reps_samples
     states = _spawn_states(seed, n_reps)
     rng = np.random.default_rng(0)
     bit_generator = rng.bit_generator

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import (EmpiricalDistribution, _block_cell, _check_seed, _column_block, _ColumnGrids,
-                        _readonly, from_samples)
+from .empirical import (EmpiricalDistribution, _block_cell, _check_level, _check_seed, _column_block,
+                        _ColumnGrids, _readonly, from_samples)
 from .errors import EmptyInputError, IndexOutOfRangeError, OutOfDomainError, SizeMismatchError
 
 __all__ = ["DistributionalMatrix", "MaskSpec", "apply_mcar", "shared_columns"]
@@ -135,8 +135,7 @@ class MaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.p <= 1.0):
-            raise OutOfDomainError("observation probability must lie in (0, 1]")
+        _check_level("observation probability p", self.p, closed=True)
         _check_seed(self.seed)
 
 
@@ -152,7 +151,10 @@ def apply_mcar(full: DistributionalMatrix, spec: MaskSpec, protect=None) -> Dist
     rng = np.random.default_rng(spec.seed)
     keep = rng.random((full.n_rows, full.n_cols)) < spec.p
     if protect is not None:
-        keep[full._check_index(*protect)] = False
+        try:
+            keep[full._check_index(*protect)] = False
+        except TypeError:  # not two values
+            raise OutOfDomainError(f"protect must be a (row, col) pair, got {protect!r}") from None
     return full._of_blocks(full._blocks, keep)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
-from .empirical import _check_count, _check_seed, _full_block
+from .empirical import _check_count, _check_seed, _check_threshold, _full_block
 from .errors import OutOfDomainError
 from .matrix import DistributionalMatrix
 
@@ -153,14 +153,14 @@ class DgpSpec:
     def __post_init__(self):
         if self.kind not in ("homoscedastic", "heteroscedastic"):
             raise OutOfDomainError(f"unknown kind: {self.kind!r}")
-        if not all(map(math.isfinite, (self.sigma, *self.location_range, *self.scale_range))):
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v)
+                   for v in (self.sigma, *self.location_range, *self.scale_range)):
             raise OutOfDomainError("sigma, location_range and scale_range must be finite")
         if self.scale_range[0] <= 0.0 or self.scale_range[1] < self.scale_range[0]:
             raise OutOfDomainError("scale_range must be positive and ordered")
         if self.location_range[1] < self.location_range[0]:
             raise OutOfDomainError("location_range must be ordered")
-        if self.sigma < 0.0:
-            raise OutOfDomainError("sigma must be non-negative")
+        _check_threshold("sigma", self.sigma)
         _check_count("latent_dim", self.latent_dim)
         (lo, hi), (s_lo, s_hi) = self.location_range, self.scale_range
         # |Q0(u)| at most q over the draws' range [1e-300, 1); rounding is

@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .empirical import _check_seed, _chunk_rows, _order_index, _row_losses
+from .empirical import (_check_count, _check_seed, _check_threshold, _chunk_rows, _order_index,
+                        _row_losses)
 # perfbench/tracing.py wraps tuning.w2sq and tuning.step_barycenter by name
 from .empirical import step_barycenter, w2sq  # noqa: F401
 from .errors import AllTrialsFailedError, NoObservedCellsError, OutOfDomainError
@@ -48,16 +49,17 @@ class TuneConfig:
     min_overlap: int = 1
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise OutOfDomainError("budget must be at least 1")
+        _check_count("budget", self.budget)
         if self.search not in ("log_grid", "random_log_uniform"):
             raise OutOfDomainError(f"unknown search strategy: {self.search!r}")
         if (self.eta_min is None) != (self.eta_max is None):
             raise OutOfDomainError("eta_min and eta_max must be given together")
-        if self.eta_min is not None and not (0.0 < self.eta_min < self.eta_max < math.inf):
-            raise OutOfDomainError("need 0 < eta_min < eta_max < inf")
-        if self.min_overlap < 1:
-            raise OutOfDomainError("min_overlap must be at least 1")
+        if self.eta_min is not None:
+            _check_threshold("eta_min", self.eta_min)
+            _check_threshold("eta_max", self.eta_max)
+            if not (0.0 < self.eta_min < self.eta_max < math.inf):
+                raise OutOfDomainError("need 0 < eta_min < eta_max < inf")
+        _check_count("min_overlap", self.min_overlap)
         _check_seed(self.seed)
 
 

@@ -142,7 +142,7 @@ class TestAsymptoticBand:
 
     def test_sample_count_domain(self):
         _, result = simple_result()
-        with pytest.raises(OutOfDomainError, match="n_j must be at least 1"):
+        with pytest.raises(OutOfDomainError, match="n_j must be an integer >= 1"):
             asymptotic_band(result, uniform_sigma(1.0), 0, 0.05, [0.5])
 
     def test_empty_neighbour_set_has_no_band(self):
@@ -155,9 +155,9 @@ class TestAsymptoticBand:
 BAD_GRIDS = {
     "empty": ([], "non-empty 1-D"),
     "2-D": ([[0.2, 0.5]], "non-empty 1-D"),
-    "zero": ([0.0, 0.5], "strictly inside"),
-    "one": ([0.5, 1.0], "strictly inside"),
-    "nan": ([0.5, np.nan], "strictly inside"),
+    "zero": ([0.0, 0.5], "levels must lie in"),
+    "one": ([0.5, 1.0], "levels must lie in"),
+    "nan": ([0.5, np.nan], "levels must lie in"),
     "decreasing": ([0.5, 0.3], "strictly increasing"),
     "repeated": ([0.5, 0.5], "strictly increasing"),
 }
