@@ -496,8 +496,10 @@ def verify_barycenter_rate(
     sits between the 1/n and 1/n^2 regimes. Unit-width uniform intervals at
     seeded random locations keep the closed-form target constant across k.
     """
-    trials_k, trials_n = _check_count("trials_k", trials_k), _check_count("trials_n", trials_n)
-    n_fixed, k_fixed = _check_count("n_fixed", n_fixed), _check_count("k_fixed", k_fixed)
+    trials_k = _check_count("trials_k", trials_k)
+    trials_n = _check_count("trials_n", trials_n)
+    n_fixed = _check_count("n_fixed", n_fixed)
+    k_fixed = _check_count("k_fixed", k_fixed)
     k_list = [_check_count("each entry of k_list", k) for k in k_list]
     n_list = [_check_count("each entry of n_list", n) for n in n_list]
     _check_seed(seed)
