@@ -21,6 +21,7 @@ reads, never a hidden cell's.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -168,10 +169,15 @@ class StepQuantile:
     def step_values(self) -> np.ndarray:
         return self.values
 
-    # values near the float limits give an infinite mean or std
+    # sums of values near the float limits overflow: the mean is refitted, the std can be infinite
     @np.errstate(over="ignore", invalid="ignore")
     def mean(self) -> float:
-        return float(_integral(self._piece_widths(), self.values.copy()))
+        widths = self._piece_widths()
+        mean = float(_integral(widths, self.values.copy()))
+        if widths is None and not math.isfinite(mean):  # the k/n grid's sum overflowed
+            values = self.values[:, None]
+            mean = float(_refit_overflow(np.array([mean]), values.shape[0], lambda: [values])[0])
+        return mean
 
     @np.errstate(over="ignore", invalid="ignore")
     def std(self) -> float:

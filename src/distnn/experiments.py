@@ -13,6 +13,7 @@ arrays drawn from the target's true distribution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,7 +98,8 @@ class ExperimentSpec:
     used instead. ``trials``, ``n_rows``, ``n_cols``, ``tune_budget``,
     ``min_neighbors``, ``rows_per_neighbor``, ``baseline_resamples`` and an
     ``n_samples`` or ``n_rows`` sweep's values must each be an integer >= 1,
-    or construction raises OutOfDomainError.
+    an ``n_times_neighbors`` sweep's values finite numbers > 0, and a fixed
+    ``target`` a pair of integers >= 0, or construction raises OutOfDomainError.
     """
 
     dgp: DgpSpec
@@ -118,6 +120,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.sweep not in ("n_samples", "n_rows", "n_times_neighbors"):
             raise OutOfDomainError(f"unknown sweep variable: {self.sweep!r}")
+        if self.sweep == "n_times_neighbors" and not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 < v < math.inf
+                for v in self.values):
+            raise OutOfDomainError("n_times_neighbors sweep values must be finite numbers > 0")
         if len(self.values) < 1 or any(
             b <= a for a, b in zip(self.values, self.values[1:])
         ):
@@ -134,8 +140,10 @@ class ExperimentSpec:
             raise OutOfDomainError(f"unknown eta policy: {self.eta_policy!r}")
         if self.eta_policy == "fixed":
             _check_threshold("eta", self.eta)
-        if self.target != "random" and len(self.target) != 2:
-            raise OutOfDomainError('target must be "random" or a (row, col) pair')
+        if self.target != "random":
+            if not isinstance(self.target, (tuple, list)) or len(self.target) != 2:
+                raise OutOfDomainError(f'target must be "random" or a (row, col) pair, got {self.target!r}')
+            object.__setattr__(self, "target", tuple(_check_count("target", v, 0) for v in self.target))
         _check_seed(self.seed)
 
 

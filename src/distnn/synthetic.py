@@ -22,10 +22,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.special import ndtr, ndtri
 
-from .empirical import _check_count, _check_seed, _check_threshold, _full_block
+from .empirical import _check_count, _check_level, _check_seed, _check_threshold, _full_block
 from .errors import OutOfDomainError
 from .matrix import DistributionalMatrix
 
@@ -54,9 +53,6 @@ class BaseFamily:
     # x -> (P1, P2) = (2∫^x y f0(y) dy, 3∫^x y² f0(y) dy), each up to a constant
     partial_moments: object
 
-    def pdf_at_ppf(self, t):
-        return self.pdf(self.ppf(t))
-
 
 def _uniform_base() -> BaseFamily:
     return BaseFamily(
@@ -69,39 +65,37 @@ def _uniform_base() -> BaseFamily:
     )
 
 
-def _gaussian_base() -> BaseFamily:
-    return BaseFamily(
-        name="gaussian",
-        ppf=ndtri,
-        pdf=stats.norm.pdf,
-        m1=0.0,
-        m2=1.0,
-        partial_moments=_gaussian_partial_moments,
-    )
+def _phi(x):
+    """The standard normal density, by the formula of SciPy's norm.pdf."""
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
-def _gaussian_partial_moments(x):
-    """(-2φ(x), 3(Φ(x) - xφ(x))), with xφ(x) taken as 0 at ±inf."""
-    phi = stats.norm.pdf(x)
-    return -2.0 * phi, 3.0 * (ndtr(x) - np.where(np.isfinite(x), x, 0.0) * phi)
-
-
-def _truncated_gaussian_base(cut: float) -> BaseFamily:
+def _gaussian_base(cut: float) -> BaseFamily:
+    """The standard normal truncated to [-cut, cut], cut in (0, inf]. At inf, lo and
+    mass are exactly 0 and 1, so every value is the plain Gaussian's, bit for bit.
+    A finite cut's ppf reads each half from its own tail and is clipped to the cut."""
     if not cut > 0.0:
         raise OutOfDomainError(f"truncation must be positive, got {cut!r}")
-    frozen = stats.truncnorm(-cut, cut)
-    mass = ndtr(cut) - ndtr(-cut)
+    lo = float(ndtr(-cut))
+    mass = float(ndtr(cut)) - lo
+    edge = min(cut, 40.0)  # cut φ(cut) is exactly 0 from 38.6 on; the cap keeps inf·0 and cut² finite
+
+    def ppf(t):
+        t = np.asarray(t, dtype=float)
+        x = ndtri(lo + np.where(t > 0.5, 1.0 - t, t) * mass)
+        return np.clip(np.where(t > 0.5, -x, x), -cut, cut)
 
     def partial_moments(x):
-        p1, p2 = _gaussian_partial_moments(x)
-        return p1 / mass, p2 / mass
+        """(-2φ(x), 3(Φ(x) - xφ(x))) / mass, with xφ(x) taken as 0 at ±inf."""
+        phi = _phi(x)
+        return -2.0 * phi / mass, 3.0 * (ndtr(x) - np.where(np.isfinite(x), x, 0.0) * phi) / mass
 
     return BaseFamily(
-        name="truncated_gaussian",
-        ppf=frozen.ppf,
-        pdf=frozen.pdf,
+        name="gaussian" if cut == math.inf else "truncated_gaussian",
+        ppf=ndtri if cut == math.inf else ppf,
+        pdf=lambda x: _phi(np.asarray(x, dtype=float)) / mass * (np.abs(x) <= cut),
         m1=0.0,
-        m2=float(frozen.var()),
+        m2=float(1.0 - 2.0 * edge * _phi(edge) / mass),
         partial_moments=partial_moments,
     )
 
@@ -110,9 +104,9 @@ def make_base(name: str, truncation: float = 4.0) -> BaseFamily:
     if name == "uniform":
         return _uniform_base()
     if name == "gaussian":
-        return _gaussian_base()
+        return _gaussian_base(math.inf)
     if name == "truncated_gaussian":
-        return _truncated_gaussian_base(truncation)
+        return _gaussian_base(truncation)
     raise OutOfDomainError(f"unknown base family: {name!r}")
 
 
@@ -135,7 +129,8 @@ class DgpSpec:
     drawn over ``location_range``, column scales over ``scale_range``).
     ``n_per_entry`` is the sample count per entry, a scalar or one value per
     column. Truncated-Gaussian bases cut at ``truncation`` standard
-    deviations. A spec whose range widths or sample bound (the largest
+    deviations, a real number (``generate`` refuses one that is not
+    positive). A spec whose range widths or sample bound (the largest
     |location| plus the largest scale times the base's largest |quantile|
     over the draws) overflow raises OutOfDomainError.
     """
@@ -162,6 +157,8 @@ class DgpSpec:
             raise OutOfDomainError("location_range must be ordered")
         _check_threshold("sigma", self.sigma)
         _check_count("latent_dim", self.latent_dim)
+        if isinstance(self.truncation, bool) or not isinstance(self.truncation, numbers.Real):
+            raise OutOfDomainError(f"truncation must be a real number, got {self.truncation!r}")
         (lo, hi), (s_lo, s_hi) = self.location_range, self.scale_range
         # |Q0(u)| at most q over the draws' range [1e-300, 1); rounding is
         # monotone, so a finite bound on |loc| + scale * q keeps every sample finite
@@ -205,7 +202,7 @@ class TrueDistributions:
         s = self.scale[i, j]
         if s <= 0.0:
             raise OutOfDomainError("cell distribution is degenerate (scale 0)")
-        return self.base.pdf_at_ppf(t) / s
+        return self.base.pdf(self.base.ppf(t)) / s
 
     def cell_summaries(self, i: int, j: int, var_alpha: float = 0.05) -> dict:
         loc = self.loc[i, j]
@@ -216,7 +213,7 @@ class TrueDistributions:
             "mean": loc + s * base.m1,
             "median": float(loc + s * base.ppf(0.5)),
             "std": std,
-            "var_at_risk": float(-(loc + s * base.ppf(var_alpha))),
+            "var_at_risk": float(-(loc + s * base.ppf(_check_level("var_alpha", var_alpha)))),
         }
 
     def w2sq_cells(self, cell_a, cell_b) -> float:

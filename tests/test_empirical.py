@@ -361,11 +361,14 @@ class TestSummaries:
             assert summaries(d)["std"] == d.std() == math.inf
 
     def test_overflowing_mean_gives_no_warning(self):
-        # the equal-width mean sums before it divides, so it overflows here
+        # the k/n grid's sum overflows here, so the mean is taken again as the
+        # sum of each value over n, held within the values' range
         d = from_samples([1.7e308, 1.7e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            summaries(d), d.mean(), d.std()
+            got = summaries(d)
+            assert got["mean"] == d.mean() == 1.7e308
+            assert got["std"] == d.std() == 0.0
 
     def test_step_quantile_summaries_match_empirical(self):
         rng = np.random.default_rng(11)

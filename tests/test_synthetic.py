@@ -3,12 +3,15 @@
 import dataclasses
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
+from scipy.special import ndtr, ndtri
 
 from distnn import DgpSpec, DistributionalMatrix, from_samples, generate, true_w2, w2sq
 from distnn.empirical import StepQuantile
@@ -376,6 +379,53 @@ class TestTruncation:
         spec = DgpSpec(base_family="truncated_gaussian", truncation=cut, n_per_entry=5)
         with pytest.raises(OutOfDomainError):
             generate(spec, 3, 2)
+
+
+class TestGaussianBases:
+    """Both Gaussian bases come from closed forms in scipy.special; scipy.stats
+    is the reference here only."""
+
+    def test_gaussian_is_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        x = np.concatenate([rng.normal(size=5000), rng.normal(scale=30.0, size=5000),
+                            [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 38.6, 40.0]])
+        base = make_base("gaussian")
+        with np.errstate(over="ignore"):  # x**2 at ±1e308, in both
+            phi = stats.norm.pdf(x)
+            assert base.pdf(x).tobytes() == phi.tobytes()
+            p1, p2 = base.partial_moments(x)
+        assert base.ppf is ndtri
+        assert p1.tobytes() == (-2.0 * phi).tobytes()
+        assert p2.tobytes() == (3.0 * (ndtr(x) - np.where(np.isfinite(x), x, 0.0) * phi)).tobytes()
+        assert (base.m1, base.m2) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("cut", [0.25, 1.0, 4.0, 8.0, 40.0])
+    def test_truncated_matches_truncnorm(self, cut):
+        base, ref = make_base("truncated_gaussian", cut), stats.truncnorm(-cut, cut)
+        t = np.concatenate([[0.0, 1e-300, 1e-12, 0.5, 1 - 1e-12, 1 - 2**-53, 1.0],
+                            np.random.default_rng(9).random(5000)])
+        x, want = base.ppf(t), ref.ppf(t)
+        assert np.all(np.abs(x - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+        # the density's relative condition number at x is x², so both sides
+        # differ from the exact value by up to about 1e-16 x² there
+        pdf, pdf_want = base.pdf(x), ref.pdf(x)
+        assert np.all(np.abs(pdf - pdf_want) <= 1e-14 * np.maximum(1.0, x * x) * pdf_want)
+        outside = np.array([-np.inf, -2.0 * cut, 2.0 * cut, np.inf])
+        assert base.pdf(outside).tolist() == ref.pdf(outside).tolist() == [0.0] * 4
+        assert base.m1 == 0.0 and abs(base.m2 - ref.var()) <= 1e-14 * ref.var()
+
+    @pytest.mark.parametrize("name, cut", [("gaussian", np.inf), ("truncated_gaussian", 0.25),
+                                           ("truncated_gaussian", 37.0), ("truncated_gaussian", 40.0),
+                                           ("truncated_gaussian", 1e6), ("truncated_gaussian", np.inf)])
+    def test_draws_keep_the_sample_bound(self, name, cut):
+        # the bound DgpSpec checks the spec's samples with
+        base = make_base(name, cut)
+        for u in (1e-300, 1 - 2**-53):
+            assert abs(base.ppf(u)) <= min(cut, synthetic._GAUSSIAN_TAIL)
+
+    def test_import_leaves_scipy_stats_out(self):
+        code = "import sys, distnn; assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'"
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestLipschitzWitness:

@@ -17,7 +17,7 @@ from distnn.experiments import (ExperimentSpec, run_denoising, verify_barycenter
                                 verify_uniform_barycenter_error)
 from distnn.inference import SigmaFunction, asymptotic_band, bootstrap_band, default_levels, sigma_sq
 from distnn.matrix import DistributionalMatrix, MaskSpec, apply_mcar
-from distnn.synthetic import DgpSpec
+from distnn.synthetic import DgpSpec, generate
 from distnn.tuning import TuneConfig, tune_eta
 
 
@@ -43,6 +43,10 @@ def band(**kwargs):
 def spec(**kwargs):
     return ExperimentSpec(**{"dgp": DgpSpec(n_per_entry=10), "values": (10, 20), "trials": 2,
                              "n_rows": 6, "n_cols": 3, "tune_budget": 4, **kwargs})
+
+
+def truth():
+    return generate(DgpSpec(n_per_entry=3), 2, 2)[1]
 
 
 UNIFORM = exact.UniformPair(0.0, 1.0, 0.5, 2.0)
@@ -85,6 +89,7 @@ REFUSED = {
     "quantile-str": (lambda: from_samples([1.0, 2.0]).quantile("a"), "level"),
     "sigma_sq-str": (lambda: sigma_sq(SigmaFunction.from_samples([[0.0, 1.0, 3.0]]), "a"), "levels"),
     "summaries-var_alpha-bool": (lambda: summaries(from_samples([1.0, 2.0]), True), "var_alpha"),
+    "cell_summaries-var_alpha-above-one": (lambda: truth().cell_summaries(0, 0, 2.0), "var_alpha"),
     "MaskSpec-p-bool": (lambda: MaskSpec(p=True), "p"),
     "MaskSpec-p-str": (lambda: MaskSpec(p="a"), "p"),
     "asymptotic_band-alpha-str": (lambda: band(alpha="a"), "alpha"),
@@ -95,10 +100,19 @@ REFUSED = {
     "ExperimentSpec-eta-negative": (lambda: spec(eta_policy="fixed", eta=-1.0), "eta"),
     "ExperimentSpec-eta-str": (lambda: spec(eta_policy="fixed", eta="x"), "eta"),
     "DgpSpec-sigma-str": (lambda: DgpSpec(sigma="a"), "sigma"),
+    "DgpSpec-truncation-str": (lambda: DgpSpec(truncation="a"), "truncation"),
+    "DgpSpec-truncation-bool": (lambda: DgpSpec(base_family="truncated_gaussian", truncation=True),
+                                "truncation"),
+    "ExperimentSpec-product-values-str": (
+        lambda: spec(sweep="n_times_neighbors", values=("a", "b")), "values"),
+    "ExperimentSpec-product-values-negative": (
+        lambda: spec(sweep="n_times_neighbors", values=(-5.0, 3.0)), "values"),
     # a (row, col) pair
     "apply_mcar-protect-one-index": (
         lambda: apply_mcar(full_matrix(), MaskSpec(p=0.5), protect=(0,)), "protect"),
     "apply_mcar-protect-int": (lambda: apply_mcar(full_matrix(), MaskSpec(p=0.5), protect=0), "protect"),
+    "ExperimentSpec-target-int": (lambda: spec(target=5), "target"),
+    "ExperimentSpec-target-float": (lambda: spec(target=(1.5, 0)), "target"),
 }
 
 
@@ -129,6 +143,11 @@ ACCEPTED = {
     "TuneConfig-eta-range-float64": lambda: TuneConfig(eta_min=np.float64(0.5), eta_max=np.float64(2.0)),
     "ExperimentSpec-lo": lambda: spec(values=(1, 2), eta_policy="fixed", eta=0.0),
     "DgpSpec-sigma-zero": lambda: DgpSpec(sigma=0.0),
+    "DgpSpec-truncation-inf": lambda: generate(
+        DgpSpec(base_family="truncated_gaussian", truncation=np.inf, n_per_entry=3), 2, 2),
+    "ExperimentSpec-target-int64": lambda: spec(target=(np.int64(2), 1)),
+    "ExperimentSpec-product-values-float": lambda: spec(sweep="n_times_neighbors", values=(40.0, 80.5)),
+    "cell_summaries-float64": lambda: truth().cell_summaries(0, 0, np.float64(0.05)),
     # uint8 counts whose products and sums would wrap as uint8
     "default_levels-uint8": lambda: default_levels(np.uint8(255)),
     "exact-n-uint8": lambda: exact.uniform_pair_empirical_expected_w2_sq(UNIFORM, np.uint8(255)),
